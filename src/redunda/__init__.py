@@ -36,6 +36,7 @@ from .errors import (
 )
 from .metric import cluster_dissimilarity, cosine_dissimilarity, pairwise_condensed
 from .selection import (
+    ClassResult,
     SubsetManifest,
     build_cluster_subset,
     build_random_subset,
@@ -46,6 +47,7 @@ from .store import EmbeddingDataset, EmbeddingRecord, load_dataset, write_datase
 from .synth import PlantedSpec, SeparationCertificate, generate, measure_separation
 
 __all__ = [
+    "ClassResult",
     "ConfigError",
     "DegenerateClusterError",
     "Dendrogram",

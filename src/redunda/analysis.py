@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -13,7 +12,6 @@ import numpy as np
 from . import metric
 from .cluster import Partition
 from .errors import InvalidArgumentError
-from .store import EmbeddingDataset
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class NearestExcludedPair:
     retained_id: int
     neighbor_id: int
     dissimilarity: float
-    same_class: bool = True
 
 
 def size_histogram(partition: Partition) -> SizeHistogram:
@@ -60,33 +57,39 @@ def size_histogram(partition: Partition) -> SizeHistogram:
     return SizeHistogram(partition.class_id, dict(sorted(counts.items())))
 
 
-def _check_reps(partition: Partition, reps: Mapping[int, int]) -> None:
-    for ci, cluster in enumerate(partition.clusters):
-        if ci not in reps:
-            raise InvalidArgumentError(f"no representative for cluster {ci}")
-        if reps[ci] not in cluster:
-            raise InvalidArgumentError(
-                f"representative {reps[ci]} is not a member of cluster {ci}"
-            )
+def _qualifying(
+    partition: Partition, reps: Sequence[int], ids: np.ndarray
+) -> list[tuple[int, np.ndarray]]:
+    """``(rep row, member rows)`` of each cluster of size >= 2, in partition
+    order; member rows ascend by sample id."""
+    if len(reps) != len(partition.clusters):
+        raise InvalidArgumentError(
+            f"{len(reps)} representatives for {len(partition.clusters)} clusters"
+        )
+    out = []
+    for ci, (rep, rows) in enumerate(zip(reps, partition.member_rows(ids))):
+        if rep not in partition.clusters[ci]:
+            raise InvalidArgumentError(f"representative {rep} is not a member of cluster {ci}")
+        if len(rows) >= 2:
+            out.append((int(rows[ids[rows] == rep][0]), rows))
+    return out
 
 
 def avg_dissimilarity(
-    partition: Partition, reps: Mapping[int, int], ds: EmbeddingDataset
+    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray
 ) -> ClassDissimilarity | None:
     """Average dissimilarity to the retained sample over clusters of size >= 2.
 
-    Returns None when the class has no qualifying cluster (class omitted from
-    the report rather than reported as zero).
+    ``reps`` holds each cluster's retained sample, aligned with
+    ``partition.clusters``; ``ids``, ``X`` and ``U`` are the class's sample
+    ids, rows and unit rows in row order.  Returns None when the class has
+    no qualifying cluster (class omitted from the report rather than
+    reported as zero).
     """
-    _check_reps(partition, reps)
     cluster_means: list[float] = []
-    for ci, cluster in enumerate(partition.clusters):
-        if len(cluster) < 2:
-            continue
-        rep = reps[ci]
-        others = sorted(cluster - {rep})
-        V = np.asarray([ds.vector_of(sid) for sid in others])
-        d = metric.one_to_many(ds.vector_of(rep), V)
+    for rep_row, rows in _qualifying(partition, reps, ids):
+        others = rows[rows != rep_row]
+        d = metric.one_to_many(X[rep_row], X[others], U[others])
         cluster_means.append(float(d.mean()))
     if not cluster_means:
         return None
@@ -116,33 +119,26 @@ def assemble_dissimilarity_report(
 
 
 def nearest_excluded(
-    partition: Partition, reps: Mapping[int, int], class_points
+    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
 
-    Single-cluster classes have no outside points and yield an empty list.
-    Ties break toward the smallest neighbor sample_id.
+    Arguments as for ``avg_dissimilarity``.  Single-cluster classes have no
+    outside points and yield an empty list.  Ties break toward the smallest
+    neighbor sample_id.
     """
-    _check_reps(partition, reps)
+    qualifying = _qualifying(partition, reps, ids)
     if len(partition.clusters) < 2:
         return []
-    pts = list(class_points)
-    ids = np.array([int(s) for s, _ in pts], dtype=np.int64)
-    V = np.asarray([np.asarray(v, dtype=np.float64) for _, v in pts])
-    row_of = {int(s): i for i, (s, _) in enumerate(pts)}
     out: list[NearestExcludedPair] = []
-    for ci, cluster in enumerate(partition.clusters):
-        if len(cluster) < 2:
-            continue
-        rep = reps[ci]
+    for rep_row, rows in qualifying:
         inside = np.zeros(len(ids), dtype=bool)
-        for sid in cluster:
-            inside[row_of[sid]] = True
+        inside[rows] = True
         outside = np.flatnonzero(~inside)
-        d = metric.one_to_many(V[row_of[rep]], V[outside])
+        d = metric.one_to_many(X[rep_row], X[outside], U[outside])
         pick = int(np.lexsort((ids[outside], d))[0])
         out.append(
-            NearestExcludedPair(rep, int(ids[outside][pick]), float(d[pick]))
+            NearestExcludedPair(int(ids[rep_row]), int(ids[outside][pick]), float(d[pick]))
         )
     return out
 
@@ -165,20 +161,12 @@ def histogram_to_csv(histograms: Sequence[SizeHistogram]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_histogram_csv(histograms: Sequence[SizeHistogram], path) -> None:
-    Path(path).write_text(histogram_to_csv(histograms), encoding="utf-8")
-
-
 def histogram_to_table(histograms: Sequence[SizeHistogram]) -> str:
     lines = [f"{'class':>8}  {'size':>8}  {'count':>8}"]
     lines += [
         f"{cid:>8}  {size:>8}  {count:>8}" for cid, size, count in histogram_rows(histograms)
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_histogram_table(histograms: Sequence[SizeHistogram], path) -> None:
-    Path(path).write_text(histogram_to_table(histograms), encoding="utf-8")
 
 
 def histogram_to_json(histograms: Sequence[SizeHistogram]) -> str:
@@ -201,10 +189,6 @@ def dissimilarity_to_json(report: DissimilarityReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_dissimilarity_json(report: DissimilarityReport, path) -> None:
-    Path(path).write_text(dissimilarity_to_json(report), encoding="utf-8")
-
-
 def dissimilarity_to_table(report: DissimilarityReport) -> str:
     lines = [f"{'class':>8}  {'groups':>10}  {'avg_dissimilarity':>18}"]
     for cid in sorted(report.per_class):
@@ -215,10 +199,6 @@ def dissimilarity_to_table(report: DissimilarityReport) -> str:
     if report.overall is not None:
         lines.append(f"{'all':>8}  {label:>10}  {report.overall:>18.6e}")
     return "\n".join(lines) + "\n"
-
-
-def write_dissimilarity_table(report: DissimilarityReport, path) -> None:
-    Path(path).write_text(dissimilarity_to_table(report), encoding="utf-8")
 
 
 def pairs_to_json(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) -> str:
@@ -236,10 +216,6 @@ def pairs_to_json(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) -
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_pairs_json(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]], path) -> None:
-    Path(path).write_text(pairs_to_json(pairs_by_class), encoding="utf-8")
-
-
 def pairs_to_table(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) -> str:
     lines = [f"{'class':>8}  {'retained':>12}  {'neighbor':>12}  {'dissimilarity':>16}"]
     for cid in sorted(pairs_by_class):
@@ -248,7 +224,3 @@ def pairs_to_table(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) 
                 f"{cid:>8}  {p.retained_id:>12}  {p.neighbor_id:>12}  {p.dissimilarity:>16.6e}"
             )
     return "\n".join(lines) + "\n"
-
-
-def write_pairs_table(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]], path) -> None:
-    Path(path).write_text(pairs_to_table(pairs_by_class), encoding="utf-8")

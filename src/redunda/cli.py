@@ -18,10 +18,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, analysis, rng, selection, synth
-from .cluster import DEFAULT_MEMORY_CAP, Dendrogram, Partition, format_dendrogram
+from . import __version__, analysis, metric, rng, selection, synth
+from .cluster import DEFAULT_MEMORY_CAP, format_dendrogram
 from .errors import ConfigError, RedundaError
-from .selection import SubsetManifest
+from .selection import ClassResult, SubsetManifest
 from .store import EmbeddingDataset, canonical_bytes, dataset_to_csv, load_dataset
 
 MEMORY_CAP_ENV = "REDUNDA_MEMORY_CAP"
@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.memory_cap_bytes is not None and self.memory_cap_bytes < 0:
+            raise ConfigError(f"memory cap must be >= 0 bytes, got {self.memory_cap_bytes}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,97 +116,85 @@ def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _recover_reps(manifest: SubsetManifest, partitions: dict[int, Partition]
-                  ) -> dict[int, dict[int, int]]:
-    """Per class: cluster index -> its retained member (exactly one per cluster)."""
-    reps: dict[int, dict[int, int]] = {}
-    for cid, part in partitions.items():
-        kept = set(manifest.retained[cid])
-        by_cluster: dict[int, int] = {}
-        for ci, cluster in enumerate(part.clusters):
-            inside = kept & cluster
-            if len(inside) != 1:
-                raise RedundaError(
-                    f"class {cid}: cluster {ci} holds {len(inside)} retained samples"
-                )
-            by_cluster[ci] = next(iter(inside))
-        reps[cid] = by_cluster
-    return reps
-
-
 def _report_artifacts(
-    config: RunConfig,
-    ds: EmbeddingDataset,
-    manifest: SubsetManifest,
-    partitions: dict[int, Partition],
-    dendrograms: dict[int, Dendrogram],
+    config: RunConfig, ds: EmbeddingDataset, results: dict[int, ClassResult]
 ) -> list[tuple[str, str | bytes]]:
     artifacts: list[tuple[str, str | bytes]] = []
-    reps = _recover_reps(manifest, partitions)
-    classes = sorted(partitions)
     if config.histogram:
-        hists = [analysis.size_histogram(partitions[cid]) for cid in classes]
+        hists = [analysis.size_histogram(res.partition) for res in results.values()]
         artifacts.append(("histogram.csv", analysis.histogram_to_csv(hists)))
         artifacts.append(("histogram.json", analysis.histogram_to_json(hists)))
         artifacts.append(("histogram.txt", analysis.histogram_to_table(hists)))
+    entries: list[analysis.ClassDissimilarity] = []
+    pairs: dict[int, list[analysis.NearestExcludedPair]] = {}
+    if config.dissimilarity or config.nearest_excluded:
+        for cid, res in results.items():
+            ids, X = ds.class_arrays(cid)
+            U = metric.unit_rows(X)  # shared by both reports
+            if config.dissimilarity:
+                entry = analysis.avg_dissimilarity(res.partition, res.reps, ids, X, U)
+                if entry is not None:
+                    entries.append(entry)
+            if config.nearest_excluded:
+                pairs[cid] = analysis.nearest_excluded(res.partition, res.reps, ids, X, U)
     if config.dissimilarity:
-        entries = []
-        for cid in classes:
-            entry = analysis.avg_dissimilarity(partitions[cid], reps[cid], ds)
-            if entry is not None:
-                entries.append(entry)
         report = analysis.assemble_dissimilarity_report(
             entries, class_weighted=config.class_mean
         )
         artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(report)))
         artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(report)))
     if config.nearest_excluded:
-        pairs = {
-            cid: analysis.nearest_excluded(partitions[cid], reps[cid], ds.class_view(cid))
-            for cid in classes
-        }
         artifacts.append(("pairs.json", analysis.pairs_to_json(pairs)))
         artifacts.append(("pairs.txt", analysis.pairs_to_table(pairs)))
     if config.dump_dendrograms:
-        for cid in classes:
-            artifacts.append(
-                (f"dendrograms/class_{cid}.txt", format_dendrogram(dendrograms[cid]))
-            )
+        for cid, res in results.items():
+            artifacts.append((f"dendrograms/class_{cid}.txt", format_dendrogram(res.dendrogram)))
     return artifacts
 
 
-def _class_summary(ds: EmbeddingDataset, manifest: SubsetManifest,
-                   partitions: dict[int, Partition] | None) -> list[str]:
-    lines = []
+def _finish(
+    config: RunConfig,
+    command: str,
+    ds: EmbeddingDataset,
+    manifest: SubsetManifest,
+    results: dict[int, ClassResult] | None,
+    artifacts: list[tuple[str, str | bytes]],
+    meta: dict,
+) -> None:
+    """Add run_metadata.json, write every artifact, and print the summary."""
     sizes = ds.class_sizes()
-    for cid in sorted(manifest.retained):
-        n = sizes[cid]
-        k = len(manifest.retained[cid])
-        if partitions is not None:
-            largest = max(partitions[cid].sizes())
-            lines.append(f"class {cid}: n={n} k={k} largest={largest}")
-        else:
-            lines.append(f"class {cid}: n={n} k={k}")
-    lines.append(
+    classes = {
+        cid: {
+            "n": sizes[cid],
+            "k": len(ids),
+            "largest": max(results[cid].partition.sizes()) if results else None,
+        }
+        for cid, ids in sorted(manifest.retained.items())
+    }
+    meta = {"input": str(config.input_path), "fraction": config.fraction, "jobs": config.jobs,
+            "classes": {str(cid): c for cid, c in classes.items()}, **meta}
+    artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
+    _emit(config.output_dir, artifacts)
+    if "manifest.json" in dict(artifacts):
+        # Exit contract: verify the manifest file on disk re-validates.
+        reread = selection.read_manifest_json(config.output_dir / "manifest.json")
+        selection.validate_manifest(reread, ds)
+    for cid, c in classes.items():
+        largest = "" if c["largest"] is None else f" largest={c['largest']}"
+        print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
+    print(
         f"total: classes={len(manifest.retained)} points={len(ds)} "
         f"retained={manifest.total_retained()}"
     )
-    return lines
 
 
 def _run_subset(config: RunConfig, command: str) -> int:
     config.validate()
     ds = load_dataset(config.input_path, config.input_format)
-    dendrograms: dict[int, Dendrogram] = {}
-    partitions: dict[int, Partition] | None = None
+    results: dict[int, ClassResult] | None = None
     if config.method == selection.METHOD_CLUSTER:
-        sink = dendrograms.__setitem__ if config.dump_dendrograms else None
-        manifest, partitions = selection.build_cluster_subset(
-            ds,
-            config.fraction,
-            jobs=config.jobs,
-            memory_cap_bytes=config.memory_cap_bytes,
-            dendrogram_sink=sink,
+        manifest, results = selection.build_cluster_subset(
+            ds, config.fraction, jobs=config.jobs, memory_cap_bytes=config.memory_cap_bytes
         )
     else:
         manifest = selection.build_random_subset(ds, config.fraction, config.seed)
@@ -214,51 +204,23 @@ def _run_subset(config: RunConfig, command: str) -> int:
         ("manifest.json", selection.manifest_to_json(manifest)),
         ("manifest.txt", selection.manifest_to_text(manifest)),
     ]
-    if partitions is not None:
-        artifacts += _report_artifacts(config, ds, manifest, partitions, dendrograms)
-    class_meta = {
-        str(cid): {
-            "n": ds.class_sizes()[cid],
-            "k": len(manifest.retained[cid]),
-            "largest": max(partitions[cid].sizes()) if partitions else None,
-        }
-        for cid in sorted(manifest.retained)
-    }
-    artifacts.append(
-        (
-            "run_metadata.json",
-            _metadata(
-                command,
-                ds,
-                {
-                    "input": str(config.input_path),
-                    "fraction": config.fraction,
-                    "method": config.method,
-                    "seed": config.seed,
-                    "jobs": config.jobs,
-                    "classes": class_meta,
-                },
-            ),
-        )
-    )
-    _emit(config.output_dir, artifacts)
-    # Exit contract: verify the manifest file on disk re-validates.
-    reread = selection.read_manifest_json(config.output_dir / "manifest.json")
-    selection.validate_manifest(reread, ds)
-    for line in _class_summary(ds, manifest, partitions):
-        print(line)
+    if results is not None:
+        artifacts += _report_artifacts(config, ds, results)
+    _finish(config, command, ds, manifest, results, artifacts,
+            {"method": config.method, "seed": config.seed})
     if config.method == selection.METHOD_RANDOM and command == "select":
         print("note: cluster reports skipped (uniform-random subsets have no clusters)")
     return 0
 
 
-def _cmd_select(args) -> int:
-    config = RunConfig(
+def _cluster_config(args, fraction: float, method: str, seed: int | None) -> RunConfig:
+    """RunConfig from the flags that ``select`` and ``stats`` share."""
+    return RunConfig(
         input_path=Path(args.input),
         input_format=args.format,
-        fraction=args.fraction,
-        method=args.method,
-        seed=args.seed,
+        fraction=fraction,
+        method=method,
+        seed=seed,
         output_dir=Path(args.out),
         jobs=args.jobs,
         memory_cap_bytes=_memory_cap(args),
@@ -268,7 +230,10 @@ def _cmd_select(args) -> int:
         dump_dendrograms=args.dump_dendrograms,
         class_mean=args.class_mean,
     )
-    return _run_subset(config, "select")
+
+
+def _cmd_select(args) -> int:
+    return _run_subset(_cluster_config(args, args.fraction, args.method, args.seed), "select")
 
 
 def _cmd_baseline(args) -> int:
@@ -287,59 +252,23 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    """Re-run the clustering a manifest came from and emit only the reports."""
     ds = load_dataset(Path(args.input), args.format)
     manifest = selection.read_manifest_json(Path(args.manifest))
     if manifest.method != selection.METHOD_CLUSTER:
         raise ConfigError("stats requires a cluster-medoid manifest")
     selection.validate_manifest(manifest, ds)
-    config = RunConfig(
-        input_path=Path(args.input),
-        input_format=args.format,
-        fraction=manifest.retention_fraction,
-        method=selection.METHOD_CLUSTER,
-        seed=None,
-        output_dir=Path(args.out),
-        jobs=args.jobs,
-        memory_cap_bytes=_memory_cap(args),
-        histogram=args.histogram,
-        dissimilarity=args.dissimilarity,
-        nearest_excluded=args.nearest_excluded,
-        dump_dendrograms=args.dump_dendrograms,
-        class_mean=args.class_mean,
-    )
+    config = _cluster_config(args, manifest.retention_fraction, selection.METHOD_CLUSTER, None)
     config.validate()
-    dendrograms: dict[int, Dendrogram] = {}
-    sink = dendrograms.__setitem__ if config.dump_dendrograms else None
-    recomputed, partitions = selection.build_cluster_subset(
-        ds,
-        config.fraction,
-        jobs=config.jobs,
-        memory_cap_bytes=config.memory_cap_bytes,
-        dendrogram_sink=sink,
+    recomputed, results = selection.build_cluster_subset(
+        ds, config.fraction, jobs=config.jobs, memory_cap_bytes=config.memory_cap_bytes
     )
     if dict(recomputed.retained) != dict(manifest.retained):
         raise ConfigError(
             "manifest does not match recomputed clustering for this dataset"
         )
-    artifacts = _report_artifacts(config, ds, manifest, partitions, dendrograms)
-    artifacts.append(
-        (
-            "run_metadata.json",
-            _metadata(
-                "stats",
-                ds,
-                {
-                    "input": str(config.input_path),
-                    "manifest": str(args.manifest),
-                    "fraction": config.fraction,
-                    "jobs": config.jobs,
-                },
-            ),
-        )
-    )
-    _emit(config.output_dir, artifacts)
-    for line in _class_summary(ds, manifest, partitions):
-        print(line)
+    _finish(config, "stats", ds, manifest, results, _report_artifacts(config, ds, results),
+            {"manifest": str(args.manifest)})
     return 0
 
 

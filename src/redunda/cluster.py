@@ -22,7 +22,6 @@ canonical step sequence is a valid bottom-up replay order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,17 +66,28 @@ class Partition:
     def sizes(self) -> list[int]:
         return [len(c) for c in self.clusters]
 
+    def member_rows(self, sample_ids: np.ndarray) -> list[np.ndarray]:
+        """Per cluster, the positions of its members in ``sample_ids`` (the
+        class's ids in row order), ascending by sample id."""
+        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        members = [sorted(c) for c in self.clusters]
+        flat = np.array([sid for m in members for sid in m], dtype=np.int64)
+        order = np.argsort(sample_ids, kind="stable")
+        pos = np.searchsorted(sample_ids[order], flat)
+        rows = order[np.minimum(pos, len(order) - 1)]
+        if not np.array_equal(sample_ids[rows], flat):
+            raise InvalidArgumentError("partition names a sample_id outside the class")
+        return np.split(rows, np.cumsum([len(m) for m in members])[:-1])
 
-def _split_points(points) -> tuple[np.ndarray, np.ndarray]:
-    pts = list(points)
-    if not pts:
-        raise InvalidArgumentError("need at least one point")
-    ids = np.array([int(sid) for sid, _ in pts], dtype=np.int64)
-    if len(set(ids.tolist())) != len(ids):
-        raise InvalidArgumentError("duplicate sample_id among points")
-    X = np.asarray([np.asarray(v, dtype=np.float64) for _, v in pts])
-    if X.ndim != 2:
-        raise InvalidArgumentError("points must share one vector dimension")
+
+def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one class's rows; ``sample_ids`` defaults to row positions."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(X) == 0:
+        raise InvalidArgumentError("need a non-empty 2-d array of row vectors")
+    ids = np.arange(len(X)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
+    if ids.shape != (len(X),) or len(np.unique(ids)) != len(ids):
+        raise InvalidArgumentError("need one distinct sample_id per row")
     if not np.isfinite(X).all():
         raise InvalidArgumentError("non-finite vector component")
     return ids, X
@@ -120,14 +130,18 @@ def _assemble(
     return dendro, Partition(class_id, tuple(clusters))
 
 
-def agglomerate_naive(points, k: int, *, class_id: int = 0) -> tuple[Dendrogram, Partition]:
+def agglomerate_naive(
+    X, k: int, *, sample_ids=None, class_id: int = 0
+) -> tuple[Dendrogram, Partition]:
     """Reference greedy agglomeration: scan all cluster pairs every round.
 
-    Cluster dissimilarities are recomputed definitionally (max over member
-    point pairs) after each merge, independent of the Lance-Williams update
-    the fast path uses.
+    ``X`` holds one row per point; ``sample_ids`` (row positions when
+    omitted) name the points in the partition and dendrogram.  Cluster
+    dissimilarities are recomputed definitionally (max over member point
+    pairs) after each merge, independent of the Lance-Williams update the
+    fast path uses.
     """
-    ids, X = _split_points(points)
+    ids, X = _check_class(X, sample_ids)
     n = len(ids)
     _check_k(n, k)
     if k == n:
@@ -177,18 +191,20 @@ def agglomerate_naive(points, k: int, *, class_id: int = 0) -> tuple[Dendrogram,
 
 
 def agglomerate_fast(
-    points,
+    X,
     k: int,
     *,
+    sample_ids=None,
     class_id: int = 0,
     memory_cap_bytes: int | None = None,
 ) -> tuple[Dendrogram, Partition]:
     """Nearest-neighbor-chain agglomeration over a condensed distance matrix.
 
-    O(n^2) after the distance build.  Produces the same partition and
-    canonical dendrogram as ``agglomerate_naive`` (see module docstring).
+    Takes the same arguments as ``agglomerate_naive``.  O(n^2) after the
+    distance build.  Produces the same partition and canonical dendrogram as
+    ``agglomerate_naive`` (see module docstring).
     """
-    ids, X = _split_points(points)
+    ids, X = _check_class(X, sample_ids)
     n = len(ids)
     _check_k(n, k)
     cap = DEFAULT_MEMORY_CAP if memory_cap_bytes is None else memory_cap_bytes
@@ -277,7 +293,3 @@ def format_dendrogram(dendrogram: Dendrogram) -> str:
         f"{s.left} {s.right} {s.height:.17g} {s.new_id}" for s in dendrogram.steps
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_dendrogram(dendrogram: Dendrogram, path) -> None:
-    Path(path).write_text(format_dendrogram(dendrogram), encoding="utf-8")

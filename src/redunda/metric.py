@@ -69,21 +69,27 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def one_to_many(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Dissimilarity of one vector to each row of ``M``."""
+def one_to_many(x: np.ndarray, M: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Dissimilarity of one vector to each row of ``M``, given ``U = unit_rows(M)``.
+
+    Callers normalize a class once and pass the gathered rows of both arrays
+    (``X[rows]``, ``U[rows]``).  Computing over the whole class and indexing
+    afterwards is not equivalent: the BLAS matrix-vector product can round a
+    row differently depending on where it sits in the matrix.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise InvalidArgumentError("expected a single vector")
     na = math.sqrt(float(np.dot(a, a)))
     if na < MIN_NORM:
         raise InvalidArgumentError(f"zero-norm vector (norm below {MIN_NORM:g}) has no direction")
-    M = np.asarray(M, dtype=np.float64)
-    U = unit_rows(M)
+    if U.shape != np.shape(M):
+        raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {np.shape(M)}")
     if U.shape[1] != a.shape[0]:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape[0]} vs {U.shape[1]}")
     d = 1.0 - (U @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
-    d[(M == a).all(axis=1)] = 0.0  # exact duplicates are exactly zero
+    d[(M == a).all(axis=1)] = 0.0  # exact duplicates (bit-equal raw rows) are exactly zero
     return d
 
 

@@ -7,7 +7,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -43,17 +43,28 @@ def per_class_k(class_size: int, fraction: float) -> int:
     return max(1, min(class_size, math.floor(fraction * class_size + 0.5)))
 
 
-def select_representative(cluster) -> int:
+@dataclass(frozen=True)
+class ClassResult:
+    """One clustered class: its partition, the retained medoid of each
+    cluster (aligned with ``partition.clusters``) and its dendrogram."""
+
+    partition: Partition
+    reps: tuple[int, ...]
+    dendrogram: Dendrogram
+
+
+def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
     """Medoid under cosine dissimilarity to the arithmetic-mean centroid.
 
-    Ties go to the smallest sample_id.
+    ``ids`` are the cluster's sample ids, ascending; ``X`` and ``U`` hold
+    their rows and unit rows in the same order.  Ties go to the smallest
+    sample_id.
     """
-    members = sorted(cluster, key=lambda sv: int(sv[0]))
-    if not members:
+    if len(ids) == 0:
         raise InvalidArgumentError("cluster must be non-empty")
-    ids = np.array([int(s) for s, _ in members], dtype=np.int64)
-    V = np.asarray([np.asarray(v, dtype=np.float64) for _, v in members])
-    centroid = V.mean(axis=0)
+    if len(ids) == 1:
+        return int(ids[0])
+    centroid = X.mean(axis=0)
     norm = math.sqrt(float(centroid @ centroid))
     if norm < metric.MIN_NORM:
         shown = ", ".join(str(i) for i in ids[:8])
@@ -61,23 +72,26 @@ def select_representative(cluster) -> int:
         raise DegenerateClusterError(
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
-    d = metric.one_to_many(centroid, V)
+    d = metric.one_to_many(centroid, X, U)
     return int(ids[np.lexsort((ids, d))[0]])
 
 
 def _cluster_class_job(
     ds: EmbeddingDataset, class_id: int, fraction: float, memory_cap_bytes: int | None
-) -> tuple[tuple[int, ...], Partition, Dendrogram]:
-    points = ds.class_view(class_id)
-    k = per_class_k(len(points), fraction)
+) -> ClassResult:
+    ids, X = ds.class_arrays(class_id)
+    k = per_class_k(len(ids), fraction)
     dendro, part = agglomerate_fast(
-        points, k, class_id=class_id, memory_cap_bytes=memory_cap_bytes
+        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes
     )
-    reps = [
-        select_representative([(sid, ds.vector_of(sid)) for sid in sorted(cluster)])
-        for cluster in part.clusters
-    ]
-    return tuple(sorted(reps)), part, dendro
+    # Normalized only now: while the chain runs, the condensed matrix is the
+    # largest allocation and one more class-sized array would raise the peak.
+    U = metric.unit_rows(X)
+    reps = tuple(
+        select_representative(ids[rows], X[rows], U[rows])
+        for rows in part.member_rows(ids)
+    )
+    return ClassResult(part, reps, dendro)
 
 
 def _tagged(class_id: int, exc: Exception) -> RedundaError:
@@ -91,12 +105,12 @@ def build_cluster_subset(
     *,
     jobs: int = 1,
     memory_cap_bytes: int | None = None,
-    dendrogram_sink: Callable[[int, Dendrogram], None] | None = None,
-) -> tuple[SubsetManifest, dict[int, Partition]]:
+) -> tuple[SubsetManifest, dict[int, ClassResult]]:
     """Cluster every class at its per-class k and keep one medoid per cluster.
 
-    Class jobs may run on up to ``jobs`` threads; results are reduced in
-    ascending class_id order, so output is independent of scheduling.
+    Returns the manifest and one ``ClassResult`` per class, keyed by class_id
+    in ascending order.  Class jobs may run on up to ``jobs`` threads; the
+    output does not depend on scheduling.
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
@@ -118,15 +132,10 @@ def build_cluster_subset(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(job, classes))
 
-    retained: dict[int, tuple[int, ...]] = {}
-    partitions: dict[int, Partition] = {}
-    for cid, (reps, part, dendro) in zip(classes, results):
-        retained[cid] = reps
-        partitions[cid] = part
-        if dendrogram_sink is not None:
-            dendrogram_sink(cid, dendro)
+    by_class = dict(zip(classes, results))
+    retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
-    return manifest, partitions
+    return manifest, by_class
 
 
 def build_random_subset(ds: EmbeddingDataset, fraction: float, seed: int) -> SubsetManifest:
@@ -140,11 +149,11 @@ def build_random_subset(ds: EmbeddingDataset, fraction: float, seed: int) -> Sub
         raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
     retained: dict[int, tuple[int, ...]] = {}
     for cid in ds.classes():
-        points = ds.class_view(cid)
-        k = per_class_k(len(points), fraction)
+        ids, _ = ds.class_arrays(cid)
+        k = per_class_k(len(ids), fraction)
         stream = rng.class_stream(seed, cid, rng.DOMAIN_SAMPLING)
-        picks = stream.sample_without_replacement(len(points), k)
-        retained[cid] = tuple(sorted(points[i][0] for i in picks))
+        picks = stream.sample_without_replacement(len(ids), k)
+        retained[cid] = tuple(sorted(int(ids[i]) for i in picks))
     return SubsetManifest(METHOD_RANDOM, fraction, seed, ds.digest(), retained)
 
 
@@ -172,7 +181,7 @@ def validate_manifest(manifest: SubsetManifest, ds: EmbeddingDataset) -> None:
             raise ValidationError(f"class {cid}: duplicate retained sample_id")
         if list(ids) != sorted(ids):
             raise ValidationError(f"class {cid}: retained ids not ascending")
-        class_ids = {sid for sid, _ in ds.class_view(cid)}
+        class_ids = set(ds.class_arrays(cid)[0].tolist())
         missing = [sid for sid in ids if sid not in class_ids]
         if missing:
             raise ValidationError(
@@ -198,9 +207,13 @@ def write_manifest_json(manifest: SubsetManifest, path) -> None:
 def read_manifest_json(path) -> SubsetManifest:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        retained = {
-            int(cid): tuple(int(s) for s in ids) for cid, ids in doc["retained"].items()
-        }
+        raw = doc["retained"]
+        if not isinstance(raw, dict) or not all(
+            isinstance(ids, list) and all(type(s) is int for s in ids)
+            for ids in raw.values()
+        ):
+            raise TypeError('"retained" must map class ids to lists of integer sample ids')
+        retained = {int(cid): tuple(ids) for cid, ids in raw.items()}
         return SubsetManifest(
             method=doc["method"],
             retention_fraction=float(doc["fraction"]),
@@ -219,7 +232,3 @@ def manifest_to_text(manifest: SubsetManifest) -> str:
         for sid in ids
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_manifest_text(manifest: SubsetManifest, path) -> None:
-    Path(path).write_text(manifest_to_text(manifest), encoding="utf-8")

@@ -8,6 +8,7 @@ after construction (the backing arrays are marked read-only).
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,8 +48,7 @@ class EmbeddingDataset:
     class_ids: np.ndarray  # int64, file order
     vectors: np.ndarray  # float64, (n, dimension), file order
     source_digest: str | None = None
-    _row_of: dict[int, int] = field(repr=False, default_factory=dict)
-    _class_rows: dict[int, list[int]] = field(repr=False, default_factory=dict)
+    _class_rows: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     _digest_cache: str | None = field(repr=False, default=None)
 
     @classmethod
@@ -91,19 +91,22 @@ class EmbeddingDataset:
                 f"record {int(bad[0])}: class_id outside unsigned 32-bit range"
             )
 
-        row_of: dict[int, int] = {}
-        class_rows: dict[int, list[int]] = {}
-        for row in range(n):
-            sid = int(sids[row])
-            if sid in row_of:
-                raise ValidationError(f"record {row}: duplicate sample_id {sid}")
-            row_of[sid] = row
-            class_rows.setdefault(int(cids[row]), []).append(row)
+        # A stable sort keeps equal ids in file order, so every row after the
+        # first of its id is a duplicate; the smallest such row is reported.
+        order = np.argsort(sids, kind="stable")
+        dup = order[1:][sids[order][1:] == sids[order][:-1]]
+        if dup.size:
+            row = int(dup.min())
+            raise ValidationError(f"record {row}: duplicate sample_id {int(sids[row])}")
+
+        order = np.argsort(cids, kind="stable")
+        present, starts = np.unique(cids[order], return_index=True)
+        class_rows = dict(zip(present.tolist(), np.split(order, starts[1:])))
 
         vec = np.ascontiguousarray(vec)
         for arr in (sids, cids, vec):
             arr.flags.writeable = False
-        return cls(dim, sids, cids, vec, source_digest, row_of, class_rows)
+        return cls(dim, sids, cids, vec, source_digest, class_rows)
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -118,21 +121,21 @@ class EmbeddingDataset:
                 int(self.sample_ids[row]), int(self.class_ids[row]), self.vectors[row]
             )
 
-    def class_view(self, class_id: int) -> list[tuple[int, np.ndarray]]:
-        """``(sample_id, vector)`` pairs of one class, in file order."""
+    def class_arrays(self, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample ids (int64) and float64 rows of one class, in file order.
+
+        A class stored as one contiguous run of records is returned as
+        read-only views, so no copy of its rows is made.
+        """
         rows = self._class_rows.get(class_id)
         if rows is None:
             raise UnknownClassError(f"class {class_id} not present in dataset")
-        return [(int(self.sample_ids[r]), self.vectors[r]) for r in rows]
+        if rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        return self.sample_ids[rows], self.vectors[rows]
 
     def class_sizes(self) -> dict[int, int]:
         return {cid: len(rows) for cid, rows in sorted(self._class_rows.items())}
-
-    def vector_of(self, sample_id: int) -> np.ndarray:
-        row = self._row_of.get(sample_id)
-        if row is None:
-            raise InvalidArgumentError(f"unknown sample_id {sample_id}")
-        return self.vectors[row]
 
     def has_positional_ids(self) -> bool:
         n = len(self)
@@ -195,13 +198,20 @@ def _load_binary(path: Path) -> EmbeddingDataset:
         if dim < 1:
             raise FormatError(f"{path}: dimension must be positive, got {dim}")
         explicit = bool(flags & FLAG_EXPLICIT_IDS)
-        body = np.fromfile(f, dtype=_record_dtype(dim, explicit), count=count)
-        if len(body) != count:
+        try:
+            record = _record_dtype(dim, explicit)
+        except ValueError:
+            raise FormatError(f"{path}: dimension {dim} is too large for a record") from None
+        # Checked before reading: numpy cannot allocate what a corrupt header
+        # may claim.
+        body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
+        if count * record.itemsize > body_bytes:
             raise FormatError(
-                f"{path}: expected {count} records, file holds {len(body)}"
+                f"{path}: expected {count} records, file holds {body_bytes // record.itemsize}"
             )
-        if f.read(1) != b"":
+        if count * record.itemsize < body_bytes:
             raise FormatError(f"{path}: trailing bytes after {count} records")
+        body = np.fromfile(f, dtype=record, count=count)
     if explicit:
         raw_ids = body["sid"]
         if (raw_ids > _MAX_SAMPLE_ID).any():

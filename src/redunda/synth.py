@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metric, rng
+from .cluster import Partition
 from .errors import InvalidArgumentError, MarginError, ValidationError
 from .store import EmbeddingDataset
 
@@ -192,12 +193,10 @@ def measure_separation(
     max_within: float | None = None
     min_between: float | None = None
     for cid in sorted(ground_truth):
-        groups = [sorted(g) for g in ground_truth[cid]]
-        units = [
-            metric.unit_rows(np.asarray([dataset.vector_of(sid) for sid in g]))
-            for g in groups
-        ]
-        vectors = [np.asarray([dataset.vector_of(sid) for sid in g]) for g in groups]
+        ids, X = dataset.class_arrays(cid)
+        groups = Partition(cid, tuple(ground_truth[cid])).member_rows(ids)
+        vectors = [X[rows] for rows in groups]
+        units = [metric.unit_rows(V) for V in vectors]
         for gi, U in enumerate(units):
             if len(U) > 1:
                 d = float(metric.pairwise_condensed(vectors[gi]).max())

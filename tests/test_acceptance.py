@@ -20,7 +20,7 @@ import _oracles
 from conftest import random_unit_rows, stacked_dataset, with_duplicates
 from redunda.analysis import avg_dissimilarity, nearest_excluded, size_histogram
 from redunda.cluster import Partition, agglomerate_fast, agglomerate_naive
-from redunda.metric import cluster_dissimilarity, cosine_dissimilarity
+from redunda.metric import cluster_dissimilarity, cosine_dissimilarity, unit_rows
 from redunda.selection import (
     build_cluster_subset,
     build_random_subset,
@@ -49,9 +49,8 @@ def test_criterion_1_oracle_equivalence(capsys):
         if trial % 3 == 0:
             X = with_duplicates(rs, X, max(1, n // 4))
         k = int(rs.integers(1, n + 1))
-        pts = [(i, X[i]) for i in range(n)]
-        dn, pn = agglomerate_naive(pts, k)
-        df, pf = agglomerate_fast(pts, k)
+        dn, pn = agglomerate_naive(X, k)
+        df, pf = agglomerate_fast(X, k)
         instances += 1
         if pn != pf or dn != df:
             mismatches.append((trial, n, dim, k))
@@ -136,13 +135,13 @@ def test_criterion_3_planted_recovery(capsys):
         ds, truth = generate(spec)
         exact = True
         for cid, groups in truth.items():
-            points = ds.class_view(cid)
-            _, part = agglomerate_fast(points, len(groups), class_id=cid)
+            ids, X = ds.class_arrays(cid)
+            _, part = agglomerate_fast(X, len(groups), sample_ids=ids, class_id=cid)
             if set(part.clusters) != set(groups):
                 exact = False
-            for group in groups:
-                members = [(sid, ds.vector_of(sid)) for sid in sorted(group)]
-                if select_representative(members) not in group:
+            planted = Partition(cid, tuple(groups))
+            for group, rows in zip(groups, planted.member_rows(ids)):
+                if select_representative(ids[rows], X[rows], unit_rows(X[rows])) not in group:
                     rep_outside += 1
         recovered += exact
     ok = recovered == 100 and rep_outside == 0
@@ -195,11 +194,12 @@ def test_criterion_5_statistic_definitions(capsys):
     ds = stacked_dataset({0: [vecs[i] for i in range(5)]})
     clusters = [{0, 1}, {2, 3}, {4}]
     part = Partition(0, tuple(frozenset(c) for c in clusters))
-    reps = {
-        ci: select_representative([(s, vecs[s]) for s in sorted(c)])
-        for ci, c in enumerate(clusters)
-    }
-    entry = avg_dissimilarity(part, reps, ds)
+    ids, X = ds.class_arrays(0)
+    U = unit_rows(X)
+    reps = tuple(
+        select_representative(ids[rows], X[rows], U[rows]) for rows in part.member_rows(ids)
+    )
+    entry = avg_dissimilarity(part, reps, ids, X, U)
     oracle_mean, oracle_per = _oracles.class_avg_dissim(
         clusters, reps, lambda s: vecs[s]
     )
@@ -207,7 +207,7 @@ def test_criterion_5_statistic_definitions(capsys):
     per_err = max(abs(g - o) for g, o in zip(entry.cluster_means, oracle_per))
 
     points = [(s, vecs[s]) for s in range(5)]
-    got = nearest_excluded(part, reps, points)
+    got = nearest_excluded(part, reps, ids, X, U)
     want = _oracles.nearest_excluded(clusters, reps, points)
     pairs_match = [(p.retained_id, p.neighbor_id) for p in got] == [
         (r, nb) for r, nb, _ in want

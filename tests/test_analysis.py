@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import random_unit_rows, stacked_dataset
+from conftest import random_unit_rows
 from redunda.analysis import (
     ClassDissimilarity,
     NearestExcludedPair,
@@ -26,6 +26,7 @@ from redunda.analysis import (
 )
 from redunda.cluster import Partition
 from redunda.errors import InvalidArgumentError
+from redunda.metric import unit_rows
 
 # mean of d((1,0),(1,1)) = 1 - 1/sqrt(2) and d((1,0),(0,1)) = 1.
 MEAN_DIAG_ORTHO = 0.6464466094067263
@@ -35,6 +36,16 @@ D_NEAR_MISS = 0.006116265326381098
 
 def part(class_id, *clusters):
     return Partition(class_id, tuple(frozenset(c) for c in clusters))
+
+
+def class_of(points):
+    """``(ids, X, U)`` of a class given as ``(sample_id, vector)`` pairs."""
+    X = np.array([v for _, v in points], dtype=np.float64)
+    return np.array([s for s, _ in points], dtype=np.int64), X, unit_rows(X)
+
+
+def positional(X):
+    return class_of(list(enumerate(X)))
 
 
 class TestSizeHistogram:
@@ -66,56 +77,55 @@ class TestSizeHistogram:
 
 class TestAvgDissimilarity:
     def worked(self):
-        ds = stacked_dataset({0: [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]})
-        return part(0, {0, 1, 2}), {0: 0}, ds
+        cls = positional([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        return part(0, {0, 1, 2}), (0,), cls
 
     def test_worked_example(self):
         # single cluster, rep (1,0): mean of {d((1,1)), d((0,1))} = {0.2928..., 1.0}
-        p, reps, ds = self.worked()
-        entry = avg_dissimilarity(p, reps, ds)
+        p, reps, cls = self.worked()
+        entry = avg_dissimilarity(p, reps, *cls)
         assert entry.class_id == 0
         assert entry.cluster_means == (pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15),)
         assert entry.mean == pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15)
 
     def test_duplicate_cluster_is_exactly_zero(self):
-        ds = stacked_dataset({0: [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]})
-        entry = avg_dissimilarity(part(0, {0, 1, 2}), {0: 1}, ds)
+        cls = positional([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        entry = avg_dissimilarity(part(0, {0, 1, 2}), (1,), *cls)
         assert entry.mean == 0.0
         assert entry.cluster_means == (0.0,)
 
     def test_singletons_do_not_qualify(self):
-        ds = stacked_dataset({0: [[1.0, 0.0], [0.0, 1.0]]})
-        assert avg_dissimilarity(part(0, {0}, {1}), {0: 0, 1: 1}, ds) is None
+        cls = positional([[1.0, 0.0], [0.0, 1.0]])
+        assert avg_dissimilarity(part(0, {0}, {1}), (0, 1), *cls) is None
 
     def test_mixed_cluster_sizes(self):
-        ds = stacked_dataset({0: [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.4]]})
+        cls = positional([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.4]])
         p = part(0, {0, 1, 2}, {3})
-        entry = avg_dissimilarity(p, {0: 0, 1: 3}, ds)
+        entry = avg_dissimilarity(p, (0, 3), *cls)
         assert len(entry.cluster_means) == 1  # singleton skipped
 
     def test_rep_must_be_member(self):
-        p, _, ds = self.worked()
+        p, _, cls = self.worked()
         with pytest.raises(InvalidArgumentError, match="not a member"):
-            avg_dissimilarity(p, {0: 99}, ds)
+            avg_dissimilarity(p, (99,), *cls)
 
     def test_rep_must_exist(self):
-        p, _, ds = self.worked()
-        with pytest.raises(InvalidArgumentError, match="no representative"):
-            avg_dissimilarity(p, {}, ds)
+        p, _, cls = self.worked()
+        with pytest.raises(InvalidArgumentError, match="0 representatives for 1 clusters"):
+            avg_dissimilarity(p, (), *cls)
 
     def test_matches_pure_python_oracle(self):
         rs = np.random.default_rng(12)
         for _ in range(20):
             n = int(rs.integers(4, 16))
             X = random_unit_rows(rs, n, 4)
-            ds = stacked_dataset({0: X})
             # random partition into 3 chunks + random member reps
             bounds = sorted(rs.choice(np.arange(1, n), size=2, replace=False))
             ids = list(range(n))
             chunks = [ids[: bounds[0]], ids[bounds[0] : bounds[1]], ids[bounds[1] :]]
             p = part(0, *chunks)
-            reps = {i: int(min(c)) for i, c in enumerate(chunks)}
-            entry = avg_dissimilarity(p, reps, ds)
+            reps = [int(min(c)) for c in chunks]
+            entry = avg_dissimilarity(p, reps, *positional(X))
             expect = _oracles.class_avg_dissim(chunks, reps, lambda i: X[i])
             if expect is None:
                 assert entry is None
@@ -154,32 +164,29 @@ class TestAssembleReport:
 class TestNearestExcluded:
     def test_only_outside_point(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.0, 1.0])]
-        pairs = nearest_excluded(part(0, {0, 1}, {2}), {0: 0, 1: 2}, pts)
+        pairs = nearest_excluded(part(0, {0, 1}, {2}), (0, 2), *class_of(pts))
         assert pairs == [NearestExcludedPair(0, 2, 1.0)]
 
     def test_nearest_of_two_outside(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.9, 0.1]), (3, [0.0, 1.0])]
-        pairs = nearest_excluded(
-            part(0, {0, 1}, {2}, {3}), {0: 0, 1: 2, 2: 3}, pts
-        )
+        pairs = nearest_excluded(part(0, {0, 1}, {2}, {3}), (0, 2, 3), *class_of(pts))
         assert len(pairs) == 1  # only the size-2 cluster qualifies
         assert pairs[0].retained_id == 0
         assert pairs[0].neighbor_id == 2
         assert pairs[0].dissimilarity == pytest.approx(D_NEAR_MISS, abs=1e-15)
-        assert pairs[0].same_class
 
     def test_single_cluster_class_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001])]
-        assert nearest_excluded(part(0, {0, 1}), {0: 0}, pts) == []
+        assert nearest_excluded(part(0, {0, 1}), (0,), *class_of(pts)) == []
 
     def test_all_singletons_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [0.0, 1.0])]
-        assert nearest_excluded(part(0, {0}, {1}), {0: 0, 1: 1}, pts) == []
+        assert nearest_excluded(part(0, {0}, {1}), (0, 1), *class_of(pts)) == []
 
     def test_tie_breaks_to_smallest_id(self):
         v = [0.6, 0.8]
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.0]), (5, v), (4, v)]
-        pairs = nearest_excluded(part(0, {0, 1}, {4}, {5}), {0: 0, 1: 4, 2: 5}, pts)
+        pairs = nearest_excluded(part(0, {0, 1}, {4}, {5}), (0, 4, 5), *class_of(pts))
         assert pairs[0].neighbor_id == 4
 
     def test_neighbor_never_inside(self):
@@ -187,10 +194,10 @@ class TestNearestExcluded:
         for _ in range(20):
             n = int(rs.integers(5, 14))
             X = random_unit_rows(rs, n, 3)
-            pts = [(i, X[i]) for i in range(n)]
             cut = int(rs.integers(2, n))
             p = part(0, set(range(cut)), *({i} for i in range(cut, n)))
-            pairs = nearest_excluded(p, {i: i and cut + i - 1 for i in range(n - cut + 1)}, pts)
+            reps = [i and cut + i - 1 for i in range(n - cut + 1)]
+            pairs = nearest_excluded(p, reps, *positional(X))
             for pr in pairs:
                 assert pr.neighbor_id >= cut
 
@@ -202,8 +209,8 @@ class TestNearestExcluded:
             pts = [(i, X[i]) for i in range(n)]
             cut = int(rs.integers(2, n - 1))
             clusters = [set(range(cut)), set(range(cut, n))]
-            reps = {0: 0, 1: cut}
-            got = nearest_excluded(part(0, *clusters), reps, pts)
+            reps = (0, cut)
+            got = nearest_excluded(part(0, *clusters), reps, *class_of(pts))
             expect = _oracles.nearest_excluded(clusters, reps, pts)
             assert [(p.retained_id, p.neighbor_id) for p in got] == [
                 (r, nb) for r, nb, _ in expect

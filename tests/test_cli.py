@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 
@@ -299,6 +300,23 @@ class TestMemoryCap:
         )
         assert code == 0, err
 
+    def test_negative_flag_is_config_error(self, synth_dataset, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--memory-cap", "-1", "--out", tmp_path / "r",
+        )
+        assert code == 1
+        assert re.fullmatch(r"config_error: [^\n]+\n", err)
+
+    def test_negative_env_is_config_error(self, synth_dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(MEMORY_CAP_ENV, "-1")
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--out", tmp_path / "r",
+        )
+        assert code == 1
+        assert re.fullmatch(r"config_error: [^\n]+\n", err)
+
     def test_env_must_be_integer(self, synth_dataset, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(MEMORY_CAP_ENV, "lots")
         code, _, err = run(
@@ -437,6 +455,20 @@ class TestStatsCommand:
         assert "digest" in err
 
 
+    def test_rejects_retained_of_wrong_json_type(self, synth_dataset, tmp_path, capsys):
+        sel = self.select_run(synth_dataset, tmp_path, capsys)
+        doc = json.loads((sel / "manifest.json").read_text())
+        doc["retained"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset,
+            "--manifest", bad, "--out", tmp_path / "s",
+        )
+        assert code == 1
+        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
+
+
 class TestDendrogramDump:
     def test_format_and_monotone_heights(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -473,6 +505,15 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "--input", bad)
         assert code == 1
         assert err.startswith("format_error: ")
+
+    @pytest.mark.parametrize("count, dim", [(12, 0xFFFFFFFF), (2**62, 8)])
+    def test_rejects_impossible_header(self, synth_dataset, tmp_path, capsys, count, dim):
+        raw = synth_dataset.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:12] + struct.pack("<QI", count, dim) + raw[24:])
+        code, _, err = run(capsys, "validate", "--input", bad)
+        assert code == 1
+        assert re.fullmatch(r"format_error: [^\n]+\n", err)
 
 
 class TestEntryPoints:

@@ -25,7 +25,7 @@ def as_points(X):
     return [(i, X[i]) for i in range(len(X))]
 
 
-THREE = as_points(np.array([[1.0, 0.0], [1.0, 0.001], [0.0, 1.0]]))
+THREE = np.array([[1.0, 0.0], [1.0, 0.001], [0.0, 1.0]])
 
 
 class TestWorkedExamples:
@@ -53,10 +53,10 @@ class TestWorkedExamples:
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_single_point(self, engine):
-        dendro, part = engine([(5, [1.0, 2.0])], 1)
+        dendro, part = engine(np.array([[1.0, 2.0]]), 1, sample_ids=[5])
         assert part.clusters == (frozenset({5}),)
         with pytest.raises(InvalidArgumentError):
-            engine([(5, [1.0, 2.0])], 2)
+            engine(np.array([[1.0, 2.0]]), 2, sample_ids=[5])
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_k_out_of_range(self, engine):
@@ -67,19 +67,17 @@ class TestWorkedExamples:
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicate_ids_rejected(self, engine):
         with pytest.raises(InvalidArgumentError):
-            engine([(0, [1.0, 0.0]), (0, [0.0, 1.0])], 1)
+            engine(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, sample_ids=[0, 0])
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_no_points_rejected(self, engine):
         with pytest.raises(InvalidArgumentError):
-            engine([], 1)
+            engine(np.zeros((0, 2)), 1)
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicates_merge_first_at_height_zero(self, engine):
-        pts = as_points(
-            np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        )
-        dendro, part = engine(pts, 3)
+        X = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        dendro, part = engine(X, 3)
         assert dendro.steps[0].height == 0.0
         assert frozenset({0, 2}) in part.clusters
 
@@ -93,10 +91,9 @@ class TestEngineEquivalence:
             X = random_unit_rows(rs, n, dim)
             if trial % 2:
                 X = with_duplicates(rs, X, n // 3)
-            pts = as_points(X)
             k = int(rs.integers(1, n + 1))
-            dn, pn = agglomerate_naive(pts, k)
-            df, pf = agglomerate_fast(pts, k)
+            dn, pn = agglomerate_naive(X, k)
+            df, pf = agglomerate_fast(X, k)
             assert pn == pf
             assert dn == df  # canonicalized dendrograms match step-for-step
 
@@ -107,23 +104,22 @@ class TestEngineEquivalence:
             X = random_unit_rows(rs, n, 3)
             if trial % 2:
                 X = with_duplicates(rs, X, 2)
-            pts = as_points(X)
             k = int(rs.integers(1, n + 1))
-            expect = _oracles.complete_linkage(pts, k)
-            _, pn = agglomerate_naive(pts, k)
-            _, pf = agglomerate_fast(pts, k)
+            expect = _oracles.complete_linkage(as_points(X), k)
+            _, pn = agglomerate_naive(X, k)
+            _, pf = agglomerate_fast(X, k)
             assert set(pn.clusters) == expect
             assert set(pf.clusters) == expect
 
     def test_all_identical_points(self):
-        pts = as_points(np.tile([0.6, -0.8], (12, 1)))
+        X = np.tile([0.6, -0.8], (12, 1))
         for k in (1, 3, 12):
-            dn, pn = agglomerate_naive(pts, k)
-            df, pf = agglomerate_fast(pts, k)
+            dn, pn = agglomerate_naive(X, k)
+            df, pf = agglomerate_fast(X, k)
             assert pn == pf and dn == df
             assert len(pn.clusters) == k
         # ties resolve by ordinal: k=11 merges the two smallest ordinals
-        _, p = agglomerate_fast(pts, 11)
+        _, p = agglomerate_fast(X, 11)
         assert frozenset({0, 1}) in p.clusters
 
     @given(st.data())
@@ -136,9 +132,9 @@ class TestEngineEquivalence:
             st.lists(st.tuples(coords, coords), min_size=n, max_size=n), label="rows"
         )
         k = data.draw(st.integers(1, n), label="k")
-        pts = as_points(np.array(rows))
-        dn, pn = agglomerate_naive(pts, k)
-        df, pf = agglomerate_fast(pts, k)
+        X = np.array(rows)
+        dn, pn = agglomerate_naive(X, k)
+        df, pf = agglomerate_fast(X, k)
         assert pn == pf
         assert dn == df
         assert sum(len(c) for c in pn.clusters) == n
@@ -146,19 +142,18 @@ class TestEngineEquivalence:
     def test_moderate_class_self_consistency(self):
         rs = np.random.default_rng(3)
         X = random_unit_rows(rs, 800, 16)
-        dendro, part = agglomerate_fast(as_points(X), 640)
+        dendro, part = agglomerate_fast(X, 640)
         assert len(part.clusters) == 640
         assert sum(len(c) for c in part.clusters) == 800
         assert set().union(*part.clusters) == set(range(800))
 
 
 class TestDendrogram:
-    def full(self, n=40, seed=0, dim=4) -> tuple[Dendrogram, list]:
+    def full(self, n=40, seed=0, dim=4) -> tuple[Dendrogram, np.ndarray]:
         rs = np.random.default_rng(seed)
         X = with_duplicates(rs, random_unit_rows(rs, n, dim), 5)
-        pts = as_points(X)
-        dendro, _ = agglomerate_fast(pts, 1)
-        return dendro, pts
+        dendro, _ = agglomerate_fast(X, 1)
+        return dendro, X
 
     def test_heights_non_decreasing(self):
         dendro, _ = self.full()
@@ -177,8 +172,8 @@ class TestDendrogram:
         assert len(used) == len(set(used))  # each ref consumed at most once
 
     def test_cut_every_k(self):
-        dendro, pts = self.full(n=60)
-        n = len(pts)
+        dendro, X = self.full(n=60)
+        n = len(X)
         for k in range(1, n + 1):
             part = cut_dendrogram(dendro, k)
             assert len(part.clusters) == k
@@ -187,9 +182,8 @@ class TestDendrogram:
     def test_cut_reproduces_clustering_partition(self):
         rs = np.random.default_rng(8)
         X = with_duplicates(rs, random_unit_rows(rs, 50, 8), 8)
-        pts = as_points(X)
         for k in (1, 7, 25, 50):
-            dendro, part = agglomerate_fast(pts, k)
+            dendro, part = agglomerate_fast(X, k)
             assert cut_dendrogram(dendro, k) == part
             assert len(dendro.steps) == 50 - k  # stopped dendrogram, not full
 
@@ -202,7 +196,7 @@ class TestDendrogram:
             cut_dendrogram(dendro, 4)
 
     def test_cuts_nest(self):
-        dendro, pts = self.full(n=30)
+        dendro, _ = self.full(n=30)
         prev = cut_dendrogram(dendro, 30)
         for k in range(29, 0, -1):
             cur = cut_dendrogram(dendro, k)
@@ -211,8 +205,7 @@ class TestDendrogram:
             prev = cur
 
     def test_sample_ids_preserved(self):
-        pts = [(100, [1.0, 0.0]), (7, [1.0, 0.001]), (55, [0.0, 1.0])]
-        dendro, part = agglomerate_fast(pts, 2)
+        dendro, part = agglomerate_fast(THREE, 2, sample_ids=[100, 7, 55])
         assert dendro.sample_ids == (100, 7, 55)
         assert {frozenset(c) for c in part.clusters} == {
             frozenset({100, 7}),
@@ -242,20 +235,17 @@ class TestDeterminism:
     def test_permutation_robustness_generic_input(self):
         rs = np.random.default_rng(17)
         X = random_unit_rows(rs, 40, 8)  # real vectors: distinct dissimilarities
-        pts = as_points(X)
-        _, base = agglomerate_fast(pts, 12)
+        _, base = agglomerate_fast(X, 12)
         for _ in range(5):
             perm = rs.permutation(40)
-            shuffled = [(int(i), X[i]) for i in perm]
-            _, part = agglomerate_fast(shuffled, 12)
+            _, part = agglomerate_fast(X[perm], 12, sample_ids=perm)
             assert set(part.clusters) == set(base.clusters)
 
     def test_reruns_bit_identical(self):
         rs = np.random.default_rng(23)
         X = with_duplicates(rs, random_unit_rows(rs, 60, 4), 20)
-        pts = as_points(X)
-        a = agglomerate_fast(pts, 15)
-        b = agglomerate_fast(pts, 15)
+        a = agglomerate_fast(X, 15)
+        b = agglomerate_fast(X, 15)
         assert a == b
 
 
@@ -265,7 +255,7 @@ class TestMemoryCap:
         need = n * (n - 1) // 2 * 8
         with pytest.raises(MemoryCapError, match=str(need)):
             agglomerate_fast(
-                as_points(np.random.default_rng(0).normal(size=(n, 3))),
+                np.random.default_rng(0).normal(size=(n, 3)),
                 5,
                 memory_cap_bytes=need - 1,
             )
@@ -273,6 +263,6 @@ class TestMemoryCap:
     def test_cap_boundary_allows_exact_fit(self):
         n = 50
         need = n * (n - 1) // 2 * 8
-        pts = as_points(np.random.default_rng(0).normal(size=(n, 3)))
-        _, part = agglomerate_fast(pts, 5, memory_cap_bytes=need)
+        X = np.random.default_rng(0).normal(size=(n, 3))
+        _, part = agglomerate_fast(X, 5, memory_cap_bytes=need)
         assert len(part.clusters) == 5

@@ -44,14 +44,24 @@ class TestFromArrays:
     def test_class_index_partitions_ids(self):
         ds = small_dataset()
         assert ds.classes() == [0, 1]
-        assert [sid for sid, _ in ds.class_view(0)] == [0, 1]
-        assert [sid for sid, _ in ds.class_view(1)] == [2]
+        ids, X = ds.class_arrays(0)
+        assert ids.tolist() == [0, 1]
+        assert np.array_equal(X, [[1.0, 0.0], [0.0, 1.0]])
+        assert ds.class_arrays(1)[0].tolist() == [2]
         assert ds.class_sizes() == {0: 2, 1: 1}
         assert sum(ds.class_sizes().values()) == len(ds)
 
+    def test_interleaved_classes_keep_file_order(self):
+        vectors = np.arange(10.0).reshape(5, 2) + 1.0
+        ds = EmbeddingDataset.from_arrays([9, 4, 7, 1, 3], [1, 0, 1, 0, 1], vectors)
+        ids, X = ds.class_arrays(1)
+        assert ids.tolist() == [9, 7, 3]
+        assert np.array_equal(X, vectors[[0, 2, 4]])
+        assert ds.class_arrays(0)[0].tolist() == [4, 1]
+
     def test_unknown_class_rejected(self):
         with pytest.raises(UnknownClassError):
-            small_dataset().class_view(9)
+            small_dataset().class_arrays(9)
 
     def test_vectors_widened_to_float64_and_frozen(self):
         ds = small_dataset()
@@ -73,6 +83,9 @@ class TestFromArrays:
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="duplicate sample_id 7"):
             EmbeddingDataset.from_arrays([7, 7], [0, 0], vectors)
+        # the first record that repeats an earlier id is the one reported
+        with pytest.raises(ValidationError, match="record 3: duplicate sample_id 5"):
+            EmbeddingDataset.from_arrays([5, 8, 2, 5, 8], [0] * 5, np.ones((5, 2)))
 
     def test_negative_id_and_wide_class_rejected(self):
         vectors = np.array([[1.0, 0.0]])
@@ -184,6 +197,15 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="trailing"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("count, dim", [(1, 0xFFFFFFFF), (2**62, 2)])
+    def test_header_sizes_checked_before_reading(self, tmp_path, count, dim):
+        # one real record; the header claims an impossible dim or count
+        raw = pack_binary(1, 2, [(0, 0, (1.0, 0.0))])
+        path = tmp_path / "x.bin"
+        path.write_bytes(raw[:12] + struct.pack("<QI", count, dim) + raw[24:])
+        with pytest.raises(FormatError):
+            load_dataset(path)
+
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(pack_binary(0, 4, []))
@@ -200,8 +222,8 @@ class TestBinaryFormat:
         path = tmp_path / "x.bin"
         path.write_bytes(raw)
         ds = load_dataset(path)
-        assert [sid for sid, _ in ds.class_view(0)] == [0, 1]
-        assert [sid for sid, _ in ds.class_view(1)] == [2]
+        assert ds.class_arrays(0)[0].tolist() == [0, 1]
+        assert ds.class_arrays(1)[0].tolist() == [2]
 
 
 class TestCsvFormat:

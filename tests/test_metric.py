@@ -16,6 +16,7 @@ from redunda.metric import (
     cosine_dissimilarity,
     one_to_many,
     pairwise_condensed,
+    unit_rows,
 )
 
 # Frozen oracle values, computed once by direct evaluation of the formula.
@@ -162,6 +163,10 @@ class TestPairwiseCondensed:
         rs = np.random.default_rng(9)
         x = rs.normal(size=6)
         M = rs.normal(size=(25, 6))
-        d = one_to_many(x, M)
+        M[3] = x  # an exact duplicate is exactly zero
+        d = one_to_many(x, M, unit_rows(M))
+        assert d[3] == 0.0
         for i in range(25):
             assert d[i] == pytest.approx(cosine_dissimilarity(x, M[i]), abs=1e-12)
+        with pytest.raises(InvalidArgumentError):
+            one_to_many(x, M, unit_rows(M[1:]))

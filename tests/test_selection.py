@@ -14,6 +14,7 @@ from redunda.errors import (
     InvalidArgumentError,
     ValidationError,
 )
+from redunda.metric import unit_rows
 from redunda.selection import (
     METHOD_CLUSTER,
     METHOD_RANDOM,
@@ -28,8 +29,17 @@ from redunda.selection import (
     validate_manifest,
     write_manifest_json,
 )
+
+
 def class_sids(ds, cid):
-    return [sid for sid, _ in ds.class_view(cid)]
+    return ds.class_arrays(cid)[0].tolist()
+
+
+def medoid(pts):
+    """``select_representative`` on ``(sample_id, vector)`` pairs."""
+    pts = sorted(pts, key=lambda p: p[0])
+    X = np.array([v for _, v in pts], dtype=np.float64)
+    return select_representative(np.array([s for s, _ in pts]), X, unit_rows(X))
 
 
 class TestPerClassK:
@@ -72,23 +82,23 @@ class TestSelectRepresentative:
         # centroid of {(1,0),(1,0.001),(0,1)} is (2/3, 0.3336...); the middle
         # vector (1,0.001) is angularly nearest: d=0.10530... vs 0.10575...
         pts = [(10, [1.0, 0.0]), (11, [1.0, 0.001]), (12, [0.0, 1.0])]
-        assert select_representative(pts) == 11
+        assert medoid(pts) == 11
 
     def test_duplicate_tie_smallest_id(self):
         v = [0.6, 0.8]
-        assert select_representative([(9, v), (4, v), (7, v)]) == 4
+        assert medoid([(9, v), (4, v), (7, v)]) == 4
 
     def test_singleton(self):
-        assert select_representative([(3, [0.0, 0.2])]) == 3
+        assert medoid([(3, [0.0, 0.2])]) == 3
 
     def test_degenerate_cluster(self):
         pts = [(0, [1.0, 0.0]), (1, [-1.0, 0.0])]
         with pytest.raises(DegenerateClusterError, match="0, 1"):
-            select_representative(pts)
+            medoid(pts)
 
     def test_empty_cluster(self):
         with pytest.raises(InvalidArgumentError):
-            select_representative([])
+            select_representative(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_matches_pure_python_oracle(self):
         rs = np.random.default_rng(5)
@@ -97,7 +107,7 @@ class TestSelectRepresentative:
             X = random_unit_rows(rs, n, 3)
             ids = [int(i) for i in rs.permutation(100)[:n]]
             pts = list(zip(ids, X))
-            assert select_representative(pts) == _oracles.medoid(pts)
+            assert medoid(pts) == _oracles.medoid(pts)
 
 
 class TestBuildClusterSubset:
@@ -111,40 +121,40 @@ class TestBuildClusterSubset:
 
     def test_fraction_one_keeps_everything(self):
         ds = self.planted()
-        manifest, parts = build_cluster_subset(ds, 1.0)
+        manifest, results = build_cluster_subset(ds, 1.0)
         for cid in ds.classes():
             assert list(manifest.retained[cid]) == sorted(class_sids(ds, cid))
-            assert all(len(c) == 1 for c in parts[cid].clusters)
+            assert all(len(c) == 1 for c in results[cid].partition.clusters)
         validate_manifest(manifest, ds)
 
     def test_duplicates_collapse_first(self):
         ds = self.planted()
         # class 0: 10 points, 2 duplicate pairs; fraction 0.8 -> k=8, so exactly
         # the two zero-height merges happen
-        manifest, parts = build_cluster_subset(ds, 0.8)
+        manifest, results = build_cluster_subset(ds, 0.8)
         kept = set(manifest.retained[0])
         assert len(kept) == 8
         assert not {2, 8} <= kept and not {5, 9} <= kept
         assert 2 in kept and 5 in kept  # duplicate pairs keep the smaller id
-        assert frozenset({2, 8}) in parts[0].clusters
-        assert frozenset({5, 9}) in parts[0].clusters
+        assert frozenset({2, 8}) in results[0].partition.clusters
+        assert frozenset({5, 9}) in results[0].partition.clusters
 
     def test_counts_match_per_class_k(self):
         ds = self.planted()
         for f in (0.05, 0.3, 0.65, 1.0):
             manifest, _ = build_cluster_subset(ds, f)
             for cid in ds.classes():
-                n = len(ds.class_view(cid))
+                n = ds.class_sizes()[cid]
                 assert len(manifest.retained[cid]) == per_class_k(n, f)
             validate_manifest(manifest, ds)
 
     def test_rep_is_cluster_member(self):
         ds = self.planted()
-        manifest, parts = build_cluster_subset(ds, 0.4)
-        for cid, part in parts.items():
+        manifest, results = build_cluster_subset(ds, 0.4)
+        for cid, res in results.items():
             kept = set(manifest.retained[cid])
-            for cluster in part.clusters:
-                assert len(kept & cluster) == 1
+            for rep, cluster in zip(res.reps, res.partition.clusters, strict=True):
+                assert kept & cluster == {rep}
 
     def test_jobs_do_not_change_output(self):
         ds = self.planted()
@@ -177,15 +187,13 @@ class TestBuildClusterSubset:
         with pytest.raises(InvalidArgumentError):
             build_cluster_subset(ds, 0.5, jobs=0)
 
-    def test_dendrogram_sink_ascending_classes(self):
+    def test_results_ascending_classes(self):
         ds = self.planted()
-        seen = []
-        build_cluster_subset(
-            ds, 0.5, jobs=4, dendrogram_sink=lambda cid, d: seen.append((cid, d))
-        )
-        assert [cid for cid, _ in seen] == sorted(ds.classes())
-        for cid, d in seen:
-            n = len(ds.class_view(cid))
+        _, results = build_cluster_subset(ds, 0.5, jobs=4)
+        assert list(results) == sorted(ds.classes())
+        for cid, res in results.items():
+            n = ds.class_sizes()[cid]
+            d = res.dendrogram
             assert d.class_id == cid
             assert d.n_points == n
             assert len(d.steps) == n - per_class_k(n, 0.5)
@@ -198,13 +206,13 @@ class TestBuildClusterSubset:
         rs = np.random.default_rng(2)
         X = random_unit_rows(rs, 30, 4)
         scales = 2.0 ** rs.integers(-3, 4, size=30)
-        m_unit, p_unit = build_cluster_subset(make_dataset({0: X}), 0.4)
-        _, p_scaled = build_cluster_subset(
+        m_unit, r_unit = build_cluster_subset(make_dataset({0: X}), 0.4)
+        _, r_scaled = build_cluster_subset(
             make_dataset({0: X * scales[:, None]}), 0.4
         )
-        assert p_unit == p_scaled
-        m_global, p_global = build_cluster_subset(make_dataset({0: X * 4.0}), 0.4)
-        assert p_unit == p_global
+        assert r_unit[0].partition == r_scaled[0].partition
+        m_global, r_global = build_cluster_subset(make_dataset({0: X * 4.0}), 0.4)
+        assert r_unit[0].partition == r_global[0].partition
         assert m_unit.retained == m_global.retained
 
 
@@ -297,6 +305,17 @@ class TestManifestSerialization:
             read_manifest_json(path)
         path.write_text('{"method": "cluster-medoid"}')
         with pytest.raises(ValidationError):
+            read_manifest_json(path)
+
+    @pytest.mark.parametrize("retained", [[], {"0": 5}, {"0": "12"}, {"0": [1.5]},
+                                          {"0": [True]}, {"0": None}])
+    def test_retained_of_wrong_json_type_rejected(self, tmp_path, retained):
+        manifest, _ = self.manifest()
+        doc = json.loads(manifest_to_json(manifest))
+        doc["retained"] = retained
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="retained"):
             read_manifest_json(path)
 
 

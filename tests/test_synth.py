@@ -27,8 +27,8 @@ SPEC_123 = dict(
 
 
 def recover(dataset, class_id, k):
-    points = dataset.class_view(class_id)
-    _, part = agglomerate_fast(points, k, class_id=class_id)
+    ids, X = dataset.class_arrays(class_id)
+    _, part = agglomerate_fast(X, k, sample_ids=ids, class_id=class_id)
     return set(part.clusters)
 
 
@@ -117,7 +117,7 @@ class TestGenerate:
         assert cert.max_within == 0.0
         for groups in truth.values():
             for g in groups:
-                rows = [ds.vector_of(sid) for sid in sorted(g)]
+                rows = [ds.vectors[sid] for sid in sorted(g)]
                 for r in rows[1:]:
                     assert np.array_equal(rows[0], r)
 
@@ -151,8 +151,8 @@ class TestGenerate:
                 sizes=(3,),
             )
         )
-        a = np.asarray([ds.vector_of(s) for s in sorted(truth[0][0])])
-        b = np.asarray([ds.vector_of(s) for s in sorted(truth[1][0])])
+        a = np.asarray([ds.vectors[s] for s in sorted(truth[0][0])])
+        b = np.asarray([ds.vectors[s] for s in sorted(truth[1][0])])
         assert not np.array_equal(a, b)
 
     def test_size_range_respected(self):
@@ -256,13 +256,13 @@ class TestCertificate:
                 for j in g:
                     if i < j:
                         within.append(
-                            _oracles.cos_dissim(ds.vector_of(i), ds.vector_of(j))
+                            _oracles.cos_dissim(ds.vectors[i], ds.vectors[j])
                         )
             for h in groups[gi + 1 :]:
                 for i in g:
                     for j in h:
                         between.append(
-                            _oracles.cos_dissim(ds.vector_of(i), ds.vector_of(j))
+                            _oracles.cos_dissim(ds.vectors[i], ds.vectors[j])
                         )
         assert cert.max_within == pytest.approx(max(within), abs=1e-12)
         assert cert.min_between == pytest.approx(min(between), abs=1e-12)
