@@ -89,7 +89,7 @@ def avg_dissimilarity(
     cluster_means: list[float] = []
     for rep_row, rows in _qualifying(partition, reps, ids):
         others = rows[rows != rep_row]
-        d = metric.one_to_many(X[rep_row], X[others], U[others])
+        d = metric.one_to_many(X[rep_row], X, U, others)
         cluster_means.append(float(d.mean()))
     if not cluster_means:
         return None
@@ -135,7 +135,7 @@ def nearest_excluded(
         inside = np.zeros(len(ids), dtype=bool)
         inside[rows] = True
         outside = np.flatnonzero(~inside)
-        d = metric.one_to_many(X[rep_row], X[outside], U[outside])
+        d = metric.one_to_many(X[rep_row], X, U, outside)
         pick = int(np.lexsort((ids[outside], d))[0])
         out.append(
             NearestExcludedPair(int(ids[rep_row]), int(ids[outside][pick]), float(d[pick]))

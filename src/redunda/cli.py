@@ -3,9 +3,11 @@
 Every run computes all artifacts in memory first and writes them through a
 single writer at the end; on any failure the partially written files of the
 run are removed, so an output directory never holds a half-finished run.
-Exit status is 0 iff every artifact was written and the produced manifest
-re-validates against the dataset; every failure prints one
-``error_code: message`` line on stderr and exits 1.
+After a successful ``select``, ``baseline`` or ``stats`` run, the artifacts a
+run of these commands can write but this one did not are removed, so the
+directory holds exactly one run.  Exit status is 0 iff every artifact was
+written and the produced manifest re-validates against the dataset; every
+failure prints one ``error_code: message`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -81,6 +83,24 @@ def _memory_cap(args) -> int | None:
     return args.memory_cap
 
 
+# Artifacts a subset run may leave out.  manifest.* and run_metadata.json are
+# not listed: select and baseline always write them, and stats must keep the
+# manifest it reads.
+_OPTIONAL_ARTIFACTS = (
+    "histogram.csv", "histogram.json", "histogram.txt",
+    "dissimilarity.json", "dissimilarity.txt",
+    "pairs.json", "pairs.txt",
+)
+
+
+def _remove(paths) -> None:
+    for p in paths:
+        try:
+            p.unlink()
+        except OSError:
+            pass
+
+
 def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]]) -> None:
     """Single writer; removes everything it wrote if any write fails."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -95,12 +115,28 @@ def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]]) -> None:
                 target.write_text(payload, encoding="utf-8")
             written.append(target)
     except BaseException:
-        for p in written:
-            try:
-                p.unlink()
-            except OSError:
-                pass
+        _remove(written)
         raise
+
+
+def _remove_stale(outdir: Path, written: set[str], keep: set[Path]) -> None:
+    """Remove what an earlier run left in ``outdir`` and this run did not write.
+
+    Only optional artifacts and dendrogram dumps are candidates, and never a
+    file in ``keep`` (the inputs this run read).
+    """
+    dumps = outdir / "dendrograms"
+    candidates = [outdir / rel for rel in _OPTIONAL_ARTIFACTS]
+    candidates += sorted(dumps.glob("class_*.txt"))
+    _remove(
+        p for p in candidates
+        if str(p.relative_to(outdir)) not in written and p.is_file()
+        and p.resolve() not in keep
+    )
+    try:
+        dumps.rmdir()  # only succeeds once no dump (or user file) is left
+    except OSError:
+        pass
 
 
 def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
@@ -160,8 +196,11 @@ def _finish(
     results: dict[int, ClassResult] | None,
     artifacts: list[tuple[str, str | bytes]],
     meta: dict,
+    reads: tuple[Path, ...] = (),
 ) -> None:
-    """Add run_metadata.json, write every artifact, and print the summary."""
+    """Add run_metadata.json, write every artifact, remove what an earlier run
+    left behind, and print the summary.  ``reads`` lists the files the run
+    read besides ``--input``; they are never removed."""
     sizes = ds.class_sizes()
     classes = {
         cid: {
@@ -174,11 +213,18 @@ def _finish(
     meta = {"input": str(config.input_path), "fraction": config.fraction, "jobs": config.jobs,
             "classes": {str(cid): c for cid, c in classes.items()}, **meta}
     artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
-    _emit(config.output_dir, artifacts)
-    if "manifest.json" in dict(artifacts):
+    outdir = config.output_dir
+    _emit(outdir, artifacts)
+    written = {rel for rel, _ in artifacts}
+    if "manifest.json" in written:
         # Exit contract: verify the manifest file on disk re-validates.
-        reread = selection.read_manifest_json(config.output_dir / "manifest.json")
-        selection.validate_manifest(reread, ds)
+        try:
+            reread = selection.read_manifest_json(outdir / "manifest.json")
+            selection.validate_manifest(reread, ds)
+        except BaseException:
+            _remove(outdir / rel for rel in written)
+            raise
+    _remove_stale(outdir, written, {p.resolve() for p in (config.input_path, *reads)})
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
@@ -268,7 +314,7 @@ def _cmd_stats(args) -> int:
             "manifest does not match recomputed clustering for this dataset"
         )
     _finish(config, "stats", ds, manifest, results, _report_artifacts(config, ds, results),
-            {"manifest": str(args.manifest)})
+            {"manifest": str(args.manifest)}, reads=(Path(args.manifest),))
     return 0
 
 

@@ -69,13 +69,15 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def one_to_many(x: np.ndarray, M: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Dissimilarity of one vector to each row of ``M``, given ``U = unit_rows(M)``.
+def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows) -> np.ndarray:
+    """Dissimilarity of one vector to the rows ``X[rows]``, given ``U = unit_rows(X)``.
 
-    Callers normalize a class once and pass the gathered rows of both arrays
-    (``X[rows]``, ``U[rows]``).  Computing over the whole class and indexing
-    afterwards is not equivalent: the BLAS matrix-vector product can round a
-    row differently depending on where it sits in the matrix.
+    Results are aligned with ``rows``.  Callers normalize a class once and pass
+    its whole ``X`` and ``U`` plus the row positions they need; the kernel
+    gathers ``U[rows]`` and runs one matrix-vector product on that copy.
+    Computing over the whole class and indexing afterwards is not equivalent:
+    the BLAS matrix-vector product can round a row differently depending on
+    where it sits in the matrix.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
@@ -83,13 +85,18 @@ def one_to_many(x: np.ndarray, M: np.ndarray, U: np.ndarray) -> np.ndarray:
     na = math.sqrt(float(np.dot(a, a)))
     if na < MIN_NORM:
         raise InvalidArgumentError(f"zero-norm vector (norm below {MIN_NORM:g}) has no direction")
-    if U.shape != np.shape(M):
-        raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {np.shape(M)}")
+    if U.shape != np.shape(X):
+        raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {np.shape(X)}")
     if U.shape[1] != a.shape[0]:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape[0]} vs {U.shape[1]}")
-    d = 1.0 - (U @ (a / na))
+    rows = np.asarray(rows, dtype=np.intp)
+    d = 1.0 - (U[rows] @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
-    d[(M == a).all(axis=1)] = 0.0  # exact duplicates (bit-equal raw rows) are exactly zero
+    # Exact duplicates (bit-equal raw rows, -0.0 == 0.0) are exactly zero.
+    # Column 0 narrows the candidates, so most raw rows are never read.
+    cand = np.flatnonzero(X[rows, 0] == a[0])
+    if cand.size:
+        d[cand[(X[rows[cand]] == a).all(axis=1)]] = 0.0
     return d
 
 

@@ -72,7 +72,7 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
         raise DegenerateClusterError(
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
-    d = metric.one_to_many(centroid, X, U)
+    d = metric.one_to_many(centroid, X, U, np.arange(len(ids)))
     return int(ids[np.lexsort((ids, d))[0]])
 
 
@@ -221,7 +221,7 @@ def read_manifest_json(path) -> SubsetManifest:
             source_digest=str(doc["source_digest"]),
             retained=retained,
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"bad manifest file {path}: {exc}") from exc
 
 

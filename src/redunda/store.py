@@ -8,6 +8,7 @@ after construction (the backing arrays are marked read-only).
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -76,12 +77,18 @@ class EmbeddingDataset:
         bad = np.flatnonzero(~finite)
         if bad.size:
             raise ValidationError(f"record {int(bad[0])}: non-finite vector component")
-        norms = np.sqrt(np.einsum("ij,ij->i", vec, vec)) if n else np.ones(0)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", vec, vec)) if n else np.ones(0)
         bad = np.flatnonzero(norms < MIN_NORM)
         if bad.size:
             raise ValidationError(
                 f"record {int(bad[0])}: vector norm below {MIN_NORM:g}"
             )
+        # Finite components whose squares overflow: no dot product of the row
+        # would be finite.
+        bad = np.flatnonzero(np.isinf(norms))
+        if bad.size:
+            raise ValidationError(f"record {int(bad[0])}: vector norm overflows")
         bad = np.flatnonzero(sids < 0)
         if bad.size:
             raise ValidationError(f"record {int(bad[0])}: negative sample_id")
@@ -231,7 +238,11 @@ def _load_csv(path: Path) -> EmbeddingDataset:
     rows: list[list[float]] = []
     dim: int | None = None
     first_content = True
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    with io.StringIO(text, newline="") as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -252,6 +263,8 @@ def _load_csv(path: Path) -> EmbeddingDataset:
                 vec = [float(p) for p in fields[2:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: {exc}") from exc
+            if abs(sid) > _MAX_SAMPLE_ID or abs(cid) > _MAX_SAMPLE_ID:
+                raise ValidationError(f"{path}:{ln}: id does not fit in 64 bits")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:

@@ -53,7 +53,7 @@ def reference(ids, X, clusters):
     return tuple(reps), tuple(means), pairs
 
 
-@pytest.mark.parametrize("dim", [16, 64, 257])
+@pytest.mark.parametrize("dim", [16, 64, 257, 2048])
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_pipeline_matches_per_cluster_reference(dim, interleaved):
     rs = np.random.default_rng(dim)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import stacked_dataset
+from redunda import selection
 from redunda.cli import MEMORY_CAP_ENV, main
 from redunda.selection import read_manifest_json
 from redunda.store import write_dataset
@@ -363,6 +364,76 @@ class TestAllOrNothing:
         assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+class TestOneRunPerOut:
+    def test_rerun_removes_stale_artifacts(self, synth_dataset, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--dump-dendrograms", "--out", out,
+        )[0] == 0
+        assert (out / "dendrograms" / "class_0.txt").is_file()
+        (out / "notes.txt").write_text("user file\n")
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.34",
+            "--no-histogram", "--no-dissimilarity", "--out", out,
+        )
+        assert code == 0, err
+        assert sorted(tree(out)) == [
+            "manifest.json", "manifest.txt", "notes.txt",
+            "pairs.json", "pairs.txt", "run_metadata.json",
+        ]
+        assert not (out / "dendrograms").exists()
+        assert read_manifest_json(out / "manifest.json").retention_fraction == 0.34
+
+    def test_baseline_after_select_keeps_one_run(self, synth_dataset, tmp_path, capsys):
+        out = tmp_path / "D"
+        args = ["--input", synth_dataset, "--fraction", "0.5", "--out", out]
+        assert run(capsys, "select", *args)[0] == 0
+        assert run(capsys, "baseline", *args, "--seed", "3")[0] == 0
+        assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
+
+    def test_stats_keeps_the_manifest_it_reads(self, synth_dataset, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--out", out,
+        )[0] == 0
+        before = tree(out)
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset, "--manifest",
+            out / "manifest.json", "--no-nearest-excluded", "--out", out,
+        )
+        assert code == 0, err
+        after = tree(out)
+        assert after["manifest.json"] == before["manifest.json"]
+        assert after["manifest.txt"] == before["manifest.txt"]
+        assert "pairs.json" not in after and "histogram.csv" in after
+
+    def test_failed_revalidation_removes_what_was_written(
+        self, synth_dataset, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "notes.txt").write_text("user file\n")
+        orig = selection.validate_manifest
+        calls = {"n": 0}
+
+        def second_call_fails(manifest, ds):
+            calls["n"] += 1
+            if calls["n"] == 2:  # the re-read of the manifest on disk
+                raise selection.ValidationError("manifest on disk is corrupt")
+            return orig(manifest, ds)
+
+        monkeypatch.setattr(selection, "validate_manifest", second_call_fails)
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--out", out,
+        )
+        assert code == 1
+        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
+        assert sorted(tree(out)) == ["notes.txt"]
+
+
 class TestBaselineCommand:
     def test_artifacts_and_determinism(self, synth_dataset, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -461,6 +532,23 @@ class TestStatsCommand:
         doc["retained"] = []
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset,
+            "--manifest", bad, "--out", tmp_path / "s",
+        )
+        assert code == 1
+        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
+
+    @pytest.mark.parametrize(
+        "value", ["Infinity", "[" * 100000 + "]" * 100000], ids=["infinite", "deep"]
+    )
+    def test_rejects_unrepresentable_manifest_values(
+        self, synth_dataset, tmp_path, capsys, value
+    ):
+        sel = self.select_run(synth_dataset, tmp_path, capsys)
+        text = (sel / "manifest.json").read_text().replace('"seed": null', f'"seed": {value}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         code, _, err = run(
             capsys, "stats", "--input", synth_dataset,
             "--manifest", bad, "--out", tmp_path / "s",

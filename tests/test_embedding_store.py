@@ -73,6 +73,10 @@ class TestFromArrays:
         vectors = np.array([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValidationError, match="record 1"):
             EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
+        # finite components whose norm overflows
+        vectors = np.array([[1.0, 0.0], [1e200, 1.0]])
+        with pytest.raises(ValidationError, match="record 1: vector norm overflows"):
+            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
 
     def test_zero_vector_rejected(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -252,6 +256,15 @@ class TestCsvFormat:
         path = tmp_path / "d.csv"
         path.write_text("0,0,1.0,0.0\n1,zero,1.0,0.0\n")
         with pytest.raises(FormatError, match=":2"):
+            load_dataset(path)
+
+    def test_undecodable_text_and_wide_ids_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"0,0,1.0,0.0\n1,0,\x80.0,0.0\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_dataset(path)
+        path.write_text(f"0,0,1.0,0.0\n{1 << 64},0,1.0,0.0\n")
+        with pytest.raises(ValidationError, match=":2: id does not fit"):
             load_dataset(path)
 
     def test_too_few_fields(self, tmp_path):

@@ -162,11 +162,25 @@ class TestPairwiseCondensed:
     def test_one_to_many_matches_scalar(self):
         rs = np.random.default_rng(9)
         x = rs.normal(size=6)
+        x[0] = 0.0
         M = rs.normal(size=(25, 6))
         M[3] = x  # an exact duplicate is exactly zero
-        d = one_to_many(x, M, unit_rows(M))
-        assert d[3] == 0.0
+        M[5, 0] = x[0]  # equal in column 0 only: not a duplicate
+        M[7] = x
+        M[7, 0] = -0.0  # equal to x under ==, so also exactly zero
+        U = unit_rows(M)
+        d = one_to_many(x, M, U, np.arange(25))
+        assert d[3] == 0.0 and d[7] == 0.0
+        assert d[5] > 0.0
         for i in range(25):
             assert d[i] == pytest.approx(cosine_dissimilarity(x, M[i]), abs=1e-12)
+        # Arbitrary row order: results follow ``rows`` and equal the kernel
+        # on the already gathered rows bit for bit.
+        rows = np.array([7, 20, 3, 5, 0, 19, 11])
+        got = one_to_many(x, M, U, rows)
+        assert got.tolist() == one_to_many(x, M[rows], U[rows], np.arange(7)).tolist()
+        assert got[0] == 0.0 and got[2] == 0.0 and got[3] > 0.0
+        for j, i in enumerate(rows):
+            assert got[j] == pytest.approx(d[i], abs=1e-12)
         with pytest.raises(InvalidArgumentError):
-            one_to_many(x, M, unit_rows(M[1:]))
+            one_to_many(x, M, unit_rows(M[1:]), np.arange(24))
