@@ -3,11 +3,12 @@
 Every run computes all artifacts in memory first and writes them through a
 single writer at the end; on any failure the partially written files of the
 run are removed, so an output directory never holds a half-finished run.
-After a successful ``select``, ``baseline`` or ``stats`` run, the artifacts a
-run of these commands can write but this one did not are removed, so the
-directory holds exactly one run.  Exit status is 0 iff every artifact was
-written and the produced manifest re-validates against the dataset; every
-failure prints one ``error_code: message`` line on stderr and exits 1.
+After a successful ``select`` or ``stats`` run, the artifacts a run of these
+commands can write but this one did not are removed, so the directory holds
+exactly one run; ``synth`` likewise removes the other format's dataset.  Exit
+status is 0 iff every artifact was written and the produced manifest
+re-validates against the dataset; every failure prints one
+``error_code: message`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,8 +25,6 @@ from .cluster import DEFAULT_MEMORY_CAP, format_dendrogram
 from .errors import ConfigError, RedundaError
 from .selection import ClassResult, SubsetManifest
 from .store import EmbeddingDataset, canonical_bytes, dataset_to_csv, load_dataset
-
-MEMORY_CAP_ENV = "REDUNDA_MEMORY_CAP"
 
 
 @dataclass
@@ -39,7 +37,6 @@ class RunConfig:
     method: str
     seed: int | None
     output_dir: Path
-    jobs: int = 1
     memory_cap_bytes: int | None = None
     histogram: bool = True
     dissimilarity: bool = True
@@ -56,8 +53,6 @@ class RunConfig:
             raise ConfigError("--seed only applies to method uniform-random")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.memory_cap_bytes is not None and self.memory_cap_bytes < 0:
             raise ConfigError(f"memory cap must be >= 0 bytes, got {self.memory_cap_bytes}")
 
@@ -73,23 +68,13 @@ def _one_line(exc: BaseException) -> str:
     return " ".join(str(exc).split()) or exc.__class__.__name__
 
 
-def _memory_cap(args) -> int | None:
-    env = os.environ.get(MEMORY_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{MEMORY_CAP_ENV} must be an integer, got {env!r}") from None
-    return args.memory_cap
-
-
-# Artifacts a subset run may leave out.  manifest.* and run_metadata.json are
-# not listed: select and baseline always write them, and stats must keep the
-# manifest it reads.
+# Artifacts a subset run may leave out, as glob patterns under --out.
+# manifest.* and run_metadata.json are not listed: select always writes them,
+# and stats must keep the manifest it reads.
 _OPTIONAL_ARTIFACTS = (
     "histogram.csv", "histogram.json", "histogram.txt",
     "dissimilarity.json", "dissimilarity.txt",
-    "pairs.json", "pairs.txt",
+    "pairs.json", "pairs.txt", "dendrograms/class_*.txt",
 )
 
 
@@ -119,24 +104,23 @@ def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]]) -> None:
         raise
 
 
-def _remove_stale(outdir: Path, written: set[str], keep: set[Path]) -> None:
+def _remove_stale(outdir: Path, patterns, written: set[str], keep: set[Path]) -> None:
     """Remove what an earlier run left in ``outdir`` and this run did not write.
 
-    Only optional artifacts and dendrogram dumps are candidates, and never a
-    file in ``keep`` (the inputs this run read).
+    Only files matching ``patterns`` are candidates, and never a file in
+    ``keep`` (the inputs this run read).  A subdirectory this empties goes too.
     """
-    dumps = outdir / "dendrograms"
-    candidates = [outdir / rel for rel in _OPTIONAL_ARTIFACTS]
-    candidates += sorted(dumps.glob("class_*.txt"))
-    _remove(
-        p for p in candidates
+    stale = [
+        p for pattern in patterns for p in outdir.glob(pattern)
         if str(p.relative_to(outdir)) not in written and p.is_file()
         and p.resolve() not in keep
-    )
-    try:
-        dumps.rmdir()  # only succeeds once no dump (or user file) is left
-    except OSError:
-        pass
+    ]
+    _remove(stale)
+    for d in {p.parent for p in stale} - {outdir}:
+        try:
+            d.rmdir()  # only succeeds once no dump (or user file) is left in it
+        except OSError:
+            pass
 
 
 def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
@@ -210,7 +194,7 @@ def _finish(
         }
         for cid, ids in sorted(manifest.retained.items())
     }
-    meta = {"input": str(config.input_path), "fraction": config.fraction, "jobs": config.jobs,
+    meta = {"input": str(config.input_path), "fraction": config.fraction,
             "classes": {str(cid): c for cid, c in classes.items()}, **meta}
     artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
     outdir = config.output_dir
@@ -224,7 +208,8 @@ def _finish(
         except BaseException:
             _remove(outdir / rel for rel in written)
             raise
-    _remove_stale(outdir, written, {p.resolve() for p in (config.input_path, *reads)})
+    keep = {p.resolve() for p in (config.input_path, *reads)}
+    _remove_stale(outdir, _OPTIONAL_ARTIFACTS, written, keep)
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
@@ -232,31 +217,6 @@ def _finish(
         f"total: classes={len(manifest.retained)} points={len(ds)} "
         f"retained={manifest.total_retained()}"
     )
-
-
-def _run_subset(config: RunConfig, command: str) -> int:
-    config.validate()
-    ds = load_dataset(config.input_path, config.input_format)
-    results: dict[int, ClassResult] | None = None
-    if config.method == selection.METHOD_CLUSTER:
-        manifest, results = selection.build_cluster_subset(
-            ds, config.fraction, jobs=config.jobs, memory_cap_bytes=config.memory_cap_bytes
-        )
-    else:
-        manifest = selection.build_random_subset(ds, config.fraction, config.seed)
-    selection.validate_manifest(manifest, ds)
-
-    artifacts: list[tuple[str, str | bytes]] = [
-        ("manifest.json", selection.manifest_to_json(manifest)),
-        ("manifest.txt", selection.manifest_to_text(manifest)),
-    ]
-    if results is not None:
-        artifacts += _report_artifacts(config, ds, results)
-    _finish(config, command, ds, manifest, results, artifacts,
-            {"method": config.method, "seed": config.seed})
-    if config.method == selection.METHOD_RANDOM and command == "select":
-        print("note: cluster reports skipped (uniform-random subsets have no clusters)")
-    return 0
 
 
 def _cluster_config(args, fraction: float, method: str, seed: int | None) -> RunConfig:
@@ -268,8 +228,7 @@ def _cluster_config(args, fraction: float, method: str, seed: int | None) -> Run
         method=method,
         seed=seed,
         output_dir=Path(args.out),
-        jobs=args.jobs,
-        memory_cap_bytes=_memory_cap(args),
+        memory_cap_bytes=args.memory_cap,
         histogram=args.histogram,
         dissimilarity=args.dissimilarity,
         nearest_excluded=args.nearest_excluded,
@@ -279,22 +238,29 @@ def _cluster_config(args, fraction: float, method: str, seed: int | None) -> Run
 
 
 def _cmd_select(args) -> int:
-    return _run_subset(_cluster_config(args, args.fraction, args.method, args.seed), "select")
+    config = _cluster_config(args, args.fraction, args.method, args.seed)
+    config.validate()
+    ds = load_dataset(config.input_path, config.input_format)
+    results: dict[int, ClassResult] | None = None
+    if config.method == selection.METHOD_CLUSTER:
+        manifest, results = selection.build_cluster_subset(
+            ds, config.fraction, memory_cap_bytes=config.memory_cap_bytes
+        )
+    else:
+        manifest = selection.build_random_subset(ds, config.fraction, config.seed)
+    selection.validate_manifest(manifest, ds)
 
-
-def _cmd_baseline(args) -> int:
-    config = RunConfig(
-        input_path=Path(args.input),
-        input_format=args.format,
-        fraction=args.fraction,
-        method=selection.METHOD_RANDOM,
-        seed=args.seed,
-        output_dir=Path(args.out),
-        histogram=False,
-        dissimilarity=False,
-        nearest_excluded=False,
-    )
-    return _run_subset(config, "baseline")
+    artifacts: list[tuple[str, str | bytes]] = [
+        ("manifest.json", selection.manifest_to_json(manifest)),
+        ("manifest.txt", selection.manifest_to_text(manifest)),
+    ]
+    if results is not None:
+        artifacts += _report_artifacts(config, ds, results)
+    _finish(config, "select", ds, manifest, results, artifacts,
+            {"method": config.method, "seed": config.seed})
+    if results is None:
+        print("note: cluster reports skipped (uniform-random subsets have no clusters)")
+    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -307,7 +273,7 @@ def _cmd_stats(args) -> int:
     config = _cluster_config(args, manifest.retention_fraction, selection.METHOD_CLUSTER, None)
     config.validate()
     recomputed, results = selection.build_cluster_subset(
-        ds, config.fraction, jobs=config.jobs, memory_cap_bytes=config.memory_cap_bytes
+        ds, config.fraction, memory_cap_bytes=config.memory_cap_bytes
     )
     if dict(recomputed.retained) != dict(manifest.retained):
         raise ConfigError(
@@ -364,6 +330,7 @@ def _cmd_synth(args) -> int:
         ),
     ]
     _emit(Path(args.out), artifacts)
+    _remove_stale(Path(args.out), ("dataset.bin", "dataset.csv"), {name}, set())
     for cid in sorted(truth):
         points = sum(len(g) for g in truth[cid])
         print(f"class {cid}: groups={len(truth[cid])} points={points}")
@@ -398,10 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
 
     def add_cluster_knobs(p):
-        p.add_argument("--jobs", type=int, default=1, help="max concurrent class jobs")
         p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
-                       help=f"bytes of pairwise distances allowed per class job "
-                            f"(default {DEFAULT_MEMORY_CAP}; env {MEMORY_CAP_ENV} overrides)")
+                       help="bytes of pairwise distances allowed per class "
+                            f"(default {DEFAULT_MEMORY_CAP})")
         p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
                        help="emit cluster-size histogram")
         p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,
@@ -421,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="required for (and only for) uniform-random")
     add_cluster_knobs(p)
     p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("baseline", help="uniform-random subset manifest")
-    add_io(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("stats", help="reports for an existing manifest")
     add_io(p, with_fraction=False)

@@ -28,7 +28,7 @@ import numpy as np
 from . import metric
 from .errors import InvalidArgumentError, MemoryCapError
 
-DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class job
+DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ class InvalidArgumentError(RedundaError, ValueError):
 
 
 class MemoryCapError(RedundaError):
-    """A class job would exceed the configured pairwise-matrix memory cap."""
+    """A class would exceed the configured pairwise-matrix memory cap."""
 
     code = "memory_cap_exceeded"
 

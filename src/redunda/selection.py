@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -76,7 +75,7 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
     return int(ids[np.lexsort((ids, d))[0]])
 
 
-def _cluster_class_job(
+def _cluster_class(
     ds: EmbeddingDataset, class_id: int, fraction: float, memory_cap_bytes: int | None
 ) -> ClassResult:
     ids, X = ds.class_arrays(class_id)
@@ -103,36 +102,25 @@ def build_cluster_subset(
     ds: EmbeddingDataset,
     fraction: float,
     *,
-    jobs: int = 1,
     memory_cap_bytes: int | None = None,
 ) -> tuple[SubsetManifest, dict[int, ClassResult]]:
     """Cluster every class at its per-class k and keep one medoid per cluster.
 
     Returns the manifest and one ``ClassResult`` per class, keyed by class_id
-    in ascending order.  Class jobs may run on up to ``jobs`` threads; the
-    output does not depend on scheduling.
+    in ascending order.  Classes are clustered one after another; an error is
+    tagged with its class.
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
     classes = ds.classes()
     if not classes:
         raise InvalidArgumentError("dataset has no records")
-
-    def job(cid: int):
+    by_class: dict[int, ClassResult] = {}
+    for cid in classes:
         try:
-            return _cluster_class_job(ds, cid, fraction, memory_cap_bytes)
+            by_class[cid] = _cluster_class(ds, cid, fraction, memory_cap_bytes)
         except Exception as exc:
             raise _tagged(cid, exc) from exc
-
-    if jobs < 1:
-        raise InvalidArgumentError(f"jobs must be positive, got {jobs}")
-    if jobs == 1 or len(classes) == 1:
-        results = [job(cid) for cid in classes]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(job, classes))
-
-    by_class = dict(zip(classes, results))
     retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
     return manifest, by_class
@@ -143,7 +131,7 @@ def build_random_subset(ds: EmbeddingDataset, fraction: float, seed: int) -> Sub
 
     Each class uses its own substream of the counter-based generator, so the
     draw for a class depends only on (seed, class_id) and the class's file
-    order -- not on other classes or thread scheduling.
+    order -- not on other classes.
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
@@ -198,10 +186,6 @@ def manifest_to_json(manifest: SubsetManifest) -> str:
         "retained": {str(cid): list(ids) for cid, ids in sorted(manifest.retained.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_manifest_json(manifest: SubsetManifest, path) -> None:
-    Path(path).write_text(manifest_to_json(manifest), encoding="utf-8")
 
 
 def read_manifest_json(path) -> SubsetManifest:

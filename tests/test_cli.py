@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import stacked_dataset
 from redunda import selection
-from redunda.cli import MEMORY_CAP_ENV, main
+from redunda.cli import build_parser, main
 from redunda.selection import read_manifest_json
 from redunda.store import write_dataset
 
@@ -34,11 +35,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     cap = capsys.readouterr()
     return code, cap.out, cap.err
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
 
 
 @pytest.fixture
@@ -104,6 +100,23 @@ class TestSynthCommand:
         assert err.startswith("margin_unsatisfiable: ")
         assert not (tmp_path / "g" / "dataset.bin").exists()
 
+    def test_rerun_in_other_format_keeps_one_dataset(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run(capsys, *SYNTH, "--out", out)[0] == 0
+        (out / "notes.txt").write_text("user file\n")
+        other = list(SYNTH)
+        other[other.index("--sizes") + 1] = "1,1,1"
+        code, stdout, err = run(capsys, *other, "--format", "csv", "--out", out)
+        assert code == 0, err
+        assert "points=6 file=dataset.csv" in stdout
+        assert sorted(tree(out)) == [
+            "dataset.csv", "ground_truth.json", "notes.txt", "run_metadata.json",
+        ]
+        assert run(capsys, *SYNTH, "--out", out)[0] == 0
+        assert sorted(tree(out)) == [
+            "dataset.bin", "ground_truth.json", "notes.txt", "run_metadata.json",
+        ]
+
 
 class TestSelectCommand:
     def test_full_run_artifacts(self, synth_dataset, tmp_path, capsys):
@@ -154,14 +167,6 @@ class TestSelectCommand:
             else:
                 assert ta[rel] == tb[rel], rel
 
-    def test_jobs_do_not_change_artifacts(self, synth_dataset, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        base = ["select", "--input", synth_dataset, "--fraction", "0.5"]
-        assert run(capsys, *base, "--jobs", "1", "--out", a)[0] == 0
-        assert run(capsys, *base, "--jobs", "8", "--out", b)[0] == 0
-        assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
-        assert tree(a)["histogram.csv"] == tree(b)["histogram.csv"]
-
     def test_fraction_one_keeps_all(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
         code, stdout, _ = run(
@@ -182,15 +187,19 @@ class TestSelectCommand:
         assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
 
     def test_uniform_random_via_select(self, synth_dataset, tmp_path, capsys):
-        out = tmp_path / "run"
-        code, stdout, _ = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--method", "uniform-random", "--seed", "3", "--out", out,
-        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["select", "--input", synth_dataset, "--fraction", "0.5",
+                "--method", "uniform-random", "--seed", "11"]
+        code, stdout, _ = run(capsys, *args, "--out", a)
         assert code == 0
         assert "note: cluster reports skipped" in stdout
-        assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
-        assert read_manifest_json(out / "manifest.json").seed == 3
+        assert "class 0: n=6 k=3\n" in stdout  # no largest= without clusters
+        assert sorted(tree(a)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
+        assert run(capsys, *args, "--out", b)[0] == 0
+        assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
+        manifest = read_manifest_json(a / "manifest.json")
+        assert manifest.method == "uniform-random"
+        assert manifest.seed == 11
 
     def test_csv_input_by_suffix(self, tmp_path, capsys):
         gen = tmp_path / "gen"
@@ -284,23 +293,6 @@ class TestMemoryCap:
         assert err.startswith("memory_cap_exceeded: ")
         assert not (tmp_path / "r" / "manifest.json").exists()
 
-    def test_env_trips_cap(self, synth_dataset, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(MEMORY_CAP_ENV, "50")
-        code, _, err = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", tmp_path / "r",
-        )
-        assert code == 1
-        assert err.startswith("memory_cap_exceeded: ")
-
-    def test_env_overrides_flag(self, synth_dataset, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(MEMORY_CAP_ENV, str(1 << 30))
-        code, _, err = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--memory-cap", "50", "--out", tmp_path / "r",
-        )
-        assert code == 0, err
-
     def test_negative_flag_is_config_error(self, synth_dataset, tmp_path, capsys):
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
@@ -309,23 +301,6 @@ class TestMemoryCap:
         assert code == 1
         assert re.fullmatch(r"config_error: [^\n]+\n", err)
 
-    def test_negative_env_is_config_error(self, synth_dataset, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(MEMORY_CAP_ENV, "-1")
-        code, _, err = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", tmp_path / "r",
-        )
-        assert code == 1
-        assert re.fullmatch(r"config_error: [^\n]+\n", err)
-
-    def test_env_must_be_integer(self, synth_dataset, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(MEMORY_CAP_ENV, "lots")
-        code, _, err = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", tmp_path / "r",
-        )
-        assert code == 1
-        assert err.startswith("config_error: ")
 
 
 class TestAllOrNothing:
@@ -389,7 +364,9 @@ class TestOneRunPerOut:
         out = tmp_path / "D"
         args = ["--input", synth_dataset, "--fraction", "0.5", "--out", out]
         assert run(capsys, "select", *args)[0] == 0
-        assert run(capsys, "baseline", *args, "--seed", "3")[0] == 0
+        assert run(
+            capsys, "select", *args, "--method", "uniform-random", "--seed", "3"
+        )[0] == 0
         assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
 
     def test_stats_keeps_the_manifest_it_reads(self, synth_dataset, tmp_path, capsys):
@@ -434,30 +411,6 @@ class TestOneRunPerOut:
         assert sorted(tree(out)) == ["notes.txt"]
 
 
-class TestBaselineCommand:
-    def test_artifacts_and_determinism(self, synth_dataset, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["baseline", "--input", synth_dataset, "--fraction", "0.5",
-                "--seed", "11"]
-        code, stdout, _ = run(capsys, *args, "--out", a)
-        assert code == 0
-        assert "class 0: n=6 k=3" in stdout  # no largest= without clusters
-        assert sorted(tree(a)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
-        assert run(capsys, *args, "--out", b)[0] == 0
-        assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
-        manifest = read_manifest_json(a / "manifest.json")
-        assert manifest.method == "uniform-random"
-        assert manifest.seed == 11
-
-    def test_seed_required(self, synth_dataset, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "baseline", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", tmp_path / "r",
-        )
-        assert code == 1
-        assert err.startswith("config_error: ")
-
-
 class TestStatsCommand:
     def select_run(self, synth_dataset, tmp_path, capsys, outname="sel"):
         out = tmp_path / outname
@@ -483,8 +436,8 @@ class TestStatsCommand:
     def test_rejects_random_manifest(self, synth_dataset, tmp_path, capsys):
         base = tmp_path / "base"
         assert run(
-            capsys, "baseline", "--input", synth_dataset, "--fraction", "0.5",
-            "--seed", "1", "--out", base,
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--method", "uniform-random", "--seed", "1", "--out", base,
         )[0] == 0
         code, _, err = run(
             capsys, "stats", "--input", synth_dataset,
@@ -619,3 +572,42 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "g" / "dataset.bin").exists()
+
+
+class TestCliSurface:
+    """One entry point per behaviour: removed knobs stay removed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--fraction", "0.5", "--seed", "11"],
+        ["select", "--fraction", "0.5", "--jobs", "2"],
+        ["stats", "--manifest", "{manifest}", "--jobs", "2"],
+    ], ids=["baseline", "select-jobs", "stats-jobs"])
+    def test_removed_knob_is_config_error(self, synth_dataset, tmp_path, capsys, argv):
+        sel = tmp_path / "sel"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5", "--out", sel,
+        )[0] == 0
+        argv = [a.format(manifest=sel / "manifest.json") for a in argv]
+        code, _, err = run(
+            capsys, *argv, "--input", synth_dataset, "--out", tmp_path / "r",
+        )
+        assert code == 1
+        assert re.fullmatch(r"config_error: [^\n]+\n", err)
+        assert not (tmp_path / "r").exists()
+
+    def test_memory_cap_comes_only_from_the_flag(
+        self, synth_dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REDUNDA_MEMORY_CAP", "50")
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--out", tmp_path / "r",
+        )
+        assert code == 0, err
+
+    def test_subcommands(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {"select", "stats", "synth", "validate"}
