@@ -187,19 +187,15 @@ class TestSelectCommand:
         assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
 
     def test_uniform_random_via_select(self, synth_dataset, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        args = ["select", "--input", synth_dataset, "--fraction", "0.5",
-                "--method", "uniform-random", "--seed", "11"]
-        code, stdout, _ = run(capsys, *args, "--out", a)
+        out = tmp_path / "run"
+        code, stdout, _ = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--method", "uniform-random", "--seed", "3", "--out", out,
+        )
         assert code == 0
         assert "note: cluster reports skipped" in stdout
-        assert "class 0: n=6 k=3\n" in stdout  # no largest= without clusters
-        assert sorted(tree(a)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
-        assert run(capsys, *args, "--out", b)[0] == 0
-        assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
-        manifest = read_manifest_json(a / "manifest.json")
-        assert manifest.method == "uniform-random"
-        assert manifest.seed == 11
+        assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
+        assert read_manifest_json(out / "manifest.json").seed == 3
 
     def test_csv_input_by_suffix(self, tmp_path, capsys):
         gen = tmp_path / "gen"
@@ -409,6 +405,24 @@ class TestOneRunPerOut:
         assert code == 1
         assert re.fullmatch(r"validation_error: [^\n]+\n", err)
         assert sorted(tree(out)) == ["notes.txt"]
+
+
+class TestBaselineCommand:
+    """The uniform-random baseline, run as select --method uniform-random."""
+
+    def test_artifacts_and_determinism(self, synth_dataset, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["select", "--input", synth_dataset, "--fraction", "0.5",
+                "--method", "uniform-random", "--seed", "11"]
+        code, stdout, _ = run(capsys, *args, "--out", a)
+        assert code == 0
+        assert "class 0: n=6 k=3\n" in stdout  # no largest= without clusters
+        assert sorted(tree(a)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
+        assert run(capsys, *args, "--out", b)[0] == 0
+        assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
+        manifest = read_manifest_json(a / "manifest.json")
+        assert manifest.method == "uniform-random"
+        assert manifest.seed == 11
 
 
 class TestStatsCommand:
