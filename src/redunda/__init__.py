@@ -20,7 +20,6 @@ from .cluster import (
     MergeStep,
     Partition,
     agglomerate_fast,
-    agglomerate_naive,
     cut_dendrogram,
 )
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     UnknownClassError,
     ValidationError,
 )
-from .metric import cluster_dissimilarity, cosine_dissimilarity, pairwise_condensed
+from .metric import cosine_dissimilarity, pairwise_condensed
 from .selection import (
     ClassResult,
     SubsetManifest,
@@ -69,11 +68,9 @@ __all__ = [
     "UnknownClassError",
     "ValidationError",
     "agglomerate_fast",
-    "agglomerate_naive",
     "avg_dissimilarity",
     "build_cluster_subset",
     "build_random_subset",
-    "cluster_dissimilarity",
     "cosine_dissimilarity",
     "cut_dendrogram",
     "generate",

@@ -1,8 +1,10 @@
 """Command-line driver: load -> cluster -> select -> analyze -> emit.
 
 Every run computes all artifacts in memory first and writes them through a
-single writer at the end; on any failure the partially written files of the
-run are removed, so an output directory never holds a half-finished run.
+single writer at the end.  It stages each file under a temporary name and
+moves the files into place only once all are written and the manifest
+re-validates; on any failure the staged files are removed, so an output
+directory keeps the run it held before and never holds a half-finished one.
 After a successful ``select`` or ``stats`` run, the artifacts a run of these
 commands can write but this one did not are removed, so the directory holds
 exactly one run; ``synth`` likewise removes the other format's dataset.  Exit
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,29 +81,43 @@ _OPTIONAL_ARTIFACTS = (
 )
 
 
-def _remove(paths) -> None:
+def _remove(paths, root: Path) -> None:
+    """Remove files, then each of their directories below ``root`` left empty."""
+    paths = list(paths)
     for p in paths:
         try:
             p.unlink()
         except OSError:
             pass
+    for d in {p.parent for p in paths} - {root}:
+        try:
+            d.rmdir()  # only succeeds once no other file is left in it
+        except OSError:
+            pass
 
 
-def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]]) -> None:
-    """Single writer; removes everything it wrote if any write fails."""
+def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]], check=None) -> None:
+    """Single writer: stage every artifact under a temporary name next to its
+    target, call ``check`` with the staged paths by artifact name, then move
+    each into place.  On any failure the staged files are removed; up to the
+    first move, that leaves what ``outdir`` held before as it was."""
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged: dict[str, Path] = {}
     try:
         for rel, payload in artifacts:
             target = outdir / rel
             target.parent.mkdir(parents=True, exist_ok=True)
+            staged[rel] = tmp = target.with_name(f".{target.name}.partial")
             if isinstance(payload, bytes):
-                target.write_bytes(payload)
+                tmp.write_bytes(payload)
             else:
-                target.write_text(payload, encoding="utf-8")
-            written.append(target)
+                tmp.write_text(payload, encoding="utf-8")
+        if check is not None:
+            check(staged)
+        for rel, tmp in staged.items():
+            os.replace(tmp, outdir / rel)
     except BaseException:
-        _remove(written)
+        _remove(staged.values(), outdir)
         raise
 
 
@@ -110,17 +127,12 @@ def _remove_stale(outdir: Path, patterns, written: set[str], keep: set[Path]) ->
     Only files matching ``patterns`` are candidates, and never a file in
     ``keep`` (the inputs this run read).  A subdirectory this empties goes too.
     """
-    stale = [
-        p for pattern in patterns for p in outdir.glob(pattern)
-        if str(p.relative_to(outdir)) not in written and p.is_file()
-        and p.resolve() not in keep
-    ]
-    _remove(stale)
-    for d in {p.parent for p in stale} - {outdir}:
-        try:
-            d.rmdir()  # only succeeds once no dump (or user file) is left in it
-        except OSError:
-            pass
+    _remove(
+        (p for pattern in patterns for p in outdir.glob(pattern)
+         if str(p.relative_to(outdir)) not in written and p.is_file()
+         and p.resolve() not in keep),
+        outdir,
+    )
 
 
 def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
@@ -197,19 +209,16 @@ def _finish(
     meta = {"input": str(config.input_path), "fraction": config.fraction,
             "classes": {str(cid): c for cid, c in classes.items()}, **meta}
     artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
-    outdir = config.output_dir
-    _emit(outdir, artifacts)
-    written = {rel for rel, _ in artifacts}
-    if "manifest.json" in written:
-        # Exit contract: verify the manifest file on disk re-validates.
-        try:
-            reread = selection.read_manifest_json(outdir / "manifest.json")
+
+    def revalidate(staged: dict[str, Path]) -> None:
+        # Exit contract: the manifest file as written re-validates.
+        if "manifest.json" in staged:
+            reread = selection.read_manifest_json(staged["manifest.json"])
             selection.validate_manifest(reread, ds)
-        except BaseException:
-            _remove(outdir / rel for rel in written)
-            raise
+
+    _emit(config.output_dir, artifacts, revalidate)
     keep = {p.resolve() for p in (config.input_path, *reads)}
-    _remove_stale(outdir, _OPTIONAL_ARTIFACTS, written, keep)
+    _remove_stale(config.output_dir, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, keep)
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")

@@ -1,26 +1,27 @@
-"""Complete-linkage agglomerative clustering, naive and nearest-neighbor-chain.
+"""Complete-linkage agglomerative clustering by the generic algorithm.
 
-Both engines merge until exactly k clusters remain and break dissimilarity
-ties identically, so they produce the same partition and the same canonical
-dendrogram on every input.  The tie-break key for a candidate merge is
+The engine (Müllner 2011, "Modern hierarchical, agglomerative clustering
+algorithms", §3) merges in the strict total order of the candidate key
 
     (dissimilarity, min(ref(A), ref(B)), max(ref(A), ref(B)))
 
 where ``ref(C)`` is the smallest input ordinal among C's members.  This key
-is intrinsic to the cluster *contents* (not to the order merges happened to
-be discovered), which is what makes the greedy naive order and the chain
-order provably interchangeable: complete linkage is reducible, and with a
-strict total order on candidate pairs the merge set is unique.
+is intrinsic to the cluster *contents*, so the merge sequence is unique and
+equals that of the greedy scan of all cluster pairs.  Merges come out in key
+order, so the engine stops after the n - k merges a cut at k clusters keeps.
+The condensed matrix and each slot's first row minimum cost O(n^2); each
+merge taken costs O(n) plus the stale heap entries it pops.
 
-Recorded merge steps are canonicalized by sorting on that same key and
-renumbering new clusters n, n+1, ... in sorted order.  Children always sort
-before their parents (a parent's height is >= each child's height, and at
-equal heights the parent's ref pair is lexicographically larger), so the
-canonical step sequence is a valid bottom-up replay order.
+Recorded merge steps are in that same key order, with new clusters numbered
+n, n+1, ... as they form.  Children always come before their parents (a
+parent's height is >= each child's height, and at equal heights the parent's
+ref pair is lexicographically larger), so the step sequence is a valid
+bottom-up replay order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,10 @@ def _check_k(n: int, k: int) -> None:
 
 
 def _canonical_steps(n: int, raw: list[tuple[float, int, int]]) -> tuple[MergeStep, ...]:
-    """Sort raw merges by key and renumber; refs in ``raw`` are min-member ordinals."""
+    """Renumber merges already in key order; refs in ``raw`` are min-member ordinals."""
     out = []
     current: dict[int, int] = {}  # min-member ordinal -> current cluster ref
-    for i, (height, lo, hi) in enumerate(sorted(raw)):
+    for i, (height, lo, hi) in enumerate(raw):
         left = current.get(lo, lo)
         right = current.get(hi, hi)
         if left > right:
@@ -114,80 +115,53 @@ def _canonical_steps(n: int, raw: list[tuple[float, int, int]]) -> tuple[MergeSt
     return tuple(out)
 
 
-def _assemble(
-    class_id: int,
-    ids: np.ndarray,
-    raw: list[tuple[float, int, int]],
-    member_lists: list[list[int] | None],
-) -> tuple[Dendrogram, Partition]:
-    dendro = Dendrogram(
-        class_id, len(ids), tuple(int(s) for s in ids), _canonical_steps(len(ids), raw)
-    )
-    clusters = sorted(
-        (frozenset(int(ids[m]) for m in lst) for lst in member_lists if lst is not None),
-        key=min,
-    )
-    return dendro, Partition(class_id, tuple(clusters))
+def _generic_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int, int]]:
+    """The first ``merges`` merges in key order, as ``(height, a, b)`` with a < b.
 
-
-def agglomerate_naive(
-    X, k: int, *, sample_ids=None, class_id: int = 0
-) -> tuple[Dendrogram, Partition]:
-    """Reference greedy agglomeration: scan all cluster pairs every round.
-
-    ``X`` holds one row per point; ``sample_ids`` (row positions when
-    omitted) name the points in the partition and dendrogram.  Cluster
-    dissimilarities are recomputed definitionally (max over member point
-    pairs) after each merge, independent of the Lance-Williams update the
-    fast path uses.
+    ``D`` is the condensed matrix, updated in place; slot ``a`` stands for the
+    cluster whose smallest member ordinal is ``a``.  A heap holds one entry per
+    live slot: the minimum of its upper-row segment, whose first argmin gives
+    ties to the smallest partner.  Merges only raise heights, so every entry
+    is a lower bound on its slot's current minimum, and an entry that still
+    matches ``D`` when popped is the smallest key of all.
     """
-    ids, X = _check_class(X, sample_ids)
-    n = len(ids)
-    _check_k(n, k)
-    if k == n:
-        return _assemble(class_id, ids, [], [[i] for i in range(n)])
-
-    cond = metric.pairwise_condensed(X)
     offs = metric.condensed_offsets(n)
-    P = np.zeros((n, n), dtype=np.float64)  # point-level, both triangles
-    for i in range(n - 1):
-        seg = cond[offs[i] : offs[i] + n - 1 - i]
-        P[i, i + 1 :] = seg
-        P[i + 1 :, i] = seg
+    base = offs - np.arange(n, dtype=np.int64) - 1  # cond(u, v) = base[u] + v for u < v
+    alive = [True] * n
+    heap: list[tuple[float, int, int]] = []
 
-    S = P.copy()  # cluster-level; slot index == min member ordinal
-    np.fill_diagonal(S, np.inf)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    alive = np.ones(n, dtype=bool)
+    def push_row_min(a: int) -> None:
+        seg = D[offs[a] : offs[a] + n - 1 - a]
+        if seg.size:
+            j = int(np.argmin(seg))
+            if seg[j] < np.inf:  # +inf: no live partner above a
+                heapq.heappush(heap, (float(seg[j]), a, a + 1 + j))
+
+    for a in range(n - 1):
+        push_row_min(a)
     raw: list[tuple[float, int, int]] = []
-
-    for _ in range(n - k):
-        # Row-major argmin lands on the upper-triangle cell of the
-        # lexicographically smallest tied (i, j): i*n+j is monotone in (i, j)
-        # and each pair's upper cell precedes its mirror.  That is exactly
-        # the documented tie-break, since slot index == min member ordinal.
-        i, j = divmod(int(np.argmin(S)), n)
-        h = float(S[i, j])
-        raw.append((h, i, j))
-
-        mi, mj = members[i], members[j]
-        assert mi is not None and mj is not None
-        mi.extend(mj)
-        members[j] = None
-        alive[j] = False
-        S[j, :] = np.inf
-        S[:, j] = np.inf
-        rows_i = np.array(mi, dtype=np.intp)
-        for x in np.flatnonzero(alive):
-            if x == i:
-                continue
-            mx = members[x]
-            assert mx is not None
-            d = float(P[np.ix_(rows_i, np.array(mx, dtype=np.intp))].max())
-            S[i, x] = d
-            S[x, i] = d
-
-    return _assemble(class_id, ids, raw, members)
+    while len(raw) < merges:
+        h, a, b = heapq.heappop(heap)
+        if not alive[a]:
+            continue
+        if D[base[a] + b] != h:  # the partner died or the pair's height grew
+            push_row_min(a)
+            continue
+        raw.append((h, a, b))
+        # Lance-Williams for complete linkage, b folded into a (a < b):
+        # the column part D[u, a] for u < a, the middle part D[a, u] for
+        # a < u < b, and the tail D[a, u] for u > b.
+        col = base[:a] + a
+        D[col] = np.maximum(D[col], D[base[:a] + b])
+        mid = D[offs[a] : base[a] + b]
+        np.maximum(mid, D[base[a + 1 : b] + b], out=mid)
+        tail = D[base[a] + b + 1 : offs[a] + n - 1 - a]
+        np.maximum(tail, D[offs[b] : offs[b] + n - 1 - b], out=tail)
+        D[base[:b] + b] = np.inf  # every cell of a dead slot reads +inf
+        D[offs[b] : offs[b] + n - 1 - b] = np.inf
+        alive[b] = False
+        push_row_min(a)
+    return raw
 
 
 def agglomerate_fast(
@@ -198,11 +172,13 @@ def agglomerate_fast(
     class_id: int = 0,
     memory_cap_bytes: int | None = None,
 ) -> tuple[Dendrogram, Partition]:
-    """Nearest-neighbor-chain agglomeration over a condensed distance matrix.
+    """Merge the rows of ``X`` by complete linkage until ``k`` clusters remain.
 
-    Takes the same arguments as ``agglomerate_naive``.  O(n^2) after the
-    distance build.  Produces the same partition and canonical dendrogram as
-    ``agglomerate_naive`` (see module docstring).
+    ``sample_ids`` (row positions when omitted) name the points in the
+    partition and dendrogram.  Runs the generic algorithm on a condensed
+    distance matrix: O(n^2) for the matrix and the initial row minima, then
+    O(n) per merge taken, and it stops at the cut, so the dendrogram holds
+    exactly the n - k merges kept.
     """
     ids, X = _check_class(X, sample_ids)
     n = len(ids)
@@ -213,57 +189,8 @@ def agglomerate_fast(
         raise MemoryCapError(
             f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}"
         )
-    if k == n:
-        return _assemble(class_id, ids, [], [[i] for i in range(n)])
-
-    D = metric.pairwise_condensed(X)  # mutated in place by Lance-Williams updates
-    offs = metric.condensed_offsets(n)
-    base = offs - np.arange(n, dtype=np.int64) - 1  # cond(j, x) = base[j] + x for j < x
-
-    alive = np.ones(n, dtype=bool)
-    raw: list[tuple[float, int, int]] = []
-    chain: list[int] = []
-
-    def gather(a: int) -> np.ndarray:
-        """Row ``a`` of the cluster distance matrix; dead slots read +inf."""
-        row = np.empty(n, dtype=np.float64)
-        if a > 0:
-            row[:a] = D[base[:a] + a]
-        row[a] = np.inf
-        if a < n - 1:
-            row[a + 1 :] = D[offs[a] : offs[a] + n - 1 - a]
-        row[~alive] = np.inf
-        return row
-
-    def scatter(a: int, row: np.ndarray) -> None:
-        if a > 0:
-            D[base[:a] + a] = row[:a]
-        if a < n - 1:
-            D[offs[a] : offs[a] + n - 1 - a] = row[a + 1 :]
-
-    # The chain discovers mutual-NN merges out of height order, so it must
-    # run to completion; the first n-k merges of the *sorted* sequence are
-    # then exactly the greedy engine's first n-k merges.
-    while len(raw) < n - 1:
-        if not chain:
-            chain.append(int(np.argmax(alive)))
-        a = chain[-1]
-        row_a = gather(a)
-        b = int(np.argmin(row_a))  # first minimum == smallest partner slot on ties
-        if len(chain) >= 2 and b == chain[-2]:
-            h = float(row_a[b])
-            u, v = (a, b) if a < b else (b, a)
-            raw.append((h, u, v))
-            merged = np.maximum(row_a, gather(b))
-            scatter(u, merged)
-            alive[v] = False
-            chain.pop()
-            chain.pop()
-        else:
-            chain.append(b)
-
-    steps = _canonical_steps(n, raw)[: n - k]
-    dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), steps)
+    raw = _generic_merges(metric.pairwise_condensed(X), n, n - k) if k < n else []
+    dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
     return dendro, cut_dendrogram(dendro, k)
 
 

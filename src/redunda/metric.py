@@ -8,7 +8,6 @@ near-identical or near-opposite directions.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -46,15 +45,6 @@ def cosine_dissimilarity(x1, x2) -> float:
     if np.array_equal(a, b):
         return 0.0  # the quotient form can round identical vectors to +-1 ulp
     return _clamp(1.0 - float(np.dot(a, b)) / (na * nb))
-
-
-def cluster_dissimilarity(c1: Iterable, c2: Iterable) -> float:
-    """Complete linkage: maximum pairwise dissimilarity across two point sets."""
-    m1 = [np.asarray(v, dtype=np.float64) for v in c1]
-    m2 = [np.asarray(v, dtype=np.float64) for v in c2]
-    if not m1 or not m2:
-        raise InvalidArgumentError("cluster dissimilarity needs non-empty clusters")
-    return max(cosine_dissimilarity(a, b) for a in m1 for b in m2)
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
@@ -104,15 +94,6 @@ def condensed_offsets(n: int) -> np.ndarray:
     """``offsets[i]`` = condensed index of pair ``(i, i+1)`` for an n-point matrix."""
     i = np.arange(n, dtype=np.int64)
     return i * n - (i * (i + 1)) // 2
-
-
-def condensed_index(n: int, i: int, j: int) -> int:
-    """Condensed position of the (i, j) pair, i != j."""
-    if i > j:
-        i, j = j, i
-    if i < 0 or j >= n or i == j:
-        raise InvalidArgumentError(f"bad pair ({i}, {j}) for n={n}")
-    return i * n - (i * (i + 1)) // 2 + (j - i - 1)
 
 
 def pairwise_condensed(X: np.ndarray) -> np.ndarray:

@@ -1,12 +1,28 @@
-"""Independent brute-force oracles, deliberately written without numpy.
+"""Independent brute-force oracles for the package's fast code paths.
 
-These re-derive every statistic from first principles so the package's
-vectorized implementations are checked against genuinely separate code.
+The pure-Python oracles (``cos_dissim`` through ``nearest_excluded``) use no
+numpy and re-derive every statistic from first principles.  The definitional
+ones below them (``condensed_index``, ``cluster_dissimilarity`` and the naive
+engine ``agglomerate_naive``) run on the package's own pairwise values, so
+heights can be compared bit for bit, but recompute every cluster distance
+from its member points instead of updating it.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from redunda import metric
+from redunda.cluster import (
+    Dendrogram,
+    Partition,
+    _canonical_steps,
+    _check_class,
+    _check_k,
+)
+from redunda.errors import InvalidArgumentError
 
 
 def cos_dissim(a, b) -> float:
@@ -96,3 +112,73 @@ def nearest_excluded(clusters, reps, points):
         if best is not None:
             out.append((rep, best[1], best[0]))
     return out
+
+
+def condensed_index(n: int, i: int, j: int) -> int:
+    """Condensed position of the (i, j) pair, i != j."""
+    if i > j:
+        i, j = j, i
+    if i < 0 or j >= n or i == j:
+        raise InvalidArgumentError(f"bad pair ({i}, {j}) for n={n}")
+    return i * n - (i * (i + 1)) // 2 + (j - i - 1)
+
+
+def cluster_dissimilarity(c1, c2) -> float:
+    """Complete linkage: maximum pairwise dissimilarity across two point sets."""
+    m1 = [np.asarray(v, dtype=np.float64) for v in c1]
+    m2 = [np.asarray(v, dtype=np.float64) for v in c2]
+    if not m1 or not m2:
+        raise InvalidArgumentError("cluster dissimilarity needs non-empty clusters")
+    return max(metric.cosine_dissimilarity(a, b) for a in m1 for b in m2)
+
+
+def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
+    """Reference greedy agglomeration: scan all cluster pairs every round.
+
+    Takes the arguments of ``agglomerate_fast`` and returns the same
+    ``(Dendrogram, Partition)``.  Cluster dissimilarities are recomputed
+    definitionally (max over member point pairs) after each merge,
+    independent of the Lance-Williams update the engine uses.
+    """
+    ids, X = _check_class(X, sample_ids)
+    n = len(ids)
+    _check_k(n, k)
+    cond = metric.pairwise_condensed(X)
+    offs = metric.condensed_offsets(n)
+    P = np.zeros((n, n), dtype=np.float64)  # point-level, both triangles
+    for i in range(n - 1):
+        seg = cond[offs[i] : offs[i] + n - 1 - i]
+        P[i, i + 1 :] = seg
+        P[i + 1 :, i] = seg
+    S = P.copy()  # cluster-level; slot index == min member ordinal
+    np.fill_diagonal(S, np.inf)
+    members: list[list[int] | None] = [[i] for i in range(n)]
+    alive = np.ones(n, dtype=bool)
+    raw: list[tuple[float, int, int]] = []
+
+    for _ in range(n - k):
+        # Row-major argmin lands on the upper-triangle cell of the
+        # lexicographically smallest tied (i, j): i*n+j is monotone in (i, j)
+        # and each pair's upper cell precedes its mirror.  That is exactly
+        # the documented tie-break, since slot index == min member ordinal.
+        i, j = divmod(int(np.argmin(S)), n)
+        raw.append((float(S[i, j]), i, j))
+        mi, mj = members[i], members[j]
+        mi.extend(mj)
+        members[j] = None
+        alive[j] = False
+        S[j, :] = np.inf
+        S[:, j] = np.inf
+        rows_i = np.array(mi, dtype=np.intp)
+        for x in np.flatnonzero(alive):
+            if x != i:
+                d = float(P[np.ix_(rows_i, np.array(members[x], dtype=np.intp))].max())
+                S[i, x] = d
+                S[x, i] = d
+
+    dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
+    clusters = sorted(
+        (frozenset(int(ids[m]) for m in lst) for lst in members if lst is not None),
+        key=min,
+    )
+    return dendro, Partition(class_id, tuple(clusters))

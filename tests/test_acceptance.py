@@ -17,10 +17,11 @@ import pytest
 from scipy.stats import chi2
 
 import _oracles
+from _oracles import agglomerate_naive, cluster_dissimilarity
 from conftest import random_unit_rows, stacked_dataset, with_duplicates
 from redunda.analysis import avg_dissimilarity, nearest_excluded, size_histogram
-from redunda.cluster import Partition, agglomerate_fast, agglomerate_naive
-from redunda.metric import cluster_dissimilarity, cosine_dissimilarity, unit_rows
+from redunda.cluster import Partition, agglomerate_fast
+from redunda.metric import cosine_dissimilarity, unit_rows
 from redunda.selection import (
     build_cluster_subset,
     build_random_subset,

@@ -406,6 +406,62 @@ class TestOneRunPerOut:
         assert re.fullmatch(r"validation_error: [^\n]+\n", err)
         assert sorted(tree(out)) == ["notes.txt"]
 
+    def test_failed_revalidation_keeps_the_earlier_run(
+        self, synth_dataset, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "D"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--dump-dendrograms", "--out", out,
+        )[0] == 0
+        (out / "notes.txt").write_text("user file\n")
+        before = tree(out)
+        assert "dendrograms/class_0.txt" in before
+        orig = selection.validate_manifest
+        calls = {"n": 0}
+
+        def second_call_fails(manifest, ds):
+            calls["n"] += 1
+            if calls["n"] == 2:  # the re-read of the manifest as written
+                raise selection.ValidationError("manifest on disk is corrupt")
+            return orig(manifest, ds)
+
+        monkeypatch.setattr(selection, "validate_manifest", second_call_fails)
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.34",
+            "--no-histogram", "--out", out,
+        )
+        assert code == 1
+        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
+        assert tree(out) == before
+
+    def test_failed_write_keeps_the_earlier_run(
+        self, synth_dataset, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "D"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            "--dump-dendrograms", "--out", out,
+        )[0] == 0
+        before = tree(out)
+        orig = pathlib.Path.write_text
+        calls = {"n": 0}
+
+        def third_write_fails(self, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise OSError("No space left on device")
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", third_write_fails)
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.34",
+            "--out", out,
+        )
+        assert code == 1
+        assert re.fullmatch(r"io_error: [^\n]+\n", err)
+        assert tree(out) == before
+
 
 class TestBaselineCommand:
     """The uniform-random baseline, run as select --method uniform-random."""

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _oracles import agglomerate_naive
 from conftest import random_unit_rows, with_duplicates
 from redunda.cluster import (
     Dendrogram,
     MergeStep,
     agglomerate_fast,
-    agglomerate_naive,
     cut_dendrogram,
     format_dendrogram,
 )
 from redunda.errors import InvalidArgumentError, MemoryCapError
+from redunda.metric import cosine_dissimilarity, pairwise_condensed
 
 # First merge of {(1,0), (1,0.001), (0,1)}: d((1,0),(1,0.001)), frozen oracle value.
 FIRST_MERGE_HEIGHT = 4.999996250365513e-07
@@ -138,6 +139,41 @@ class TestEngineEquivalence:
         assert pn == pf
         assert dn == df
         assert sum(len(c) for c in pn.clusters) == n
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_every_cut_on_3d_grids(self, data):
+        # Many merges over many exact ties: heap entries go stale both
+        # because their partner died and because the pair's height grew.
+        n = data.draw(st.integers(2, 60), label="n")
+        coords = st.sampled_from([-1.0, 0.5, 1.0, 2.0])
+        rows = data.draw(
+            st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n),
+            label="rows",
+        )
+        X = np.array(rows)
+        for k in range(1, n + 1):
+            dn, pn = agglomerate_naive(X, k)
+            df, pf = agglomerate_fast(X, k)
+            assert pn == pf
+            assert dn == df
+
+    def test_entry_whose_partner_grew_at_equal_height_stays_valid(self):
+        # d(0,1) == d(0,2) exactly (same dot with x, same norms), and 1, 2
+        # are closer to each other, so slot 0's entry (d01, 0, 1) is pushed,
+        # then 2 merges into 1 and the max update leaves D[0, 1] at d01:
+        # the entry is popped as the next valid merge.
+        X = np.array([[0.0, 0.0, 1.0], [3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [-1.0, 0.0, 0.0]])
+        d01 = cosine_dissimilarity(X[0], X[1])
+        assert pairwise_condensed(X)[0] == pairwise_condensed(X)[1]
+        for k in range(1, 5):
+            dn, pn = agglomerate_naive(X, k)
+            df, pf = agglomerate_fast(X, k)
+            assert pn == pf
+            assert dn == df
+        steps = agglomerate_fast(X, 2)[0].steps
+        assert [(s.left, s.right) for s in steps] == [(1, 2), (0, 4)]
+        assert steps[1].height == pytest.approx(d01, abs=1e-15)
 
     def test_moderate_class_self_consistency(self):
         rs = np.random.default_rng(3)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _oracles import cluster_dissimilarity, condensed_index
 from redunda.errors import InvalidArgumentError
 from redunda.metric import (
-    cluster_dissimilarity,
-    condensed_index,
     condensed_offsets,
     cosine_dissimilarity,
     one_to_many,
