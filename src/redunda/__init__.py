@@ -42,7 +42,7 @@ from .selection import (
     per_class_k,
     select_representative,
 )
-from .store import EmbeddingDataset, EmbeddingRecord, load_dataset, write_dataset
+from .store import EmbeddingDataset, load_dataset
 from .synth import PlantedSpec, SeparationCertificate, generate, measure_separation
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "Dendrogram",
     "DissimilarityReport",
     "EmbeddingDataset",
-    "EmbeddingRecord",
     "FormatError",
     "InvalidArgumentError",
     "MarginError",
@@ -67,6 +66,7 @@ __all__ = [
     "SubsetManifest",
     "UnknownClassError",
     "ValidationError",
+    "__version__",
     "agglomerate_fast",
     "avg_dissimilarity",
     "build_cluster_subset",
@@ -81,6 +81,4 @@ __all__ = [
     "per_class_k",
     "select_representative",
     "size_histogram",
-    "write_dataset",
-    "__version__",
 ]

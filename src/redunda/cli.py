@@ -20,7 +20,6 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, analysis, metric, rng, selection, synth
@@ -28,36 +27,6 @@ from .cluster import DEFAULT_MEMORY_CAP, format_dendrogram
 from .errors import ConfigError, RedundaError
 from .selection import ClassResult, SubsetManifest
 from .store import EmbeddingDataset, canonical_bytes, dataset_to_csv, load_dataset
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs of one subset-building run."""
-
-    input_path: Path
-    input_format: str | None
-    fraction: float
-    method: str
-    seed: int | None
-    output_dir: Path
-    memory_cap_bytes: int | None = None
-    histogram: bool = True
-    dissimilarity: bool = True
-    nearest_excluded: bool = True
-    dump_dendrograms: bool = False
-    class_mean: bool = False
-
-    def validate(self) -> None:
-        if self.method not in (selection.METHOD_CLUSTER, selection.METHOD_RANDOM):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.method == selection.METHOD_RANDOM and self.seed is None:
-            raise ConfigError("method uniform-random requires --seed")
-        if self.method == selection.METHOD_CLUSTER and self.seed is not None:
-            raise ConfigError("--seed only applies to method uniform-random")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
-        if self.memory_cap_bytes is not None and self.memory_cap_bytes < 0:
-            raise ConfigError(f"memory cap must be >= 0 bytes, got {self.memory_cap_bytes}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,43 +118,43 @@ def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
 
 
 def _report_artifacts(
-    config: RunConfig, ds: EmbeddingDataset, results: dict[int, ClassResult]
+    args, ds: EmbeddingDataset, results: dict[int, ClassResult]
 ) -> list[tuple[str, str | bytes]]:
     artifacts: list[tuple[str, str | bytes]] = []
-    if config.histogram:
+    if args.histogram:
         hists = [analysis.size_histogram(res.partition) for res in results.values()]
         artifacts.append(("histogram.csv", analysis.histogram_to_csv(hists)))
         artifacts.append(("histogram.json", analysis.histogram_to_json(hists)))
         artifacts.append(("histogram.txt", analysis.histogram_to_table(hists)))
     entries: list[analysis.ClassDissimilarity] = []
     pairs: dict[int, list[analysis.NearestExcludedPair]] = {}
-    if config.dissimilarity or config.nearest_excluded:
+    if args.dissimilarity or args.nearest_excluded:
         for cid, res in results.items():
             ids, X = ds.class_arrays(cid)
             U = metric.unit_rows(X)  # shared by both reports
-            if config.dissimilarity:
+            if args.dissimilarity:
                 entry = analysis.avg_dissimilarity(res.partition, res.reps, ids, X, U)
                 if entry is not None:
                     entries.append(entry)
-            if config.nearest_excluded:
+            if args.nearest_excluded:
                 pairs[cid] = analysis.nearest_excluded(res.partition, res.reps, ids, X, U)
-    if config.dissimilarity:
+    if args.dissimilarity:
         report = analysis.assemble_dissimilarity_report(
-            entries, class_weighted=config.class_mean
+            entries, class_weighted=args.class_mean
         )
         artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(report)))
         artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(report)))
-    if config.nearest_excluded:
+    if args.nearest_excluded:
         artifacts.append(("pairs.json", analysis.pairs_to_json(pairs)))
         artifacts.append(("pairs.txt", analysis.pairs_to_table(pairs)))
-    if config.dump_dendrograms:
+    if args.dump_dendrograms:
         for cid, res in results.items():
             artifacts.append((f"dendrograms/class_{cid}.txt", format_dendrogram(res.dendrogram)))
     return artifacts
 
 
 def _finish(
-    config: RunConfig,
+    args,
     command: str,
     ds: EmbeddingDataset,
     manifest: SubsetManifest,
@@ -206,7 +175,7 @@ def _finish(
         }
         for cid, ids in sorted(manifest.retained.items())
     }
-    meta = {"input": str(config.input_path), "fraction": config.fraction,
+    meta = {"input": str(Path(args.input)), "fraction": manifest.retention_fraction,
             "classes": {str(cid): c for cid, c in classes.items()}, **meta}
     artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
 
@@ -216,9 +185,10 @@ def _finish(
             reread = selection.read_manifest_json(staged["manifest.json"])
             selection.validate_manifest(reread, ds)
 
-    _emit(config.output_dir, artifacts, revalidate)
-    keep = {p.resolve() for p in (config.input_path, *reads)}
-    _remove_stale(config.output_dir, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, keep)
+    out = Path(args.out)
+    _emit(out, artifacts, revalidate)
+    keep = {p.resolve() for p in (Path(args.input), *reads)}
+    _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, keep)
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
@@ -228,35 +198,27 @@ def _finish(
     )
 
 
-def _cluster_config(args, fraction: float, method: str, seed: int | None) -> RunConfig:
-    """RunConfig from the flags that ``select`` and ``stats`` share."""
-    return RunConfig(
-        input_path=Path(args.input),
-        input_format=args.format,
-        fraction=fraction,
-        method=method,
-        seed=seed,
-        output_dir=Path(args.out),
-        memory_cap_bytes=args.memory_cap,
-        histogram=args.histogram,
-        dissimilarity=args.dissimilarity,
-        nearest_excluded=args.nearest_excluded,
-        dump_dendrograms=args.dump_dendrograms,
-        class_mean=args.class_mean,
-    )
+def _check_memory_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ConfigError(f"memory cap must be >= 0 bytes, got {cap}")
 
 
 def _cmd_select(args) -> int:
-    config = _cluster_config(args, args.fraction, args.method, args.seed)
-    config.validate()
-    ds = load_dataset(config.input_path, config.input_format)
+    if args.method == selection.METHOD_RANDOM and args.seed is None:
+        raise ConfigError("method uniform-random requires --seed")
+    if args.method == selection.METHOD_CLUSTER and args.seed is not None:
+        raise ConfigError("--seed only applies to method uniform-random")
+    if not 0.0 < args.fraction <= 1.0:
+        raise ConfigError(f"fraction must lie in (0, 1], got {args.fraction}")
+    _check_memory_cap(args.memory_cap)
+    ds = load_dataset(Path(args.input), args.format)
     results: dict[int, ClassResult] | None = None
-    if config.method == selection.METHOD_CLUSTER:
+    if args.method == selection.METHOD_CLUSTER:
         manifest, results = selection.build_cluster_subset(
-            ds, config.fraction, memory_cap_bytes=config.memory_cap_bytes
+            ds, args.fraction, memory_cap_bytes=args.memory_cap
         )
     else:
-        manifest = selection.build_random_subset(ds, config.fraction, config.seed)
+        manifest = selection.build_random_subset(ds, args.fraction, args.seed)
     selection.validate_manifest(manifest, ds)
 
     artifacts: list[tuple[str, str | bytes]] = [
@@ -264,9 +226,9 @@ def _cmd_select(args) -> int:
         ("manifest.txt", selection.manifest_to_text(manifest)),
     ]
     if results is not None:
-        artifacts += _report_artifacts(config, ds, results)
-    _finish(config, "select", ds, manifest, results, artifacts,
-            {"method": config.method, "seed": config.seed})
+        artifacts += _report_artifacts(args, ds, results)
+    _finish(args, "select", ds, manifest, results, artifacts,
+            {"method": args.method, "seed": args.seed})
     if results is None:
         print("note: cluster reports skipped (uniform-random subsets have no clusters)")
     return 0
@@ -278,17 +240,16 @@ def _cmd_stats(args) -> int:
     manifest = selection.read_manifest_json(Path(args.manifest))
     if manifest.method != selection.METHOD_CLUSTER:
         raise ConfigError("stats requires a cluster-medoid manifest")
-    selection.validate_manifest(manifest, ds)
-    config = _cluster_config(args, manifest.retention_fraction, selection.METHOD_CLUSTER, None)
-    config.validate()
+    selection.validate_manifest(manifest, ds)  # also checks the fraction
+    _check_memory_cap(args.memory_cap)
     recomputed, results = selection.build_cluster_subset(
-        ds, config.fraction, memory_cap_bytes=config.memory_cap_bytes
+        ds, manifest.retention_fraction, memory_cap_bytes=args.memory_cap
     )
     if dict(recomputed.retained) != dict(manifest.retained):
         raise ConfigError(
             "manifest does not match recomputed clustering for this dataset"
         )
-    _finish(config, "stats", ds, manifest, results, _report_artifacts(config, ds, results),
+    _finish(args, "stats", ds, manifest, results, _report_artifacts(args, ds, results),
             {"manifest": str(args.manifest)}, reads=(Path(args.manifest),))
     return 0
 
@@ -311,8 +272,7 @@ def _cmd_synth(args) -> int:
         sizes=sizes,
         size_range=size_range,
     )
-    ds, truth = synth.generate(spec)
-    cert = synth.measure_separation(ds, truth)
+    ds, truth, cert = synth.generate(spec)
     name = "dataset.csv" if args.format == "csv" else "dataset.bin"
     payload: str | bytes = (
         dataset_to_csv(ds) if args.format == "csv" else canonical_bytes(ds)

@@ -36,7 +36,9 @@ class Stream:
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         if seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-        key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+        if seed > _MASK64:
+            raise InvalidArgumentError(f"seed must be below 2**64, got {seed}")
+        key = np.array([seed, stream_id & _MASK64], dtype=np.uint64)
         self._bits = np.random.Philox(key=key)
         self._buf: list[int] = []
 

@@ -13,7 +13,6 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -29,15 +28,6 @@ _MAX_CLASS_ID = 0xFFFFFFFF
 # sample_ids are u64 on disk but kept as int64 internally; the top half of
 # the u64 range is rejected rather than silently wrapped.
 _MAX_SAMPLE_ID = (1 << 63) - 1
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """One labeled embedding."""
-
-    sample_id: int
-    class_id: int
-    vector: np.ndarray
 
 
 @dataclass
@@ -121,12 +111,6 @@ class EmbeddingDataset:
     def classes(self) -> list[int]:
         """Class ids present, ascending."""
         return sorted(self._class_rows)
-
-    def records(self) -> Iterator[EmbeddingRecord]:
-        for row in range(len(self)):
-            yield EmbeddingRecord(
-                int(self.sample_ids[row]), int(self.class_ids[row]), self.vectors[row]
-            )
 
     def class_arrays(self, class_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample ids (int64) and float64 rows of one class, in file order.
@@ -292,22 +276,13 @@ def load_dataset(path, fmt: str | None = None) -> EmbeddingDataset:
 
 
 def dataset_to_csv(dataset: EmbeddingDataset) -> str:
+    """CSV text with a header row; ``repr`` round-trips every component exactly."""
     header = "sample_id,class_id," + ",".join(
         f"v{i + 1}" for i in range(dataset.dimension)
     )
     lines = [header]
-    for rec in dataset.records():
-        comps = ",".join(repr(float(v)) for v in rec.vector)
-        lines.append(f"{rec.sample_id},{rec.class_id},{comps}")
+    for sid, cid, row in zip(
+        dataset.sample_ids.tolist(), dataset.class_ids.tolist(), dataset.vectors.tolist()
+    ):
+        lines.append(f"{sid},{cid}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
-
-
-def write_dataset(dataset: EmbeddingDataset, path, fmt: str = "binary") -> None:
-    """Serialize a dataset; binary writes are canonical."""
-    path = Path(path)
-    if fmt == "binary":
-        path.write_bytes(canonical_bytes(dataset))
-    elif fmt == "csv":
-        path.write_text(dataset_to_csv(dataset), encoding="utf-8")
-    else:
-        raise InvalidArgumentError(f"unknown dataset format {fmt!r}")

@@ -1,13 +1,12 @@
 """Synthetic embedding generator with planted redundant groups.
 
 Each class gets ``groups_per_class`` anchor directions kept pairwise more
-than ``between_group_margin`` apart; group members are tangent-space
-perturbations of their anchor with dissimilarity to the anchor at most
-half the within-group spread.  That caps within-group pairwise
-dissimilarity strictly below twice the spread and keeps cross-group
-dissimilarity above margin - spread, which is exactly the separation a
-complete-linkage cut at k = group count needs to recover the planted
-partition.
+than ``between_margin`` (Delta) apart; group members are tangent-space
+perturbations of their anchor at an angle below asin(delta).  That keeps
+within-group dissimilarity below 2*delta and cross-group dissimilarity above
+Delta - 2*delta, the separation a complete-linkage cut at k = group count
+needs to recover the planted partition.  ``generate`` measures both extremes
+on the data it built and returns them as the separation certificate.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import metric, rng
 from .cluster import Partition
-from .errors import InvalidArgumentError, MarginError, ValidationError
+from .errors import InvalidArgumentError, MarginError
 from .store import EmbeddingDataset
 
 _ANCHOR_ATTEMPTS = 200  # retries per anchor before giving up on the margin
@@ -127,8 +125,11 @@ def _perturb(stream: rng.Stream, anchor: np.ndarray, target: float) -> np.ndarra
     return math.cos(theta) * anchor + math.sin(theta) * t
 
 
-def generate(spec: PlantedSpec) -> tuple[EmbeddingDataset, dict[int, list[frozenset[int]]]]:
-    """Deterministic dataset + ground-truth groups for a PlantedSpec.
+def generate(
+    spec: PlantedSpec,
+) -> tuple[EmbeddingDataset, dict[int, list[frozenset[int]]], SeparationCertificate]:
+    """Deterministic dataset, ground-truth groups and the separation
+    certificate measured on them, for a PlantedSpec.
 
     sample_ids are sequential in generation order (class-major, then group,
     then member), so they are positional and the binary encoding stays
@@ -183,32 +184,32 @@ def generate(spec: PlantedSpec) -> tuple[EmbeddingDataset, dict[int, list[frozen
             f"generated data violates between-group bound: {cert.min_between} vs "
             f"{spec.between_margin - 2.0 * spec.within_spread}"
         )
-    return dataset, truth
+    return dataset, truth, cert
 
 
 def measure_separation(
     dataset: EmbeddingDataset, ground_truth: Mapping[int, Sequence[frozenset[int]]]
 ) -> SeparationCertificate:
-    """Realized max within-group and min between-group (same class) dissimilarity."""
-    max_within: float | None = None
-    min_between: float | None = None
+    """Realized max within-group and min between-group (same class) dissimilarity.
+
+    One condensed matrix per class; each pair is classed by the group labels
+    of its two rows.  Rows in no group are ignored.
+    """
+    hi, lo = -math.inf, math.inf  # running max within, min between
     for cid in sorted(ground_truth):
         ids, X = dataset.class_arrays(cid)
-        groups = Partition(cid, tuple(ground_truth[cid])).member_rows(ids)
-        vectors = [X[rows] for rows in groups]
-        units = [metric.unit_rows(V) for V in vectors]
-        for gi, U in enumerate(units):
-            if len(U) > 1:
-                d = float(metric.pairwise_condensed(vectors[gi]).max())
-                if max_within is None or d > max_within:
-                    max_within = d
-            for V in units[gi + 1 :]:
-                G = 1.0 - U @ V.T
-                np.clip(G, 0.0, 2.0, out=G)
-                d = float(G.min())
-                if min_between is None or d < min_between:
-                    min_between = d
-    return SeparationCertificate(max_within, min_between)
+        n = len(ids)
+        label = np.full(n, -1)
+        for g, rows in enumerate(Partition(cid, tuple(ground_truth[cid])).member_rows(ids)):
+            label[rows] = g
+        D, offs = metric.pairwise_condensed(X), metric.condensed_offsets(n)
+        for i in np.flatnonzero(label >= 0):
+            d, rest = D[offs[i] : offs[i] + n - 1 - i], label[i + 1 :]
+            hi = float(d.max(initial=hi, where=rest == label[i]))
+            lo = float(d.min(initial=lo, where=(rest >= 0) & (rest != label[i])))
+    return SeparationCertificate(
+        None if hi == -math.inf else hi, None if lo == math.inf else lo
+    )
 
 
 def ground_truth_to_json(ground_truth: Mapping[int, Sequence[frozenset[int]]]) -> str:
@@ -217,18 +218,3 @@ def ground_truth_to_json(ground_truth: Mapping[int, Sequence[frozenset[int]]]) -
         for cid in sorted(ground_truth)
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_ground_truth(ground_truth: Mapping[int, Sequence[frozenset[int]]], path) -> None:
-    Path(path).write_text(ground_truth_to_json(ground_truth), encoding="utf-8")
-
-
-def read_ground_truth(path) -> dict[int, list[frozenset[int]]]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return {
-            int(cid): [frozenset(int(s) for s in group) for group in groups]
-            for cid, groups in doc.items()
-        }
-    except (TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"bad ground-truth file {path}: {exc}") from exc

@@ -133,7 +133,7 @@ def test_criterion_3_planted_recovery(capsys):
             sizes=tuple(g % 4 + 1 for g in range(groups)) if seed % 2 else None,
             size_range=None if seed % 2 else (1, 5),
         )
-        ds, truth = generate(spec)
+        ds, truth, _ = generate(spec)
         exact = True
         for cid, groups in truth.items():
             ids, X = ds.class_arrays(cid)

@@ -11,11 +11,13 @@ import sys
 import numpy as np
 import pytest
 
+import redunda
 from conftest import stacked_dataset
 from redunda import selection
 from redunda.cli import build_parser, main
 from redunda.selection import read_manifest_json
-from redunda.store import write_dataset
+from redunda.store import canonical_bytes, load_dataset
+from redunda.synth import measure_separation
 
 SYNTH = [
     "synth", "--classes", "2", "--groups", "3", "--dim", "8",
@@ -67,12 +69,25 @@ class TestSynthCommand:
         assert meta["command"] == "synth"
         assert meta["max_within"] < 0.002
         assert meta["min_between"] > 0.498
+        # The certificate is measured on the float64 vectors; dataset.bin
+        # stores them as float32, so it matches the file only to that precision.
+        doc = json.loads((out / "ground_truth.json").read_text())
+        truth = {int(c): [frozenset(g) for g in groups] for c, groups in doc.items()}
+        cert = measure_separation(load_dataset(out / "dataset.bin"), truth)
+        assert meta["max_within"] == pytest.approx(cert.max_within, abs=1e-6)
+        assert meta["min_between"] == pytest.approx(cert.min_between, abs=1e-6)
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "gen"
         code, _, _ = run(capsys, *SYNTH, "--format", "csv", "--out", out)
         assert code == 0
         assert (out / "dataset.csv").read_text().startswith("sample_id,class_id,")
+        # CSV keeps every float64 bit, so the certificate is the file's exactly
+        meta = json.loads((out / "run_metadata.json").read_text())
+        doc = json.loads((out / "ground_truth.json").read_text())
+        truth = {int(c): [frozenset(g) for g in groups] for c, groups in doc.items()}
+        cert = measure_separation(load_dataset(out / "dataset.csv"), truth)
+        assert (meta["max_within"], meta["min_between"]) == (cert.max_within, cert.min_between)
 
     def test_deterministic_dataset(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -279,6 +294,23 @@ class TestConfigErrors:
             assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err)
 
 
+class TestSeedRange:
+    """Seeds must fit the 64-bit generator key; larger ones used to alias."""
+
+    @pytest.mark.parametrize("argv", [
+        [*SYNTH[:-4], "--sizes", "1,2,3"],  # SYNTH without its --seed
+        ["select", "--input", "{data}", "--fraction", "0.5", "--method", "uniform-random"],
+    ], ids=["synth", "select"])
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1])
+    def test_seed_above_64_bits_rejected(self, synth_dataset, tmp_path, capsys, argv, seed):
+        argv = [a.format(data=synth_dataset) for a in argv]
+        out = tmp_path / "r"
+        code, _, err = run(capsys, *argv, "--seed", seed, "--out", out)
+        assert code == 1
+        assert re.fullmatch(r"invalid_argument: [^\n]+\n", err)
+        assert not out.exists() or not any(out.rglob("*"))
+
+
 class TestMemoryCap:
     def test_flag_trips_cap(self, synth_dataset, tmp_path, capsys):
         code, _, err = run(
@@ -304,7 +336,7 @@ class TestAllOrNothing:
         # a class of two antipodal points degenerates at fraction 0.5
         ds = stacked_dataset({0: [[1.0, 0.0], [-1.0, 0.0]]})
         src = tmp_path / "bad.bin"
-        write_dataset(ds, src)
+        src.write_bytes(canonical_bytes(ds))
         out = tmp_path / "r"
         code, _, err = run(
             capsys, "select", "--input", src, "--fraction", "0.5", "--out", out,
@@ -681,3 +713,24 @@ class TestCliSurface:
             if isinstance(a, argparse._SubParsersAction)
         )
         assert set(sub.choices) == {"select", "stats", "synth", "validate"}
+
+
+class TestLibrarySurface:
+    """Names the package exports; adding or removing one is deliberate."""
+
+    def test_all_is_pinned_and_resolves(self):
+        assert redunda.__all__ == [
+            "ClassResult", "ConfigError", "DegenerateClusterError", "Dendrogram",
+            "DissimilarityReport", "EmbeddingDataset", "FormatError",
+            "InvalidArgumentError", "MarginError", "MemoryCapError", "MergeStep",
+            "NearestExcludedPair", "Partition", "PlantedSpec", "RedundaError",
+            "SeparationCertificate", "SizeHistogram", "SubsetManifest",
+            "UnknownClassError", "ValidationError", "__version__",
+            "agglomerate_fast", "avg_dissimilarity", "build_cluster_subset",
+            "build_random_subset", "cosine_dissimilarity", "cut_dendrogram",
+            "generate", "load_dataset", "measure_separation", "nearest_excluded",
+            "pairwise_condensed", "per_class_k", "select_representative",
+            "size_histogram",
+        ]
+        assert redunda.__all__ == sorted(redunda.__all__)
+        assert all(hasattr(redunda, name) for name in redunda.__all__)

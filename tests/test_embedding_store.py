@@ -20,7 +20,6 @@ from redunda.store import (
     canonical_bytes,
     dataset_to_csv,
     load_dataset,
-    write_dataset,
 )
 
 
@@ -98,24 +97,18 @@ class TestFromArrays:
         with pytest.raises(ValidationError):
             EmbeddingDataset.from_arrays([0], [1 << 32], vectors)
 
-    def test_records_iterates_in_file_order(self):
-        recs = list(small_dataset().records())
-        assert [r.sample_id for r in recs] == [0, 1, 2]
-        assert [r.class_id for r in recs] == [0, 0, 1]
-        assert np.array_equal(recs[2].vector, [1.0, 1.0])
-
 
 class TestBinaryFormat:
     def test_round_trip_byte_identical(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "d.bin"
-        write_dataset(ds, path, "binary")
+        path.write_bytes(canonical_bytes(ds))
         loaded = load_dataset(path, "binary")
         assert np.array_equal(loaded.vectors, ds.vectors)
         assert np.array_equal(loaded.sample_ids, ds.sample_ids)
         assert np.array_equal(loaded.class_ids, ds.class_ids)
         again = tmp_path / "d2.bin"
-        write_dataset(loaded, again, "binary")
+        again.write_bytes(canonical_bytes(loaded))
         assert again.read_bytes() == path.read_bytes()
 
     def test_positional_ids_written_implicit(self, tmp_path):
@@ -127,7 +120,7 @@ class TestBinaryFormat:
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         ds = EmbeddingDataset.from_arrays([10, 5], [1, 1], vectors)
         path = tmp_path / "e.bin"
-        write_dataset(ds, path, "binary")
+        path.write_bytes(canonical_bytes(ds))
         raw = path.read_bytes()
         assert struct.unpack_from("<4sIIQI", raw)[2] == FLAG_EXPLICIT_IDS
         loaded = load_dataset(path)
@@ -146,7 +139,7 @@ class TestBinaryFormat:
 
     def test_load_is_deterministic(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_dataset(small_dataset(), path, "binary")
+        path.write_bytes(canonical_bytes(small_dataset()))
         a = load_dataset(path)
         b = load_dataset(path)
         assert np.array_equal(a.vectors, b.vectors)
@@ -154,13 +147,13 @@ class TestBinaryFormat:
 
     def test_digest_is_file_sha256(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_dataset(small_dataset(), path, "binary")
+        path.write_bytes(canonical_bytes(small_dataset()))
         assert load_dataset(path).digest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_in_memory_digest_matches_canonical_file(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "d.bin"
-        write_dataset(ds, path, "binary")
+        path.write_bytes(canonical_bytes(ds))
         assert ds.digest() == load_dataset(path).digest()
 
     def test_bad_magic(self, tmp_path):
@@ -216,7 +209,7 @@ class TestBinaryFormat:
         ds = load_dataset(path)
         assert len(ds) == 0 and ds.dimension == 4 and ds.classes() == []
         out = tmp_path / "y.bin"
-        write_dataset(ds, out, "binary")
+        out.write_bytes(canonical_bytes(ds))
         assert out.read_bytes() == path.read_bytes()
 
     def test_spec_worked_example(self, tmp_path):
@@ -236,9 +229,8 @@ class TestCsvFormat:
         path.write_text("7,2,0.5,0.5,0.5\n")
         ds = load_dataset(path)
         assert ds.dimension == 3
-        rec = next(ds.records())
-        assert rec.sample_id == 7 and rec.class_id == 2
-        assert np.array_equal(rec.vector, [0.5, 0.5, 0.5])
+        assert ds.sample_ids.tolist() == [7] and ds.class_ids.tolist() == [2]
+        assert np.array_equal(ds.vectors[0], [0.5, 0.5, 0.5])
 
     def test_header_detected_by_non_numeric_first_field(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -276,7 +268,7 @@ class TestCsvFormat:
     def test_round_trip_values(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "d.csv"
-        write_dataset(ds, path, "csv")
+        path.write_text(dataset_to_csv(ds), encoding="utf-8")
         loaded = load_dataset(path)
         assert np.array_equal(loaded.vectors, ds.vectors)
         assert np.array_equal(loaded.sample_ids, ds.sample_ids)
@@ -286,13 +278,24 @@ class TestCsvFormat:
     def test_format_inferred_from_suffix(self, tmp_path):
         bin_path = tmp_path / "d.bin"
         csv_path = tmp_path / "d.csv"
-        write_dataset(small_dataset(), bin_path, "binary")
-        write_dataset(small_dataset(), csv_path, "csv")
+        bin_path.write_bytes(canonical_bytes(small_dataset()))
+        csv_path.write_text(dataset_to_csv(small_dataset()), encoding="utf-8")
         assert len(load_dataset(bin_path)) == 3
         assert len(load_dataset(csv_path)) == 3
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             load_dataset(tmp_path / "d.bin", "parquet")
-        with pytest.raises(InvalidArgumentError):
-            write_dataset(small_dataset(), tmp_path / "d.x", "parquet")
+
+    def test_exact_text_from_arrays(self):
+        # Built without from_arrays: the 1e300 row's norm overflows, which
+        # loading rejects but the encoder must still print exactly.
+        big = (1 << 63) - 1
+        ds = EmbeddingDataset(
+            2, np.array([big, 3]), np.array([4, 0]), np.array([[-0.0, 5e-324], [0.1, 1e300]])
+        )
+        assert dataset_to_csv(ds) == (
+            "sample_id,class_id,v1,v2\n"
+            f"{big},4,-0.0,5e-324\n"
+            "3,0,0.1,1e+300\n"
+        )

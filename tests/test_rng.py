@@ -20,6 +20,11 @@ class TestStream:
         b = [Stream(7, 1)._word() for _ in range(8)]
         assert a != b
 
+    def test_seed_must_fit_64_bits(self):
+        Stream(2**64 - 1)
+        with pytest.raises(InvalidArgumentError, match="below 2\\*\\*64"):
+            Stream(2**64)
+
     def test_different_seeds_diverge(self):
         a = [Stream(1, 0)._word() for _ in range(8)]
         b = [Stream(2, 0)._word() for _ in range(8)]

@@ -5,16 +5,9 @@ import pytest
 
 import _oracles
 from redunda.cluster import agglomerate_fast
-from redunda.errors import InvalidArgumentError, MarginError, ValidationError
-from redunda.store import canonical_bytes
-from redunda.synth import (
-    PlantedSpec,
-    generate,
-    ground_truth_to_json,
-    measure_separation,
-    read_ground_truth,
-    write_ground_truth,
-)
+from redunda.errors import InvalidArgumentError, MarginError
+from redunda.store import EmbeddingDataset, canonical_bytes
+from redunda.synth import PlantedSpec, generate, ground_truth_to_json, measure_separation
 
 SPEC_123 = dict(
     classes=1,
@@ -85,21 +78,21 @@ class TestSpecValidation:
 
 class TestGenerate:
     def test_planted_sizes_example(self):
-        ds, truth = generate(PlantedSpec(**SPEC_123, seed=7))
+        ds, truth, _ = generate(PlantedSpec(**SPEC_123, seed=7))
         assert len(ds) == 6
         assert ds.classes() == [0]
         assert sorted(len(g) for g in truth[0]) == [1, 2, 3]
         assert recover(ds, 0, 3) == set(truth[0])
 
     def test_determinism(self):
-        a, truth_a = generate(PlantedSpec(**SPEC_123, seed=11))
-        b, truth_b = generate(PlantedSpec(**SPEC_123, seed=11))
+        a, truth_a, _ = generate(PlantedSpec(**SPEC_123, seed=11))
+        b, truth_b, _ = generate(PlantedSpec(**SPEC_123, seed=11))
         assert truth_a == truth_b
         assert canonical_bytes(a) == canonical_bytes(b)
 
     def test_seed_changes_data(self):
-        a, _ = generate(PlantedSpec(**SPEC_123, seed=1))
-        b, _ = generate(PlantedSpec(**SPEC_123, seed=2))
+        a, _, _ = generate(PlantedSpec(**SPEC_123, seed=1))
+        b, _, _ = generate(PlantedSpec(**SPEC_123, seed=2))
         assert canonical_bytes(a) != canonical_bytes(b)
 
     def test_zero_spread_exact_duplicates(self):
@@ -112,8 +105,8 @@ class TestGenerate:
             seed=3,
             sizes=(3, 2),
         )
-        ds, truth = generate(spec)
-        cert = measure_separation(ds, truth)
+        ds, truth, cert = generate(spec)
+        assert cert == measure_separation(ds, truth)
         assert cert.max_within == 0.0
         for groups in truth.values():
             for g in groups:
@@ -122,7 +115,7 @@ class TestGenerate:
                     assert np.array_equal(rows[0], r)
 
     def test_positional_class_major_ids(self):
-        ds, truth = generate(
+        ds, truth, _ = generate(
             PlantedSpec(
                 classes=3,
                 groups_per_class=2,
@@ -140,7 +133,7 @@ class TestGenerate:
             assert ids == list(range(4 * cid, 4 * cid + 4))
 
     def test_classes_get_distinct_streams(self):
-        ds, truth = generate(
+        ds, truth, _ = generate(
             PlantedSpec(
                 classes=2,
                 groups_per_class=1,
@@ -165,7 +158,7 @@ class TestGenerate:
             seed=21,
             size_range=(2, 5),
         )
-        ds, truth = generate(spec)
+        ds, truth, _ = generate(spec)
         sizes = [len(g) for groups in truth.values() for g in groups]
         assert len(sizes) == 12
         assert all(2 <= s <= 5 for s in sizes)
@@ -185,6 +178,49 @@ class TestGenerate:
             generate(spec)
 
 
+def _generated(classes):
+    spec = PlantedSpec(
+        classes=classes,
+        groups_per_class=3,
+        dim=5,
+        within_spread=0.02,
+        between_margin=0.4,
+        seed=13,
+        sizes=(2, 3, 2),
+    )
+    ds, truth, _ = generate(spec)
+    return ds, truth
+
+
+def _explicit_ids(spread):
+    """Two interleaved classes with non-positional ids; class 0's groups are
+    not contiguous in row order and one of them is a singleton.  With
+    ``spread`` 0 every row equals its anchor exactly."""
+    rs = np.random.default_rng(5)
+    anchors = rs.normal(size=(4, 4))
+
+    def near(a):
+        return anchors[a] + spread * rs.normal(size=4)
+
+    rows = [near(0), near(1), near(0), near(2), near(1), near(0), near(3), near(3)]
+    ids = [50, 7, 93, 12, 61, 30, 40, 41]
+    classes = [0, 0, 0, 0, 0, 0, 1, 1]
+    ds = EmbeddingDataset.from_arrays(ids, classes, np.array(rows))
+    truth = {
+        0: [frozenset({50, 93, 30}), frozenset({7, 61}), frozenset({12})],
+        1: [frozenset({40}), frozenset({41})],
+    }
+    return ds, truth
+
+
+CERT_CASES = {
+    "one-class": lambda: _generated(1),
+    "two-classes": lambda: _generated(2),
+    "explicit-ids": lambda: _explicit_ids(0.01),
+    "zero-spread-group": lambda: _explicit_ids(0.0),
+}
+
+
 class TestCertificate:
     def test_bounds_over_many_specs(self):
         for seed in range(20):
@@ -199,7 +235,7 @@ class TestCertificate:
                 seed=seed,
                 size_range=(1, 4),
             )
-            ds, truth = generate(spec)
+            ds, truth, _ = generate(spec)
             cert = measure_separation(ds, truth)
             if cert.max_within is not None:
                 if spread == 0.0:
@@ -211,7 +247,7 @@ class TestCertificate:
 
     def test_vacuous_cases(self):
         # all-singleton groups: no within pairs; one group per class: no between pairs
-        ds, truth = generate(
+        ds, truth, _ = generate(
             PlantedSpec(
                 classes=1,
                 groups_per_class=2,
@@ -223,7 +259,7 @@ class TestCertificate:
             )
         )
         assert measure_separation(ds, truth).max_within is None
-        ds, truth = generate(
+        ds, truth, _ = generate(
             PlantedSpec(
                 classes=1,
                 groups_per_class=1,
@@ -236,36 +272,36 @@ class TestCertificate:
         )
         assert measure_separation(ds, truth).min_between is None
 
-    def test_matches_scalar_brute_force(self):
-        ds, truth = generate(
-            PlantedSpec(
-                classes=1,
-                groups_per_class=3,
-                dim=5,
-                within_spread=0.02,
-                between_margin=0.4,
-                seed=13,
-                sizes=(2, 3, 2),
-            )
-        )
+    @pytest.mark.parametrize("case", list(CERT_CASES))
+    def test_matches_scalar_brute_force(self, case):
+        ds, truth = CERT_CASES[case]()
         cert = measure_separation(ds, truth)
+        row = {sid: r for r, sid in enumerate(ds.sample_ids.tolist())}
         within, between = [], []
-        groups = [sorted(g) for g in truth[0]]
-        for gi, g in enumerate(groups):
-            for i in g:
-                for j in g:
-                    if i < j:
-                        within.append(
-                            _oracles.cos_dissim(ds.vectors[i], ds.vectors[j])
-                        )
-            for h in groups[gi + 1 :]:
+        for groups in truth.values():
+            groups = [sorted(g) for g in groups]
+            for gi, g in enumerate(groups):
                 for i in g:
-                    for j in h:
-                        between.append(
-                            _oracles.cos_dissim(ds.vectors[i], ds.vectors[j])
-                        )
+                    for j in g:
+                        if i < j:
+                            within.append(
+                                _oracles.cos_dissim(ds.vectors[row[i]], ds.vectors[row[j]])
+                            )
+                for h in groups[gi + 1 :]:
+                    for i in g:
+                        for j in h:
+                            between.append(
+                                _oracles.cos_dissim(ds.vectors[row[i]], ds.vectors[row[j]])
+                            )
         assert cert.max_within == pytest.approx(max(within), abs=1e-12)
         assert cert.min_between == pytest.approx(min(between), abs=1e-12)
+        if case == "zero-spread-group":
+            assert cert.max_within == 0.0
+
+    def test_id_outside_class_rejected(self):
+        ds = EmbeddingDataset.from_arrays([4, 9, 2], [0, 1, 0], np.eye(3))
+        with pytest.raises(InvalidArgumentError, match="outside the class"):
+            measure_separation(ds, {0: [frozenset({4}), frozenset({2, 9})]})
 
 
 class TestRecovery:
@@ -280,7 +316,7 @@ class TestRecovery:
                 seed=100 + seed,
                 size_range=(1, 5),
             )
-            ds, truth = generate(spec)
+            ds, truth, _ = generate(spec)
             for cid, groups in truth.items():
                 assert recover(ds, cid, len(groups)) == set(groups)
 
@@ -289,19 +325,8 @@ class TestGroundTruthIO:
     def truth(self):
         return {1: [frozenset({3, 4}), frozenset({5})], 0: [frozenset({0, 1, 2})]}
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "gt.json"
-        write_ground_truth(self.truth(), path)
-        assert read_ground_truth(path) == self.truth()
-
     def test_json_sorted_and_stable(self):
         text = ground_truth_to_json(self.truth())
         assert text == ground_truth_to_json(self.truth())
         assert text.index('"0"') < text.index('"1"')
         assert "[\n      3,\n      4\n    ]" in text  # members ascending
-
-    def test_bad_file(self, tmp_path):
-        path = tmp_path / "gt.json"
-        path.write_text("{oops")
-        with pytest.raises(ValidationError, match="bad ground-truth file"):
-            read_ground_truth(path)
