@@ -131,15 +131,14 @@ def nearest_excluded(
     if len(partition.clusters) < 2:
         return []
     out: list[NearestExcludedPair] = []
+    outside_mask = np.ones(len(ids), dtype=bool)
     for rep_row, rows in qualifying:
-        inside = np.zeros(len(ids), dtype=bool)
-        inside[rows] = True
-        outside = np.flatnonzero(~inside)
+        outside_mask[rows] = False
+        outside = np.flatnonzero(outside_mask)
+        outside_mask[rows] = True
         d = metric.one_to_many(X[rep_row], X, U, outside)
-        pick = int(np.lexsort((ids[outside], d))[0])
-        out.append(
-            NearestExcludedPair(int(ids[rep_row]), int(ids[outside][pick]), float(d[pick]))
-        )
+        pick = metric.first_min(d, ids[outside])
+        out.append(NearestExcludedPair(int(ids[rep_row]), int(ids[outside[pick]]), float(d[pick])))
     return out
 
 

@@ -82,12 +82,18 @@ def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows) -> np.ndarray
     rows = np.asarray(rows, dtype=np.intp)
     d = 1.0 - (U[rows] @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
-    # Exact duplicates (bit-equal raw rows, -0.0 == 0.0) are exactly zero.
+    # Exact duplicates (raw rows equal under ==, so -0.0 == 0.0) are exactly zero.
     # Column 0 narrows the candidates, so most raw rows are never read.
     cand = np.flatnonzero(X[rows, 0] == a[0])
     if cand.size:
         d[cand[(X[rows[cand]] == a).all(axis=1)]] = 0.0
     return d
+
+
+def first_min(d: np.ndarray, ids: np.ndarray) -> int:
+    """Position of the smallest ``d``, ties to the smallest of the distinct ``ids``."""
+    best = np.flatnonzero(d == d.min())
+    return int(best[np.argmin(ids[best])])
 
 
 def condensed_offsets(n: int) -> np.ndarray:
@@ -113,16 +119,16 @@ def pairwise_condensed(X: np.ndarray) -> np.ndarray:
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         G = U[lo:hi] @ U.T
-        np.subtract(1.0, G, out=G)
-        np.clip(G, 0.0, 2.0, out=G)
         for i in range(lo, hi):
             out[offs[i] : offs[i] + n - 1 - i] = G[i - lo, i + 1 :]
+    np.subtract(1.0, out, out=out)  # elementwise: the bits a full block would get
+    np.clip(out, 0.0, 2.0, out=out)
 
-    # Bit-identical input rows get dissimilarity exactly 0; the gram product
-    # rounds them to ~1e-16 otherwise.
+    # Rows equal under ``==`` get exactly 0, as in ``one_to_many`` (``+ 0.0``
+    # maps -0.0 to 0.0 in the key); the gram product rounds them to ~1e-16.
     groups: dict[bytes, list[int]] = {}
     for i in range(n):
-        groups.setdefault(X[i].tobytes(), []).append(i)
+        groups.setdefault((X[i] + 0.0).tobytes(), []).append(i)
     for rows in groups.values():
         if len(rows) < 2:
             continue

@@ -72,7 +72,7 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
     d = metric.one_to_many(centroid, X, U, np.arange(len(ids)))
-    return int(ids[np.lexsort((ids, d))[0]])
+    return int(ids[metric.first_min(d, ids)])
 
 
 def _cluster_class(

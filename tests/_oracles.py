@@ -1,11 +1,13 @@
 """Independent brute-force oracles for the package's fast code paths.
 
 The pure-Python oracles (``cos_dissim`` through ``nearest_excluded``) use no
-numpy and re-derive every statistic from first principles.  The definitional
-ones below them (``condensed_index``, ``cluster_dissimilarity`` and the naive
-engine ``agglomerate_naive``) run on the package's own pairwise values, so
-heights can be compared bit for bit, but recompute every cluster distance
-from its member points instead of updating it.
+numpy and re-derive every statistic from first principles.
+``pairwise_full_block`` keeps the first form of the pairwise matrix, so the
+package's form can be held to the same bits.  The definitional ones below it
+(``condensed_index``, ``cluster_dissimilarity`` and the naive engine
+``agglomerate_naive``) run on the package's own pairwise values, so heights
+can be compared bit for bit, but recompute every cluster distance from its
+member points instead of updating it.
 """
 
 from __future__ import annotations
@@ -111,6 +113,33 @@ def nearest_excluded(clusters, reps, points):
                 best = key
         if best is not None:
             out.append((rep, best[1], best[0]))
+    return out
+
+
+def pairwise_full_block(X) -> np.ndarray:
+    """``metric.pairwise_condensed`` in its first form: subtract and clip each
+    whole gram block ``U[lo:hi] @ U.T``, then copy out its upper half.
+
+    Uses the same blocking (``metric._BLOCK_ELEMS``, read at call time), so
+    the values can be compared bit for bit.  Pairs of rows equal under ``==``
+    are set to exactly 0, found by comparing every pair of raw rows.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    U = metric.unit_rows(X)
+    n = len(X)
+    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    block = max(1, metric._BLOCK_ELEMS // max(n, 1))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        G = U[lo:hi] @ U.T
+        np.subtract(1.0, G, out=G)
+        np.clip(G, 0.0, 2.0, out=G)
+        for i in range(lo, hi):
+            start = i * n - i * (i + 1) // 2
+            out[start : start + n - 1 - i] = G[i - lo, i + 1 :]
+    for i in range(n - 1):
+        for j in np.flatnonzero((X[i + 1 :] == X[i]).all(axis=1)):
+            out[condensed_index(n, i, i + 1 + int(j))] = 0.0
     return out
 
 

@@ -27,6 +27,8 @@ from redunda.analysis import (
 from redunda.cluster import Partition
 from redunda.errors import InvalidArgumentError
 from redunda.metric import unit_rows
+from redunda.selection import build_cluster_subset
+from redunda.store import EmbeddingDataset
 
 # mean of d((1,0),(1,1)) = 1 - 1/sqrt(2) and d((1,0),(0,1)) = 1.
 MEAN_DIAG_ORTHO = 0.6464466094067263
@@ -217,6 +219,36 @@ class TestNearestExcluded:
             ]
             for p, (_, _, d) in zip(got, expect):
                 assert p.dissimilarity == pytest.approx(d, abs=1e-12)
+
+    def test_exact_twin_outside_the_cluster(self):
+        # Each class holds four groups of four rows equal under ``==`` (some
+        # differ only in the sign of a zero).  Fraction 0.9 keeps 4 of the 12
+        # height-0 merges: one group joins fully, the next only in a pair, so
+        # that pair's retained sample has two twins outside, tied at 0.0.
+        rs = np.random.default_rng(4)
+        n, classes = 40, 6
+        X = random_unit_rows(rs, n * classes, 8)
+        X[:, 3] = 0.0
+        for c in range(classes):
+            for group in (c * n + rs.permutation(n)[:16]).reshape(4, 4):
+                X[group] = X[group[0]]
+                X[group[1::2], 3] = -0.0
+        ds = EmbeddingDataset.from_arrays(
+            rs.permutation(10 * n * classes)[: n * classes], np.repeat(range(classes), n), X
+        )
+        _, results = build_cluster_subset(ds, 0.9)
+        split = ties = 0
+        for cid, res in results.items():
+            ids, Xc = ds.class_arrays(cid)
+            for p in nearest_excluded(res.partition, res.reps, ids, Xc, unit_rows(Xc)):
+                cluster = next(c for c in res.partition.clusters if p.retained_id in c)
+                rep = Xc[ids == p.retained_id][0]
+                twins = [int(s) for s, v in zip(ids, Xc) if (v == rep).all() and s not in cluster]
+                if twins:
+                    assert (p.neighbor_id, p.dissimilarity) == (min(twins), 0.0)
+                    split += 1
+                    ties += len(twins) > 1
+        assert split == ties == classes
 
 
 class TestEmitters:

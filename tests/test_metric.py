@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import cluster_dissimilarity, condensed_index
+from _oracles import cluster_dissimilarity, condensed_index, pairwise_full_block
+from conftest import random_unit_rows, with_duplicates
+from redunda import metric
+from redunda.cluster import agglomerate_fast
 from redunda.errors import InvalidArgumentError
 from redunda.metric import (
     condensed_offsets,
@@ -157,6 +160,49 @@ class TestPairwiseCondensed:
     def test_duplicate_rows_give_exact_zero(self):
         X = np.array([[0.3, -0.7, 1.1]] * 4)
         assert pairwise_condensed(X).max() == 0.0
+
+    @pytest.mark.parametrize("dim", [16, 64, 257, 2048])
+    def test_bits_match_full_block_form(self, dim, monkeypatch):
+        rs = np.random.default_rng(dim)
+        x = rs.normal(size=(40, dim))
+        rest = with_duplicates(rs, random_unit_rows(rs, 37, dim), 8)
+        X = np.vstack([x, -x, 2.0 * x, rest])  # 157 rows
+        n = len(X)
+        monkeypatch.setattr(metric, "_BLOCK_ELEMS", 7 * n)  # 22 blocks of 7, then 3
+        got = pairwise_condensed(X)
+        assert got.tobytes() == pairwise_full_block(X).tobytes()
+        opposite = [condensed_index(n, i, 40 + i) for i in range(40)]
+        scaled = [condensed_index(n, i, 80 + i) for i in range(40)]
+        assert got[opposite].max() == 2.0 and got.max() == 2.0
+        assert got[scaled].min() == 0.0 and got[scaled].max() < 1e-14
+        dup = [(i, j) for i in range(120, n) for j in range(i + 1, n) if (X[i] == X[j]).all()]
+        assert dup and all(got[condensed_index(n, i, j)] == 0.0 for i, j in dup)
+
+    def test_twins_differing_in_sign_of_zero_are_exactly_zero(self):
+        # Rows equal under ``==`` whose bytes differ only where one has -0.0:
+        # one rule for the pairwise matrix, the scalar kernel and one_to_many.
+        rs = np.random.default_rng(17)
+        base = rs.normal(size=(200, 7))
+        zeros = rs.random((200, 7)) < 0.3
+        zeros[:, 0] = True
+        base[zeros] = 0.0
+        twin = base.copy()
+        twin[zeros & (rs.random((200, 7)) < 0.5)] = -0.0
+        twin[:, 0] = -0.0
+        X = np.empty((400, 7))
+        X[0::2], X[1::2] = base, twin
+        cond = pairwise_condensed(X)
+        U = unit_rows(X)
+        for p in range(200):
+            i = 2 * p
+            assert X[i].tobytes() != X[i + 1].tobytes()
+            assert cond[condensed_index(400, i, i + 1)] == 0.0
+            assert cosine_dissimilarity(X[i], X[i + 1]) == 0.0
+            assert one_to_many(X[i], X, U, [i + 1])[0] == 0.0
+        # The twins merge first, at height 0.0.
+        dendro, part = agglomerate_fast(X[:80], 40)
+        assert [s.height for s in dendro.steps] == [0.0] * 40
+        assert sorted(map(sorted, part.clusters)) == [[i, i + 1] for i in range(0, 80, 2)]
 
     def test_one_to_many_matches_scalar(self):
         rs = np.random.default_rng(9)
