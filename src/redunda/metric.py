@@ -126,8 +126,12 @@ def pairwise_condensed(X: np.ndarray) -> np.ndarray:
 
     # Rows equal under ``==`` get exactly 0, as in ``one_to_many`` (``+ 0.0``
     # maps -0.0 to 0.0 in the key); the gram product rounds them to ~1e-16.
+    # Only rows whose column-0 bits repeat can share a key, so only those are keyed.
+    key0 = (X[:, :1] + 0.0).view(np.int64).ravel()
+    ranked = np.sort(key0)
+    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
     groups: dict[bytes, list[int]] = {}
-    for i in range(n):
+    for i in np.flatnonzero(np.isin(key0, repeats)).tolist():
         groups.setdefault((X[i] + 0.0).tobytes(), []).append(i)
     for rows in groups.values():
         if len(rows) < 2:

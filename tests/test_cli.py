@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import re
@@ -95,6 +96,24 @@ class TestSynthCommand:
         assert run(capsys, *SYNTH, "--out", b)[0] == 0
         assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
         assert (a / "ground_truth.json").read_text() == (b / "ground_truth.json").read_text()
+
+    def test_planted_bench_input_is_pinned(self, tmp_path, capsys):
+        # The planted-groups benchmark input at seed 0: 4 classes of 400
+        # groups sized 1..16 in dim 32.  A faster synth must write the same
+        # bytes (digests from the numpy/BLAS build the bench references pin).
+        sizes = ",".join(str(1 + i % 16) for i in range(400))
+        out = tmp_path / "planted"
+        code, _, err = run(capsys, "synth", "--classes", 4, "--groups", 400, "--dim", 32,
+                           "--delta", 0.02, "--margin", 0.5, "--seed", 0,
+                           "--sizes", sizes, "--out", out)
+        assert code == 0, err
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("dataset.bin", "ground_truth.json")
+        } == {
+            "dataset.bin": "0fb4065321969937f4ddf4d5038971543727aa594bb11d4579e2b8051df2f6d8",
+            "ground_truth.json": "7f26171981e2284b1ca70a6486e8219eeeb81c6abf4a993e2d49929e2ba5db10",
+        }
 
     def test_bad_sizes_string(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import agglomerate_naive
 from conftest import random_unit_rows, with_duplicates
+from redunda import cluster
 from redunda.cluster import (
     Dendrogram,
     MergeStep,
@@ -17,6 +21,7 @@ from redunda.cluster import (
 )
 from redunda.errors import InvalidArgumentError, MemoryCapError
 from redunda.metric import cosine_dissimilarity, pairwise_condensed
+from redunda.synth import PlantedSpec, generate
 
 # First merge of {(1,0), (1,0.001), (0,1)}: d((1,0),(1,0.001)), frozen oracle value.
 FIRST_MERGE_HEIGHT = 4.999996250365513e-07
@@ -182,6 +187,109 @@ class TestEngineEquivalence:
         assert len(part.clusters) == 640
         assert sum(len(c) for c in part.clusters) == 800
         assert set().union(*part.clusters) == set(range(800))
+
+
+def both_engines(X, k):
+    """Raw merges of the threshold engine and of the dense loop on one matrix,
+    heights as hex so equality is bit for bit; the threshold engine's entry is
+    None when it gave up.  The threshold engine must leave the matrix as it was."""
+    n = len(X)
+    D = pairwise_condensed(X)
+    before = D.tobytes()
+    fast = cluster._threshold_merges(D, n, n - k)
+    assert D.tobytes() == before
+    dense = cluster._generic_merges(D, n, n - k)
+
+    def bits(raw):
+        return None if raw is None else [(float(h).hex(), a, b) for h, a, b in raw]
+
+    return bits(fast), bits(dense)
+
+
+class TestThresholdEngine:
+    def test_planted_groups_with_wide_margin(self):
+        sizes = tuple(1 + i % 16 for i in range(48))
+        spec = PlantedSpec(classes=2, groups_per_class=48, dim=32, within_spread=0.02,
+                           between_margin=0.5, seed=4, sizes=sizes)
+        ds, truth, _ = generate(spec)
+        for cid, groups in truth.items():
+            ids, X = ds.class_arrays(cid)
+            fast, dense = both_engines(X, len(groups))
+            assert fast is not None
+            assert fast == dense
+            _, part = agglomerate_fast(X, len(groups), sample_ids=ids)
+            assert set(part.clusters) == set(groups)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tie_heavy_grids_across_batch_bounds(self, data):
+        # A coarse sample puts batch bounds on values many pairs share, so
+        # equal heights sit on both sides of a bound and at the heap top.
+        n = data.draw(st.integers(3, 30), label="n")
+        coords = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])
+        rows = data.draw(
+            st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n), label="rows"
+        )
+        k = data.draw(st.integers(1, n), label="k")
+        cells = data.draw(st.sampled_from([1, 2, 7, 1 << 16]), label="sample cells")
+        with mock.patch.object(cluster, "_SAMPLE_CELLS", cells):
+            fast, dense = both_engines(np.array(rows), k)
+        assert fast is None or fast == dense
+
+    def test_ties_on_a_batch_bound(self):
+        # A fixed tie grid read in several batches, where two bounds land on
+        # heights that several merges share.
+        X = np.random.default_rng(20).choice([-1.0, 0.5, 1.0, 2.0], size=(30, 3))
+        bounds = []
+        read = cluster._pairs_in
+
+        def spy(D, lo, hi, room):
+            batch = read(D, lo, hi, room)
+            bounds.append(None if batch is None else batch[0])
+            return batch
+
+        with mock.patch.object(cluster, "_pairs_in", spy), \
+                mock.patch.object(cluster, "_SAMPLE_CELLS", 7):
+            fast, dense = both_engines(X, 8)
+        heights = [float.fromhex(h) for h, _, _ in dense]
+        assert fast == dense
+        assert len(bounds) > 2
+        assert sum(heights.count(b) > 1 for b in bounds[:-1]) >= 2
+
+    def test_gives_up_to_the_dense_loop_on_an_untouched_matrix(self):
+        rs = np.random.default_rng(9)
+        X = random_unit_rows(rs, 300, 8)
+        k = 30  # fraction 0.1: the pairs below the cut are far more than 8 per point
+        fresh = pairwise_condensed(X).tobytes()
+        assert cluster._threshold_merges(pairwise_condensed(X), 300, 300 - k) is None
+        handed = []
+        dense = cluster._generic_merges
+
+        def spy(D, n, merges):
+            handed.append(D.tobytes() == fresh)
+            return dense(D, n, merges)
+
+        with mock.patch.object(cluster, "_generic_merges", spy):
+            dendro, part = agglomerate_fast(X, k)
+        assert handed == [True]
+        expect = cluster._generic_merges(pairwise_condensed(X), 300, 300 - k)
+        assert dendro.steps == cluster._canonical_steps(300, expect)
+        assert part == cut_dendrogram(dendro, k)
+
+    @pytest.mark.parametrize("n, dim, bound", [(5000, 64, 1.709), (1300, 2048, 9.347)])
+    def test_peak_allocation_within_the_dense_engine_s(self, n, dim, bound):
+        # tracemalloc peak over the condensed matrix the memory cap counts, at
+        # fraction 0.9; the bounds are the dense engine's own ratios (1.7082 and
+        # 9.3466) rounded up, so the engine's batches, sample and dicts fit
+        # in the room the freed gram block leaves.
+        X = np.random.default_rng(0).normal(size=(n, dim))
+        tracemalloc.start()
+        try:
+            agglomerate_fast(X, int(0.9 * n + 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * (n - 1) // 2 * 8) <= bound
 
 
 class TestDendrogram:

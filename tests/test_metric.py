@@ -204,6 +204,20 @@ class TestPairwiseCondensed:
         assert [s.height for s in dendro.steps] == [0.0] * 40
         assert sorted(map(sorted, part.clusters)) == [[i, i + 1] for i in range(0, 80, 2)]
 
+    def test_lone_twins_with_signed_zero_in_column_0(self):
+        # The only row pair sharing column 0 under ``==`` has 0.0 in one row
+        # and -0.0 in the other, so the duplicate screen must compare the
+        # column as ``==`` does, not bit for bit.  The gram product rounds
+        # this pair to 1.1e-16.
+        rs = np.random.default_rng(3)
+        X = rs.normal(size=(50, 7))
+        X[7, 0] = 0.0
+        X[31] = X[7]
+        X[31, 0] = -0.0
+        cond = pairwise_condensed(X)
+        assert cond[condensed_index(50, 7, 31)] == 0.0
+        assert np.count_nonzero(cond == 0.0) == 1
+
     def test_one_to_many_matches_scalar(self):
         rs = np.random.default_rng(9)
         x = rs.normal(size=6)
