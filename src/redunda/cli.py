@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
 import os
 import sys
@@ -69,12 +70,15 @@ def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]], check=None) ->
     """Single writer: stage every artifact under a temporary name next to its
     target, call ``check`` with the staged paths by artifact name, then move
     each into place.  On any failure the staged files are removed; up to the
-    first move, that leaves what ``outdir`` held before as it was."""
+    first move, that leaves what ``outdir`` held before as it was.  A target
+    that is a directory would fail its move, so it is refused before any."""
     outdir.mkdir(parents=True, exist_ok=True)
     staged: dict[str, Path] = {}
     try:
         for rel, payload in artifacts:
             target = outdir / rel
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             target.parent.mkdir(parents=True, exist_ok=True)
             staged[rel] = tmp = target.with_name(f".{target.name}.partial")
             if isinstance(payload, bytes):

@@ -10,14 +10,15 @@ equals that of the greedy scan of all cluster pairs.  Merges come out in key
 order, so an engine stops after the n - k merges a cut at k clusters keeps.
 
 The threshold engine runs first.  A cut that keeps most points only ever
-reads the smallest few cells of the condensed matrix, so it streams the
-cells in ascending order and counts, per cluster pair, the member pairs
-read; a pair is a candidate once all of them are in.  Before the smallest
-candidate at height h is taken, every cell <= h is read, so any cluster
-pair still incomplete has a cell above h and a height above h: the merges
-and their height bits are exactly the generic algorithm's (see
-``_threshold_merges``).  It never writes to the matrix and gives up after
-``_PAIRS_PER_POINT * n`` cells, a point that dense thresholds (low
+needs the smallest few cells of the condensed matrix, so it reads, in one
+pass, every cell at or below one bound, at most ``_PAIRS_PER_POINT * n`` of
+them.  It takes those cells in ascending order and counts, per cluster pair,
+the member pairs taken; a pair is a candidate once all of them are in.
+Before the smallest candidate at height h is taken, every cell <= h is in,
+so any cluster pair still incomplete has a cell above h and a height above
+h: the merges and their height bits are exactly the generic algorithm's
+(see ``_threshold_merges``).  It never writes to the matrix, and gives up
+when the next merge lies above the bound, which dense thresholds (low
 fractions) reach.
 
 When it gives up, the dense loop (Müllner 2011, "Modern hierarchical,
@@ -49,8 +50,8 @@ DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class
 # the class to the dense loop.  The planted-groups bench needs 5.0 per point;
 # a give-up costs about a fifth of the dense loop it precedes.
 _PAIRS_PER_POINT = 8
-_SAMPLE_CELLS = 1 << 16  # size of the strided sample of D that sets each batch
-_SCAN_CELLS = 1 << 18  # cells of D compared per chunk when a batch is read
+_SAMPLE_CELLS = 1 << 16  # size of the strided sample of D that sets the start bound
+_SCAN_CELLS = 1 << 18  # cells of D compared per chunk of the one read
 
 
 @dataclass(frozen=True)
@@ -185,63 +186,58 @@ def _generic_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int
     return raw
 
 
-def _pairs_in(
-    D: np.ndarray, lo: float, bounds: list[float], room: int
-) -> tuple[float, np.ndarray] | None:
-    """The largest ``hi`` in ``bounds`` (ascending) with at most ``room`` cells
-    at ``D <= hi``, and the condensed indices of the cells with
-    ``lo < D <= hi`` in ascending ``(D, index)`` order; None if no bound fits.
+def _pairs_in(D: np.ndarray, bound: float, room: int) -> tuple[float, np.ndarray]:
+    """The final bound, at most ``bound``, and the condensed indices of the
+    cells with ``D <=`` it, at most ``room``, in ascending ``(D, index)`` order.
 
-    One pass over ``D`` in chunks, dropping to a smaller bound whenever the
-    count passes ``room``, so the scan allocates O(chunk + room).
+    One pass in chunks, so it allocates O(chunk + room): whenever more than
+    ``room`` cells are held, the bound drops to just below the (room+1)-th
+    smallest of them, the largest bound that leaves ``room`` cells or fewer.
     """
-    k = len(bounds) - 1
     found, count = [], 0
     for s in range(0, len(D), _SCAN_CELLS):
-        hit = np.flatnonzero(D[s : s + _SCAN_CELLS] <= bounds[k]) + s
+        hit = np.flatnonzero(D[s : s + _SCAN_CELLS] <= bound) + s
         found.append(hit)
         count += hit.size
-        while count > room:
-            if k == 0:
-                return None
-            k -= 1
-            found = [f[D[f] <= bounds[k]] for f in found]
-            count = sum(f.size for f in found)
+        if count > room:
+            idx = np.concatenate(found)
+            bound = float(np.nextafter(np.partition(D[idx], room)[room], -np.inf))
+            found = [idx[D[idx] <= bound]]
+            count = found[0].size
     idx = np.concatenate(found)
-    idx = idx[D[idx] > lo]
-    return bounds[k], idx[np.argsort(D[idx], kind="stable")]
+    return bound, idx[np.argsort(D[idx], kind="stable")]
 
 
 def _threshold_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int, int]] | None:
     """The first ``merges`` merges in key order, built from the pairs below
-    the cut only; None if they need more than ``_PAIRS_PER_POINT * n`` pairs.
+    the cut only; None if they need a pair above the bound of the one read.
 
-    ``D`` is only read.  Pairs are read in ascending ``D`` order, in batches
-    ``(tau_old, tau_new]`` whose bounds come from a strided sample of ``D``;
-    the batch whose target reaches the budget is the last one.
-    For each pair of live slots the engine keeps ``[height, pairs read]``, one
-    list shared by both slots' dicts; the pair goes on the heap once all
-    ``|A|·|C|`` of its member pairs are read, at the largest of their values,
-    which is its complete-linkage height.  Before the heap top at height ``h``
-    is taken, every pair with ``D <= h`` is read.  Any cluster pair not yet
-    complete then has an unread member pair above ``h``, so its height is
-    above ``h`` too, and the top is the smallest key of all: the merge
-    ``_generic_merges`` takes, with the same height bits.
+    ``D`` is only read, once: ``_pairs_in`` returns the pairs at or below one
+    bound, which starts at the sample value at the budget's rank, and the
+    engine takes them in ascending ``D`` order.  For each pair of live slots
+    it keeps ``[height, pairs read]``, one list shared by both slots' dicts;
+    the pair goes on the heap once all ``|A|·|C|`` of its member pairs are
+    read, at the largest of their values, which is its complete-linkage
+    height.  Every height on the heap is at or below the bound, so before the
+    heap top at height ``h`` is taken, every pair with ``D <= h`` is read.
+    Any cluster pair not yet complete then has an unread member pair above
+    ``h``, so its height is above ``h`` too, and the top is the smallest key
+    of all: the merge ``_generic_merges`` takes, with the same height bits.
     """
     total = len(D)
     budget = min(total, _PAIRS_PER_POINT * n)
+    sample = np.sort(D[:: max(1, total // _SAMPLE_CELLS)])
+    rank = budget * len(sample) // total
+    _, idx = _pairs_in(D, float(sample[rank]) if rank < len(sample) else math.inf, budget)
     offs = metric.condensed_offsets(n)
     base = offs - np.arange(n, dtype=np.int64) - 1
-    sample = np.sort(D[:: max(1, total // _SAMPLE_CELLS)])
+    rows = np.searchsorted(offs, idx, side="right") - 1
+    hs, ii, jj = D[idx].tolist(), rows.tolist(), (idx - base[rows]).tolist()
     parent = list(range(n))  # union-find; a root is its cluster's slot
     size = [1] * n
     links: list[dict[int, list]] = [{} for _ in range(n)]
     heap: list[tuple[float, int, int]] = []
     raw: list[tuple[float, int, int]] = []
-    tau, read, last = -math.inf, 0, False  # every pair with D <= tau is in hs or already read
-    hs: list[float] = []
-    ii: list[int] = []
-    jj: list[int] = []
     p = 0
 
     def find(x: int) -> int:
@@ -263,7 +259,7 @@ def _threshold_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, i
             e[1] += 1
             if e[1] == size[a] * size[c]:
                 heapq.heappush(heap, (d, a, c))
-        elif heap and (p < len(hs) or heap[0][0] <= tau):
+        elif heap:
             h, a, b = heapq.heappop(heap)
             e = links[a].get(b)
             if e is None or e[0] != h or e[1] != size[a] * size[b]:
@@ -289,26 +285,7 @@ def _threshold_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, i
                     heapq.heappush(heap, (ea[0], min(a, c), max(a, c)))
             size[a] = grown
         else:
-            # Next batch: double what has been read, at least four pairs per
-            # merge.  The batch the budget caps is the last; if it would pass
-            # the budget, fall back through bounds halfway down the sample to
-            # the first sampled value above tau.
-            if last:
-                return None
-            want = min(budget, max(4 * merges, 2 * read))
-            last = want == budget
-            first = int(np.searchsorted(sample, tau, side="right"))
-            ranks = [max(first, want * len(sample) // total)]
-            while ranks[-1] > first:
-                ranks.append((first + ranks[-1]) // 2)
-            bounds = [float(sample[r]) if r < len(sample) else math.inf for r in reversed(ranks)]
-            batch = _pairs_in(D, tau, bounds, budget)
-            if batch is None:
-                return None
-            tau, idx = batch
-            read += len(idx)
-            rows = np.searchsorted(offs, idx, side="right") - 1
-            hs, ii, jj, p = D[idx].tolist(), rows.tolist(), (idx - base[rows]).tolist(), 0
+            return None
     return raw
 
 
@@ -325,10 +302,11 @@ def agglomerate_fast(
     ``sample_ids`` (row positions when omitted) name the points in the
     partition and dendrogram.  Builds the condensed distance matrix, O(n^2),
     then takes the n - k merges kept, so the dendrogram holds exactly those.
-    The threshold engine takes them from the cells below the cut; if that
-    needs more than ``_PAIRS_PER_POINT * n`` cells it gives up, and the
-    generic algorithm's dense loop takes them from the untouched matrix at
-    O(n) per merge.  Both give the same merges with the same height bits.
+    The threshold engine takes them from the at most ``_PAIRS_PER_POINT * n``
+    smallest cells, read once; if a merge needs a cell above those it gives
+    up, and the generic algorithm's dense loop takes them from the untouched
+    matrix at O(n) per merge.  Both give the same merges with the same height
+    bits.
     """
     ids, X = _check_class(X, sample_ids)
     n = len(ids)

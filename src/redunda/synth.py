@@ -167,7 +167,9 @@ def generate(
                 next_id += 1
             groups.append(frozenset(ids_here))
         truth[cid] = groups
-    dataset = EmbeddingDataset.from_arrays(sids, cids, np.asarray(rows))
+    # Rounded to float32 as dataset.bin stores them, so the certificate below
+    # holds for the values every output format carries.
+    dataset = EmbeddingDataset.from_arrays(sids, cids, np.asarray(rows, dtype=np.float32))
 
     cert = measure_separation(dataset, truth)
     if cert.max_within is not None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import pathlib
 import re
 import struct
@@ -70,13 +71,12 @@ class TestSynthCommand:
         assert meta["command"] == "synth"
         assert meta["max_within"] < 0.002
         assert meta["min_between"] > 0.498
-        # The certificate is measured on the float64 vectors; dataset.bin
-        # stores them as float32, so it matches the file only to that precision.
+        # The certificate is measured on the float32 values dataset.bin holds.
         doc = json.loads((out / "ground_truth.json").read_text())
         truth = {int(c): [frozenset(g) for g in groups] for c, groups in doc.items()}
         cert = measure_separation(load_dataset(out / "dataset.bin"), truth)
-        assert meta["max_within"] == pytest.approx(cert.max_within, abs=1e-6)
-        assert meta["min_between"] == pytest.approx(cert.min_between, abs=1e-6)
+        assert meta["max_within"] == cert.max_within
+        assert meta["min_between"] == cert.min_between
 
     def test_csv_format(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -513,6 +513,21 @@ class TestOneRunPerOut:
         assert re.fullmatch(r"io_error: [^\n]+\n", err)
         assert tree(out) == before
 
+    def test_directory_in_the_way_keeps_the_earlier_run(self, synth_dataset, tmp_path, capsys):
+        # pairs.json is moved after manifest.*, histogram.* and dissimilarity.*,
+        # so a directory there must be refused before the first move.
+        out = tmp_path / "D"
+        args = ["select", "--input", synth_dataset, "--out", out]
+        assert run(capsys, *args, "--fraction", "0.5")[0] == 0
+        (out / "pairs.json").unlink()
+        (out / "pairs.json").mkdir()
+        before = tree(out)
+        code, _, err = run(capsys, *args, "--fraction", "0.8")
+        assert code == 1
+        assert re.fullmatch(r"io_error: [^\n]+\n", err)
+        assert tree(out) == before
+        assert (out / "pairs.json").is_dir()
+
 
 class TestBaselineCommand:
     """The uniform-random baseline, run as select --method uniform-random."""
@@ -685,7 +700,11 @@ class TestEntryPoints:
         assert e.value.code == 0
         assert "redunda" in capsys.readouterr().out
 
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, monkeypatch):
+        # The child imports the package these tests import, installed or not.
+        src = str(pathlib.Path(redunda.__file__).parents[1])
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "redunda.cli", *map(str, SYNTH),
              "--out", tmp_path / "g"],

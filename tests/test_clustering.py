@@ -191,19 +191,36 @@ class TestEngineEquivalence:
 
 def both_engines(X, k):
     """Raw merges of the threshold engine and of the dense loop on one matrix,
-    heights as hex so equality is bit for bit; the threshold engine's entry is
-    None when it gave up.  The threshold engine must leave the matrix as it was."""
+    heights as hex so equality is bit for bit, and the bound of the threshold
+    engine's read; its merges are None when it gave up.  The threshold engine
+    must read the matrix in one pass and leave it as it was."""
     n = len(X)
     D = pairwise_condensed(X)
     before = D.tobytes()
-    fast = cluster._threshold_merges(D, n, n - k)
+    bounds = []
+    read = cluster._pairs_in
+
+    def spy(D, bound, room):
+        got = read(D, bound, room)
+        bounds.append(got[0])
+        return got
+
+    with mock.patch.object(cluster, "_pairs_in", spy):
+        fast = cluster._threshold_merges(D, n, n - k)
+    assert len(bounds) == 1
     assert D.tobytes() == before
     dense = cluster._generic_merges(D, n, n - k)
 
     def bits(raw):
         return None if raw is None else [(float(h).hex(), a, b) for h, a, b in raw]
 
-    return bits(fast), bits(dense)
+    return bits(fast), bits(dense), bounds[0]
+
+
+# Values with exact ties and with neighbours one ulp apart, so a bound just
+# below one value is another value that cells hold.
+_TIE_VALUES = [float(np.nextafter(x, t)) for x in (0.0, 0.25, 0.5, 1.0)
+               for t in (-np.inf, x, np.inf)]
 
 
 class TestThresholdEngine:
@@ -214,7 +231,7 @@ class TestThresholdEngine:
         ds, truth, _ = generate(spec)
         for cid, groups in truth.items():
             ids, X = ds.class_arrays(cid)
-            fast, dense = both_engines(X, len(groups))
+            fast, dense, _ = both_engines(X, len(groups))
             assert fast is not None
             assert fast == dense
             _, part = agglomerate_fast(X, len(groups), sample_ids=ids)
@@ -223,8 +240,8 @@ class TestThresholdEngine:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_tie_heavy_grids_across_batch_bounds(self, data):
-        # A coarse sample puts batch bounds on values many pairs share, so
-        # equal heights sit on both sides of a bound and at the heap top.
+        # A coarse sample puts the start bound on values many pairs share, so
+        # equal heights sit on both sides of the bound and at the heap top.
         n = data.draw(st.integers(3, 30), label="n")
         coords = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])
         rows = data.draw(
@@ -233,35 +250,51 @@ class TestThresholdEngine:
         k = data.draw(st.integers(1, n), label="k")
         cells = data.draw(st.sampled_from([1, 2, 7, 1 << 16]), label="sample cells")
         with mock.patch.object(cluster, "_SAMPLE_CELLS", cells):
-            fast, dense = both_engines(np.array(rows), k)
+            fast, dense, _ = both_engines(np.array(rows), k)
         assert fast is None or fast == dense
 
     def test_ties_on_a_batch_bound(self):
-        # A fixed tie grid read in several batches, where two bounds land on
-        # heights that several merges share.
-        X = np.random.default_rng(20).choice([-1.0, 0.5, 1.0, 2.0], size=(30, 3))
-        bounds = []
-        read = cluster._pairs_in
-
-        def spy(D, lo, hi, room):
-            batch = read(D, lo, hi, room)
-            bounds.append(None if batch is None else batch[0])
-            return batch
-
-        with mock.patch.object(cluster, "_pairs_in", spy), \
-                mock.patch.object(cluster, "_SAMPLE_CELLS", 7):
-            fast, dense = both_engines(X, 8)
+        # A two-cell sample puts the one bound, below the budget, on a height
+        # that three of the merges taken share.
+        X = np.random.default_rng(4).choice([-1.0, 0.5, 1.0, 2.0], size=(30, 3))
+        with mock.patch.object(cluster, "_SAMPLE_CELLS", 2):
+            fast, dense, bound = both_engines(X, 9)
         heights = [float.fromhex(h) for h, _, _ in dense]
         assert fast == dense
-        assert len(bounds) > 2
-        assert sum(heights.count(b) > 1 for b in bounds[:-1]) >= 2
+        assert np.count_nonzero(pairwise_condensed(X) <= bound) < 8 * 30
+        assert heights.count(bound) > 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_read_takes_every_cell_at_or_below_its_bound(self, data):
+        D = np.array(data.draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=1, max_size=80),
+                               label="D"))
+        room = data.draw(st.integers(1, len(D)), label="room")
+        ranked = np.sort(D)
+        start = data.draw(st.sampled_from([
+            ranked[max(0, room - 2)],  # below the budget rank
+            ranked[room] if room < len(D) else np.inf,  # on it
+            np.inf,  # above it
+        ]), label="start")
+        chunk = data.draw(st.sampled_from([1, 3, 16, 1 << 18]), label="chunk")
+        with mock.patch.object(cluster, "_SCAN_CELLS", chunk):
+            bound, idx = cluster._pairs_in(D, float(start), room)
+        below = np.flatnonzero(D <= bound)
+        assert idx.tolist() == below[np.lexsort((below, D[below]))].tolist()
+        assert len(idx) <= room
+        assert bound <= start
+        if np.count_nonzero(D <= start) > room:  # overshoot: the largest bound that fits
+            assert np.count_nonzero(D <= np.nextafter(bound, np.inf)) > room
+        else:
+            assert bound == start
 
     def test_gives_up_to_the_dense_loop_on_an_untouched_matrix(self):
         rs = np.random.default_rng(9)
         X = random_unit_rows(rs, 300, 8)
         k = 30  # fraction 0.1: the pairs below the cut are far more than 8 per point
         fresh = pairwise_condensed(X).tobytes()
-        assert cluster._threshold_merges(pairwise_condensed(X), 300, 300 - k) is None
+        fast, _, _ = both_engines(X, k)
+        assert fast is None
         handed = []
         dense = cluster._generic_merges
 
