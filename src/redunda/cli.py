@@ -339,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cluster_knobs(p):
         p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
-                       help="bytes of pairwise distances allowed per class "
-                            f"(default {DEFAULT_MEMORY_CAP})")
+                       help="bytes of the condensed pairwise matrix allowed per "
+                            "class, counted even when the threshold engine does "
+                            f"not build it (default {DEFAULT_MEMORY_CAP})")
         p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
                        help="emit cluster-size histogram")
         p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,

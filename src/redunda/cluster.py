@@ -10,21 +10,22 @@ equals that of the greedy scan of all cluster pairs.  Merges come out in key
 order, so an engine stops after the n - k merges a cut at k clusters keeps.
 
 The threshold engine runs first.  A cut that keeps most points only ever
-needs the smallest few cells of the condensed matrix, so it reads, in one
-pass, every cell at or below one bound, at most ``_PAIRS_PER_POINT * n`` of
-them.  It takes those cells in ascending order and counts, per cluster pair,
+needs the smallest few cells of the condensed matrix, so it never builds
+that matrix: ``metric.smallest_pairs`` screens the blocked gram product as
+it is computed and keeps every cell at or below one bound, at most
+``_PAIRS_PER_POINT * n`` of them, with the bits the matrix would hold.  The
+engine takes those cells in ascending order and counts, per cluster pair,
 the member pairs taken; a pair is a candidate once all of them are in.
 Before the smallest candidate at height h is taken, every cell <= h is in,
 so any cluster pair still incomplete has a cell above h and a height above
 h: the merges and their height bits are exactly the generic algorithm's
-(see ``_threshold_merges``).  It never writes to the matrix, and gives up
-when the next merge lies above the bound, which dense thresholds (low
-fractions) reach.
+(see ``_threshold_merges``).  It gives up when the next merge lies above
+the bound, which dense thresholds (low fractions) reach.
 
-When it gives up, the dense loop (Müllner 2011, "Modern hierarchical,
-agglomerative clustering algorithms", §3, the generic algorithm) runs on the
-untouched matrix: O(n^2) for each slot's first row minimum, then O(n) per
-merge taken plus the stale heap entries it pops.
+Only then is the condensed matrix built, O(n^2) memory, and the dense loop
+(Müllner 2011, "Modern hierarchical, agglomerative clustering algorithms",
+§3, the generic algorithm) runs on it: O(n^2) for each slot's first row
+minimum, then O(n) per merge taken plus the stale heap entries it pops.
 
 Recorded merge steps are in that same key order, with new clusters numbered
 n, n+1, ... as they form.  Children always come before their parents (a
@@ -36,7 +37,6 @@ bottom-up replay order.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +50,6 @@ DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class
 # the class to the dense loop.  The planted-groups bench needs 5.0 per point;
 # a give-up costs about a fifth of the dense loop it precedes.
 _PAIRS_PER_POINT = 8
-_SAMPLE_CELLS = 1 << 16  # size of the strided sample of D that sets the start bound
-_SCAN_CELLS = 1 << 18  # cells of D compared per chunk of the one read
 
 
 @dataclass(frozen=True)
@@ -186,53 +184,29 @@ def _generic_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int
     return raw
 
 
-def _pairs_in(D: np.ndarray, bound: float, room: int) -> tuple[float, np.ndarray]:
-    """The final bound, at most ``bound``, and the condensed indices of the
-    cells with ``D <=`` it, at most ``room``, in ascending ``(D, index)`` order.
-
-    One pass in chunks, so it allocates O(chunk + room): whenever more than
-    ``room`` cells are held, the bound drops to just below the (room+1)-th
-    smallest of them, the largest bound that leaves ``room`` cells or fewer.
-    """
-    found, count = [], 0
-    for s in range(0, len(D), _SCAN_CELLS):
-        hit = np.flatnonzero(D[s : s + _SCAN_CELLS] <= bound) + s
-        found.append(hit)
-        count += hit.size
-        if count > room:
-            idx = np.concatenate(found)
-            bound = float(np.nextafter(np.partition(D[idx], room)[room], -np.inf))
-            found = [idx[D[idx] <= bound]]
-            count = found[0].size
-    idx = np.concatenate(found)
-    return bound, idx[np.argsort(D[idx], kind="stable")]
-
-
-def _threshold_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int, int]] | None:
+def _threshold_merges(
+    n: int, merges: int, cells: np.ndarray, heights: np.ndarray
+) -> list[tuple[float, int, int]] | None:
     """The first ``merges`` merges in key order, built from the pairs below
     the cut only; None if they need a pair above the bound of the one read.
 
-    ``D`` is only read, once: ``_pairs_in`` returns the pairs at or below one
-    bound, which starts at the sample value at the budget's rank, and the
-    engine takes them in ascending ``D`` order.  For each pair of live slots
-    it keeps ``[height, pairs read]``, one list shared by both slots' dicts;
-    the pair goes on the heap once all ``|A|·|C|`` of its member pairs are
-    read, at the largest of their values, which is its complete-linkage
-    height.  Every height on the heap is at or below the bound, so before the
-    heap top at height ``h`` is taken, every pair with ``D <= h`` is read.
-    Any cluster pair not yet complete then has an unread member pair above
-    ``h``, so its height is above ``h`` too, and the top is the smallest key
-    of all: the merge ``_generic_merges`` takes, with the same height bits.
+    ``cells`` and ``heights`` are what ``metric.smallest_pairs`` returns: the
+    condensed index and value of every pair at or below one bound, in
+    ascending ``(value, index)`` order, and the engine takes them in that
+    order.  For each pair of live slots it keeps ``[height, pairs read]``,
+    one list shared by both slots' dicts; the pair goes on the heap once all
+    ``|A|·|C|`` of its member pairs are read, at the largest of their
+    values, which is its complete-linkage height.  Every height on the heap
+    is at or below the bound, so before the heap top at height ``h`` is
+    taken, every pair with ``D <= h`` is read.  Any cluster pair not yet
+    complete then has an unread member pair above ``h``, so its height is
+    above ``h`` too, and the top is the smallest key of all: the merge
+    ``_generic_merges`` takes, with the same height bits.
     """
-    total = len(D)
-    budget = min(total, _PAIRS_PER_POINT * n)
-    sample = np.sort(D[:: max(1, total // _SAMPLE_CELLS)])
-    rank = budget * len(sample) // total
-    _, idx = _pairs_in(D, float(sample[rank]) if rank < len(sample) else math.inf, budget)
     offs = metric.condensed_offsets(n)
     base = offs - np.arange(n, dtype=np.int64) - 1
-    rows = np.searchsorted(offs, idx, side="right") - 1
-    hs, ii, jj = D[idx].tolist(), rows.tolist(), (idx - base[rows]).tolist()
+    rows = np.searchsorted(offs, cells, side="right") - 1
+    hs, ii, jj = heights.tolist(), rows.tolist(), (cells - base[rows]).tolist()
     parent = list(range(n))  # union-find; a root is its cluster's slot
     size = [1] * n
     links: list[dict[int, list]] = [{} for _ in range(n)]
@@ -300,13 +274,15 @@ def agglomerate_fast(
     """Merge the rows of ``X`` by complete linkage until ``k`` clusters remain.
 
     ``sample_ids`` (row positions when omitted) name the points in the
-    partition and dendrogram.  Builds the condensed distance matrix, O(n^2),
-    then takes the n - k merges kept, so the dendrogram holds exactly those.
-    The threshold engine takes them from the at most ``_PAIRS_PER_POINT * n``
-    smallest cells, read once; if a merge needs a cell above those it gives
-    up, and the generic algorithm's dense loop takes them from the untouched
-    matrix at O(n) per merge.  Both give the same merges with the same height
-    bits.
+    partition and dendrogram.  Takes the n - k merges kept, so the dendrogram
+    holds exactly those.  The threshold engine takes them from the at most
+    ``_PAIRS_PER_POINT * n`` smallest pairwise cells, read from the blocked
+    gram product one block at a time.  If a merge needs a cell above those it
+    gives up; only then is the condensed distance matrix built, O(n^2), and
+    the generic algorithm's dense loop takes the merges from it at O(n) per
+    merge.  Both give the same merges with the same height bits.  The memory
+    cap counts the condensed matrix on either path, since any class may need
+    the dense loop.
     """
     ids, X = _check_class(X, sample_ids)
     n = len(ids)
@@ -319,10 +295,10 @@ def agglomerate_fast(
         )
     raw = []
     if k < n:
-        D = metric.pairwise_condensed(X)
-        raw = _threshold_merges(D, n, n - k)
+        _, cells, heights = metric.smallest_pairs(X, _PAIRS_PER_POINT * n)
+        raw = _threshold_merges(n, n - k, cells, heights)
         if raw is None:
-            raw = _generic_merges(D, n, n - k)
+            raw = _generic_merges(metric.pairwise_condensed(X), n, n - k)
     dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
     return dendro, cut_dendrogram(dendro, k)
 

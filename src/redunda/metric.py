@@ -15,9 +15,10 @@ from .errors import InvalidArgumentError
 
 MIN_NORM = 1e-30
 
-# Rows per block when building the pairwise matrix; bounds the size of the
-# intermediate gram block to roughly block * n doubles.
+# Rows per block of the gram product; bounds the size of the intermediate
+# gram block to roughly block * n doubles.
 _BLOCK_ELEMS = 1 << 22
+_SAMPLE_CELLS = 1 << 16  # size of the strided sample that sets the start bound
 
 
 def _clamp(value: float) -> float:
@@ -102,6 +103,42 @@ def condensed_offsets(n: int) -> np.ndarray:
     return i * n - (i * (i + 1)) // 2
 
 
+def _gram_blocks(U: np.ndarray):
+    """``(lo, hi, U[lo:hi] @ U.T)`` for consecutive row blocks of ``U``.
+
+    The one GEMM shape and blocking behind every pairwise value: a cell's bits
+    depend on its place in this product, so every reader of the pairwise
+    matrix takes its cells from here.
+    """
+    n = U.shape[0]
+    block = max(1, _BLOCK_ELEMS // max(n, 1))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        yield lo, hi, U[lo:hi] @ U.T
+
+
+def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Condensed indices, ascending, of the row pairs of ``X`` equal under ``==``.
+
+    These cells are exactly 0, as in ``one_to_many`` (``+ 0.0`` maps -0.0 to
+    0.0 in the key); the gram product rounds them to ~1e-16.  Only rows whose
+    column-0 bits repeat can share a key, so only those are keyed.
+    """
+    key0 = (X[:, :1] + 0.0).view(np.int64).ravel()
+    ranked = np.sort(key0)
+    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
+    groups: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(np.isin(key0, repeats)).tolist():
+        groups.setdefault((X[i] + 0.0).tobytes(), []).append(i)
+    cells = []
+    for rows in groups.values():
+        r = np.array(rows, dtype=np.int64)
+        ii, jj = np.triu_indices(len(r), k=1)
+        a, b = r[ii], r[jj]
+        cells.append(offs[a] + b - a - 1)
+    return np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
+
+
 def pairwise_condensed(X: np.ndarray) -> np.ndarray:
     """Upper-triangular cosine dissimilarities of the rows of ``X``.
 
@@ -115,29 +152,81 @@ def pairwise_condensed(X: np.ndarray) -> np.ndarray:
     n = U.shape[0]
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     offs = condensed_offsets(n)
-    block = max(1, _BLOCK_ELEMS // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        G = U[lo:hi] @ U.T
+    for lo, hi, G in _gram_blocks(U):
         for i in range(lo, hi):
             out[offs[i] : offs[i] + n - 1 - i] = G[i - lo, i + 1 :]
     np.subtract(1.0, out, out=out)  # elementwise: the bits a full block would get
     np.clip(out, 0.0, 2.0, out=out)
-
-    # Rows equal under ``==`` get exactly 0, as in ``one_to_many`` (``+ 0.0``
-    # maps -0.0 to 0.0 in the key); the gram product rounds them to ~1e-16.
-    # Only rows whose column-0 bits repeat can share a key, so only those are keyed.
-    key0 = (X[:, :1] + 0.0).view(np.int64).ravel()
-    ranked = np.sort(key0)
-    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
-    groups: dict[bytes, list[int]] = {}
-    for i in np.flatnonzero(np.isin(key0, repeats)).tolist():
-        groups.setdefault((X[i] + 0.0).tobytes(), []).append(i)
-    for rows in groups.values():
-        if len(rows) < 2:
-            continue
-        r = np.array(rows, dtype=np.int64)
-        ii, jj = np.triu_indices(len(r), k=1)
-        a, b = r[ii], r[jj]
-        out[offs[a] + b - a - 1] = 0.0
+    out[_duplicate_cells(X, offs)] = 0.0
     return out
+
+
+def smallest_pairs(X: np.ndarray, room: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The smallest cells of ``pairwise_condensed(X)``, without building it.
+
+    Returns ``(bound, idx, values)``: ``idx`` holds the condensed index of
+    every cell ``<= bound``, at most ``room`` of them, in ascending
+    ``(value, index)`` order, and ``values`` their values, bit for bit those
+    of ``pairwise_condensed(X)[idx]``.
+
+    The bound starts at a sample value: the sample strides over the first
+    gram block's cells (all cells when n <= 2048), about ``_SAMPLE_CELLS`` of
+    them, and the bound is its value at rank ``room * len(sample) // len(D)``
+    (``+inf`` past its end).  Whenever more than ``room`` cells are held it
+    drops to just below the (room+1)-th smallest of them, the largest bound
+    that leaves ``room`` or fewer.  Each block is screened on its raw gram
+    values, and only the cells that pass get ``1 - g`` and the clip; it holds
+    one gram block at a time plus the cells kept.
+    """
+    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    U = unit_rows(X)
+    n = U.shape[0]
+    total = n * (n - 1) // 2
+    offs = condensed_offsets(n)
+    base = offs - np.arange(n, dtype=np.int64) - 1  # cond(i, j) = base[i] + j for i < j
+    dups = _duplicate_cells(X, offs)
+    bound = None
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    count = 0
+
+    def values(G, lo, cells):
+        # The ufuncs pairwise_condensed applies, on the same gram values.
+        rows = np.searchsorted(offs, cells, side="right") - 1
+        v = np.clip(np.subtract(1.0, G[rows - lo, cells - base[rows]]), 0.0, 2.0)
+        v[np.isin(cells, dups)] = 0.0
+        return v
+
+    for lo, hi, G in _gram_blocks(U):
+        end = offs[hi - 1] + n - hi  # the block holds cells [offs[lo], end)
+        if bound is None:
+            s = np.arange(0, end, max(1, end // _SAMPLE_CELLS), dtype=np.int64)
+            sample = np.sort(values(G, lo, s))
+            rank = room * len(sample) // max(total, 1)
+            bound = float(sample[rank]) if rank < len(sample) else math.inf
+        # The screen keeps every cell with v = clip(fl(1 - g), 0, 2) <= bound.
+        # For 0 <= bound < 2 such a cell has fl(1 - g) <= bound, so
+        # 1 - g <= bound + 2u (u = 2**-53), and thr = fl(fl(1 - bound) - m)
+        # is within 2u + u*m of 1 - bound - m: any margin m above 4u keeps
+        # it, and 1e-15 is about 9u.  A bound >= 2 keeps every cell, and
+        # twins are 0.0 whatever their gram value, so they are added below.
+        thr = 1.0 - bound - 1e-15 if bound < 2.0 else -math.inf
+        width = n - lo
+        r, j = np.divmod(np.flatnonzero(G[:, lo:] >= thr), width)
+        upper = j > r
+        cells = base[lo + r[upper]] + lo + j[upper]
+        cells = np.union1d(cells, dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)])
+        v = values(G, lo, cells)
+        del G
+        keep = v <= bound
+        held.append((cells[keep], v[keep]))
+        count += held[-1][0].size
+        if count > room:
+            cells = np.concatenate([c for c, _ in held])
+            v = np.concatenate([x for _, x in held])
+            bound = float(np.nextafter(np.partition(v, room)[room], -np.inf))
+            keep = v <= bound
+            held, count = [(cells[keep], v[keep])], int(np.count_nonzero(keep))
+    cells = np.concatenate([c for c, _ in held])
+    v = np.concatenate([x for _, x in held])
+    order = np.lexsort((cells, v))
+    return bound, cells[order], v[order]

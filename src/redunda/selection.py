@@ -83,8 +83,9 @@ def _cluster_class(
     dendro, part = agglomerate_fast(
         X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes
     )
-    # Normalized only now: while the chain runs, the condensed matrix is the
-    # largest allocation and one more class-sized array would raise the peak.
+    # Normalized only now: agglomerate_fast normalizes its own copy, and
+    # holds the largest allocation (a gram block, or the condensed matrix on
+    # a give-up); one more class-sized array held across it would raise the peak.
     U = metric.unit_rows(X)
     reps = tuple(
         select_representative(ids[rows], X[rows], U[rows])

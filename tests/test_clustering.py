@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import agglomerate_naive
 from conftest import random_unit_rows, with_duplicates
-from redunda import cluster
+from redunda import cluster, metric
 from redunda.cluster import (
     Dendrogram,
     MergeStep,
@@ -189,38 +189,62 @@ class TestEngineEquivalence:
         assert set().union(*part.clusters) == set(range(800))
 
 
+def assert_exact_read(D, bound, idx, values):
+    """The read holds exactly the cells of ``D`` at or below its bound, in
+    ascending ``(value, index)`` order, with the bits ``D`` holds."""
+    below = np.flatnonzero(D <= bound)
+    assert idx.tolist() == below[np.lexsort((below, D[below]))].tolist()
+    assert values.tobytes() == D[idx].tobytes()
+
+
 def both_engines(X, k):
-    """Raw merges of the threshold engine and of the dense loop on one matrix,
-    heights as hex so equality is bit for bit, and the bound of the threshold
-    engine's read; its merges are None when it gave up.  The threshold engine
-    must read the matrix in one pass and leave it as it was."""
+    """Raw merges of the threshold engine and of the dense loop, heights as
+    hex so equality is bit for bit, and the bound of the threshold engine's
+    read; its merges are None when it gave up.  The threshold engine runs
+    inside ``agglomerate_fast``, which must read the class once; the read
+    must hold exactly the cells of ``pairwise_condensed(X)`` at or below its
+    bound."""
     n = len(X)
+    reads, fast = [], []
+    read, threshold = metric.smallest_pairs, cluster._threshold_merges
+
+    def read_spy(*args):
+        reads.append(read(*args))
+        return reads[-1]
+
+    def threshold_spy(*args):
+        fast.append(threshold(*args))
+        return fast[-1]
+
+    with mock.patch.object(metric, "smallest_pairs", read_spy), \
+            mock.patch.object(cluster, "_threshold_merges", threshold_spy):
+        agglomerate_fast(X, k)
+    if k == n:  # nothing to merge: no read
+        assert reads == fast == []
+        return [], [], None
+    assert len(reads) == len(fast) == 1
     D = pairwise_condensed(X)
-    before = D.tobytes()
-    bounds = []
-    read = cluster._pairs_in
-
-    def spy(D, bound, room):
-        got = read(D, bound, room)
-        bounds.append(got[0])
-        return got
-
-    with mock.patch.object(cluster, "_pairs_in", spy):
-        fast = cluster._threshold_merges(D, n, n - k)
-    assert len(bounds) == 1
-    assert D.tobytes() == before
+    bound, idx, values = reads[0]
+    assert_exact_read(D, bound, idx, values)
     dense = cluster._generic_merges(D, n, n - k)
 
     def bits(raw):
         return None if raw is None else [(float(h).hex(), a, b) for h, a, b in raw]
 
-    return bits(fast), bits(dense), bounds[0]
+    return bits(fast[0]), bits(dense), bound
 
 
-# Values with exact ties and with neighbours one ulp apart, so a bound just
-# below one value is another value that cells hold.
-_TIE_VALUES = [float(np.nextafter(x, t)) for x in (0.0, 0.25, 0.5, 1.0)
-               for t in (-np.inf, x, np.inf)]
+def start_bound(D, n, room, block_rows, sample_cells):
+    """The documented start bound: the value at the budget's rank among a
+    strided sample of the first gram block's cells (``+inf`` past its end)."""
+    first = min(n, block_rows)
+    cells = first * n - first * (first + 1) // 2
+    sample = np.sort(D[: cells : max(1, cells // sample_cells)])
+    rank = room * len(sample) // len(D)
+    return sample[rank] if rank < len(sample) else np.inf
+
+
+_GRID = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])
 
 
 class TestThresholdEngine:
@@ -243,13 +267,12 @@ class TestThresholdEngine:
         # A coarse sample puts the start bound on values many pairs share, so
         # equal heights sit on both sides of the bound and at the heap top.
         n = data.draw(st.integers(3, 30), label="n")
-        coords = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])
         rows = data.draw(
-            st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n), label="rows"
+            st.lists(st.tuples(_GRID, _GRID, _GRID), min_size=n, max_size=n), label="rows"
         )
         k = data.draw(st.integers(1, n), label="k")
         cells = data.draw(st.sampled_from([1, 2, 7, 1 << 16]), label="sample cells")
-        with mock.patch.object(cluster, "_SAMPLE_CELLS", cells):
+        with mock.patch.object(metric, "_SAMPLE_CELLS", cells):
             fast, dense, _ = both_engines(np.array(rows), k)
         assert fast is None or fast == dense
 
@@ -257,7 +280,7 @@ class TestThresholdEngine:
         # A two-cell sample puts the one bound, below the budget, on a height
         # that three of the merges taken share.
         X = np.random.default_rng(4).choice([-1.0, 0.5, 1.0, 2.0], size=(30, 3))
-        with mock.patch.object(cluster, "_SAMPLE_CELLS", 2):
+        with mock.patch.object(metric, "_SAMPLE_CELLS", 2):
             fast, dense, bound = both_engines(X, 9)
         heights = [float.fromhex(h) for h, _, _ in dense]
         assert fast == dense
@@ -267,26 +290,94 @@ class TestThresholdEngine:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_one_read_takes_every_cell_at_or_below_its_bound(self, data):
-        D = np.array(data.draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=1, max_size=80),
-                               label="D"))
-        room = data.draw(st.integers(1, len(D)), label="room")
-        ranked = np.sort(D)
-        start = data.draw(st.sampled_from([
-            ranked[max(0, room - 2)],  # below the budget rank
-            ranked[room] if room < len(D) else np.inf,  # on it
-            np.inf,  # above it
-        ]), label="start")
-        chunk = data.draw(st.sampled_from([1, 3, 16, 1 << 18]), label="chunk")
-        with mock.patch.object(cluster, "_SCAN_CELLS", chunk):
-            bound, idx = cluster._pairs_in(D, float(start), room)
-        below = np.flatnonzero(D <= bound)
-        assert idx.tolist() == below[np.lexsort((below, D[below]))].tolist()
+        # Grid rows give exact ties and duplicates; unit-normal rows with
+        # copied rows give cells above 0.5, where fl(1 - g) rounds, and twins
+        # whose gram value is not exactly 1.  Blocks of a few rows put twins
+        # on both sides of a block edge.
+        n = data.draw(st.integers(2, 40), label="n")
+        if data.draw(st.booleans(), label="grid"):
+            rows = st.lists(st.tuples(_GRID, _GRID, _GRID), min_size=n, max_size=n)
+            X = np.array(data.draw(rows, label="rows"))
+        else:
+            rs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            X = with_duplicates(rs, rs.normal(size=(n, 3)), n // 4)
+        total = n * (n - 1) // 2
+        room = data.draw(st.integers(1, total), label="room")
+        block_rows = data.draw(st.integers(1, n), label="rows per block")
+        cells = data.draw(st.sampled_from([1, 2, 7, 1 << 16]), label="sample cells")
+        with mock.patch.object(metric, "_BLOCK_ELEMS", block_rows * n), \
+                mock.patch.object(metric, "_SAMPLE_CELLS", cells):
+            D = pairwise_condensed(X)
+            bound, idx, values = metric.smallest_pairs(X, room)
+        assert_exact_read(D, bound, idx, values)
         assert len(idx) <= room
+        start = start_bound(D, n, room, block_rows, cells)
         assert bound <= start
         if np.count_nonzero(D <= start) > room:  # overshoot: the largest bound that fits
             assert np.count_nonzero(D <= np.nextafter(bound, np.inf)) > room
         else:
             assert bound == start
+
+    def test_bound_on_a_cell_whose_one_minus_g_rounded_down(self):
+        # The start bound sits on a cell above 0.5 whose fl(1 - g) rounded
+        # down, so its gram value lies below 1 - bound: the screen keeps that
+        # cell only through its margin.
+        X = np.random.default_rng(11).normal(size=(40, 3))
+        with mock.patch.object(metric, "_SAMPLE_CELLS", 7):
+            fast, dense, bound = both_engines(X, 36)
+        assert fast == dense
+        (_, _, G), = metric._gram_blocks(metric.unit_rows(X))
+        rows, cols = np.triu_indices(40, 1)
+        assert np.any((pairwise_condensed(X) == bound) & (G[rows, cols] < 1.0 - bound))
+
+    def test_twins_whose_gram_value_misses_the_screen(self):
+        # Twins (0, 1) and (i, i + 20) for i = 2..21, with components over a
+        # wide range of magnitudes, so that one twin pair's gram value lies
+        # below 1 - 1e-15; blocks of 7 rows split every (i, i + 20).  A
+        # one-cell sample takes D[0] = 0.0 as the bound: the screen drops
+        # that pair, and the read must add it at 0.0.
+        rs = np.random.default_rng(4)
+        B = rs.normal(size=(21, 300)) * np.exp(rs.normal(scale=3, size=(21, 300)))
+        X = np.vstack([B[:1], B[:1], B[1:], B[1:]])
+        twins = {(0, 1)} | {(i, i + 20) for i in range(2, 22)}
+        with mock.patch.object(metric, "_BLOCK_ELEMS", 7 * 42), \
+                mock.patch.object(metric, "_SAMPLE_CELLS", 1):
+            fast, dense, bound = both_engines(X, 21)
+            G = np.vstack([G for _, _, G in metric._gram_blocks(metric.unit_rows(X))])
+        assert bound == 0.0
+        assert fast == dense and {(a, b) for _, a, b in fast} == twins
+        assert min(G[i, j] for i, j in twins) < 1.0 - 1e-15
+
+    def test_blocks_with_twins_across_their_edges(self):
+        # Blocks of 7 rows; twins of unit-normal rows straddle block edges, and
+        # a two-cell sample puts the bound on a value that grid rows share.
+        rs = np.random.default_rng(6)
+        X = np.vstack([rs.choice([-1.0, 0.5, 1.0, 2.0], size=(24, 3)), rs.normal(size=(21, 3))])
+        for i, j in [(27, 28), (30, 41), (24, 44)]:
+            X[j] = X[i]
+        n = len(X)
+        with mock.patch.object(metric, "_BLOCK_ELEMS", 7 * n), \
+                mock.patch.object(metric, "_SAMPLE_CELLS", 2):
+            fast, dense, bound = both_engines(X, 30)
+            D = pairwise_condensed(X)
+        assert fast is not None and fast == dense
+        assert np.count_nonzero(D == bound) > 1
+        twins = [metric.condensed_offsets(n)[i] + j - i - 1 for i, j in [(27, 28), (30, 41), (24, 44)]]
+        assert D[twins].tolist() == [0.0, 0.0, 0.0]
+        assert {(i, j) for _, i, j in fast} >= {(27, 28), (30, 41), (24, 44)}
+
+    def test_builds_the_condensed_matrix_only_on_a_give_up(self):
+        X = random_unit_rows(np.random.default_rng(9), 300, 8)
+        for k, builds in [(270, 0), (30, 1)]:  # fractions 0.9 and 0.1
+            calls = []
+
+            def spy(X):
+                calls.append(len(X))
+                return pairwise_condensed(X)
+
+            with mock.patch.object(metric, "pairwise_condensed", spy):
+                agglomerate_fast(X, k)
+            assert calls == [300] * builds
 
     def test_gives_up_to_the_dense_loop_on_an_untouched_matrix(self):
         rs = np.random.default_rng(9)
@@ -309,12 +400,16 @@ class TestThresholdEngine:
         assert dendro.steps == cluster._canonical_steps(300, expect)
         assert part == cut_dendrogram(dendro, k)
 
-    @pytest.mark.parametrize("n, dim, bound", [(5000, 64, 1.709), (1300, 2048, 9.347)])
+    @pytest.mark.parametrize("n, dim, bound", [
+        (5000, 64, 1.709), (1300, 2048, 9.347), (5000, 64, 0.5), (3400, 32, 0.9),
+    ])
     def test_peak_allocation_within_the_dense_engine_s(self, n, dim, bound):
         # tracemalloc peak over the condensed matrix the memory cap counts, at
-        # fraction 0.9; the bounds are the dense engine's own ratios (1.7082 and
-        # 9.3466) rounded up, so the engine's batches, sample and dicts fit
-        # in the room the freed gram block leaves.
+        # fraction 0.9.  1.709 and 9.347 are the dense engine's own ratios
+        # (1.7082 and 9.3466) rounded up.  The threshold engine's read never
+        # builds that matrix: it holds one gram block of about 2**22 cells at a
+        # time, 0.34 of the matrix at 5000 rows and 0.73 at 3400, plus the
+        # screen's mask and the cells it keeps (0.427 and 0.863 measured).
         X = np.random.default_rng(0).normal(size=(n, dim))
         tracemalloc.start()
         try:
