@@ -7,7 +7,9 @@ near-identical or near-opposite directions.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 
 import numpy as np
 
@@ -109,12 +111,26 @@ def _gram_blocks(U: np.ndarray):
     The one GEMM shape and blocking behind every pairwise value: a cell's bits
     depend on its place in this product, so every reader of the pairwise
     matrix takes its cells from here.
+
+    Every block is written into one buffer that the next block overwrites,
+    so a reader copies what it keeps.  The buffer is an anonymous mapping of
+    its own, unmapped when the last block is dropped.  Blocks taken from the
+    heap sometimes could not reuse the space a freed block left, so a later
+    block took fresh pages: on four 3400 x 32 classes, 8 of 40 output-path
+    lengths raised the peak RSS from 85 to 113 MB.
     """
     n = U.shape[0]
-    block = max(1, _BLOCK_ELEMS // max(n, 1))
+    if n == 0:
+        return
+    block = min(n, max(1, _BLOCK_ELEMS // n))
+    buf = mmap.mmap(-1, block * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(AttributeError, OSError):  # advice only, as numpy gives its own
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    out = np.frombuffer(buf, dtype=np.float64)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        yield lo, hi, U[lo:hi] @ U.T
+        G = out[: (hi - lo) * n].reshape(hi - lo, n)
+        yield lo, hi, np.matmul(U[lo:hi], U.T, out=G)
 
 
 def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -216,7 +232,6 @@ def smallest_pairs(X: np.ndarray, room: int) -> tuple[float, np.ndarray, np.ndar
         cells = base[lo + r[upper]] + lo + j[upper]
         cells = np.union1d(cells, dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)])
         v = values(G, lo, cells)
-        del G
         keep = v <= bound
         held.append((cells[keep], v[keep]))
         count += held[-1][0].size
