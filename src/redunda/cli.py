@@ -1,4 +1,4 @@
-"""Command-line driver: load -> cluster -> select -> analyze -> emit.
+"""Command-line driver: load -> per class (cluster -> medoids -> reports) -> emit.
 
 Every run computes all artifacts in memory first and writes them through a
 single writer at the end.  It stages each file under a temporary name and
@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, analysis, metric, rng, selection, synth
+from . import __version__, analysis, rng, selection, synth
 from .cluster import DEFAULT_MEMORY_CAP, format_dendrogram
 from .errors import ConfigError, RedundaError
 from .selection import ClassResult, SubsetManifest
@@ -121,34 +121,22 @@ def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _report_artifacts(
-    args, ds: EmbeddingDataset, results: dict[int, ClassResult]
-) -> list[tuple[str, str | bytes]]:
+def _report_artifacts(args, results: dict[int, ClassResult]) -> list[tuple[str, str | bytes]]:
     artifacts: list[tuple[str, str | bytes]] = []
     if args.histogram:
         hists = [analysis.size_histogram(res.partition) for res in results.values()]
         artifacts.append(("histogram.csv", analysis.histogram_to_csv(hists)))
         artifacts.append(("histogram.json", analysis.histogram_to_json(hists)))
         artifacts.append(("histogram.txt", analysis.histogram_to_table(hists)))
-    entries: list[analysis.ClassDissimilarity] = []
-    pairs: dict[int, list[analysis.NearestExcludedPair]] = {}
-    if args.dissimilarity or args.nearest_excluded:
-        for cid, res in results.items():
-            ids, X = ds.class_arrays(cid)
-            U = metric.unit_rows(X)  # shared by both reports
-            if args.dissimilarity:
-                entry = analysis.avg_dissimilarity(res.partition, res.reps, ids, X, U)
-                if entry is not None:
-                    entries.append(entry)
-            if args.nearest_excluded:
-                pairs[cid] = analysis.nearest_excluded(res.partition, res.reps, ids, X, U)
     if args.dissimilarity:
+        entries = [res.dissimilarity for res in results.values() if res.dissimilarity is not None]
         report = analysis.assemble_dissimilarity_report(
             entries, class_weighted=args.class_mean
         )
         artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(report)))
         artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(report)))
     if args.nearest_excluded:
+        pairs = {cid: res.pairs for cid, res in results.items()}
         artifacts.append(("pairs.json", analysis.pairs_to_json(pairs)))
         artifacts.append(("pairs.txt", analysis.pairs_to_table(pairs)))
     if args.dump_dendrograms:
@@ -219,7 +207,8 @@ def _cmd_select(args) -> int:
     results: dict[int, ClassResult] | None = None
     if args.method == selection.METHOD_CLUSTER:
         manifest, results = selection.build_cluster_subset(
-            ds, args.fraction, memory_cap_bytes=args.memory_cap
+            ds, args.fraction, memory_cap_bytes=args.memory_cap,
+            dissimilarity=args.dissimilarity, nearest_excluded=args.nearest_excluded,
         )
     else:
         manifest = selection.build_random_subset(ds, args.fraction, args.seed)
@@ -230,7 +219,7 @@ def _cmd_select(args) -> int:
         ("manifest.txt", selection.manifest_to_text(manifest)),
     ]
     if results is not None:
-        artifacts += _report_artifacts(args, ds, results)
+        artifacts += _report_artifacts(args, results)
     _finish(args, "select", ds, manifest, results, artifacts,
             {"method": args.method, "seed": args.seed})
     if results is None:
@@ -247,13 +236,14 @@ def _cmd_stats(args) -> int:
     selection.validate_manifest(manifest, ds)  # also checks the fraction
     _check_memory_cap(args.memory_cap)
     recomputed, results = selection.build_cluster_subset(
-        ds, manifest.retention_fraction, memory_cap_bytes=args.memory_cap
+        ds, manifest.retention_fraction, memory_cap_bytes=args.memory_cap,
+        dissimilarity=args.dissimilarity, nearest_excluded=args.nearest_excluded,
     )
     if dict(recomputed.retained) != dict(manifest.retained):
         raise ConfigError(
             "manifest does not match recomputed clustering for this dataset"
         )
-    _finish(args, "stats", ds, manifest, results, _report_artifacts(args, ds, results),
+    _finish(args, "stats", ds, manifest, results, _report_artifacts(args, results),
             {"manifest": str(args.manifest)}, reads=(Path(args.manifest),))
     return 0
 

@@ -270,23 +270,27 @@ def agglomerate_fast(
     sample_ids=None,
     class_id: int = 0,
     memory_cap_bytes: int | None = None,
+    U=None,
 ) -> tuple[Dendrogram, Partition]:
     """Merge the rows of ``X`` by complete linkage until ``k`` clusters remain.
 
     ``sample_ids`` (row positions when omitted) name the points in the
-    partition and dendrogram.  Takes the n - k merges kept, so the dendrogram
-    holds exactly those.  The threshold engine takes them from the at most
-    ``_PAIRS_PER_POINT * n`` smallest pairwise cells, read from the blocked
-    gram product one block at a time.  If a merge needs a cell above those it
-    gives up; only then is the condensed distance matrix built, O(n^2), and
-    the generic algorithm's dense loop takes the merges from it at O(n) per
-    merge.  Both give the same merges with the same height bits.  The memory
-    cap counts the condensed matrix on either path, since any class may need
-    the dense loop.
+    partition and dendrogram.  ``U`` is ``metric.unit_rows(X)`` when the
+    caller already holds it, and is computed when omitted.  Takes the n - k
+    merges kept, so the dendrogram holds exactly those.  The threshold engine
+    takes them from the at most ``_PAIRS_PER_POINT * n`` smallest pairwise
+    cells, read from the blocked gram product one block at a time.  If a
+    merge needs a cell above those it gives up; only then is the condensed
+    distance matrix built, O(n^2), and the generic algorithm's dense loop
+    takes the merges from it at O(n) per merge.  Both give the same merges
+    with the same height bits.  The memory cap counts the condensed matrix on
+    either path, since any class may need the dense loop.
     """
     ids, X = _check_class(X, sample_ids)
     n = len(ids)
     _check_k(n, k)
+    if U is not None and np.shape(U) != X.shape:
+        raise InvalidArgumentError(f"unit rows {np.shape(U)} do not match rows {X.shape}")
     cap = DEFAULT_MEMORY_CAP if memory_cap_bytes is None else memory_cap_bytes
     need = n * (n - 1) // 2 * 8
     if need > cap:
@@ -295,7 +299,8 @@ def agglomerate_fast(
         )
     raw = []
     if k < n:
-        _, cells, heights = metric.smallest_pairs(X, _PAIRS_PER_POINT * n)
+        U = metric.unit_rows(X) if U is None else U
+        _, cells, heights = metric.smallest_pairs(X, U, _PAIRS_PER_POINT * n)
         raw = _threshold_merges(n, n - k, cells, heights)
         if raw is None:
             raw = _generic_merges(metric.pairwise_condensed(X), n, n - k)

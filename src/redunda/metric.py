@@ -177,13 +177,13 @@ def pairwise_condensed(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def smallest_pairs(X: np.ndarray, room: int) -> tuple[float, np.ndarray, np.ndarray]:
+def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The smallest cells of ``pairwise_condensed(X)``, without building it.
 
-    Returns ``(bound, idx, values)``: ``idx`` holds the condensed index of
-    every cell ``<= bound``, at most ``room`` of them, in ascending
-    ``(value, index)`` order, and ``values`` their values, bit for bit those
-    of ``pairwise_condensed(X)[idx]``.
+    ``U`` is the caller's ``unit_rows(X)``.  Returns ``(bound, idx, values)``:
+    ``idx`` holds the condensed index of every cell ``<= bound``, at most
+    ``room`` of them, in ascending ``(value, index)`` order, and ``values``
+    their values, bit for bit those of ``pairwise_condensed(X)[idx]``.
 
     The bound starts at a sample value: the sample strides over the first
     gram block's cells (all cells when n <= 2048), about ``_SAMPLE_CELLS`` of
@@ -195,7 +195,6 @@ def smallest_pairs(X: np.ndarray, room: int) -> tuple[float, np.ndarray, np.ndar
     one gram block at a time plus the cells kept.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    U = unit_rows(X)
     n = U.shape[0]
     total = n * (n - 1) // 2
     offs = condensed_offsets(n)

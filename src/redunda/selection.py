@@ -1,4 +1,5 @@
-"""Representative selection and subset manifests, plus the random baseline."""
+"""Subset selection in one pass per class (read and normalize it once, cluster,
+keep each cluster's medoid, build the reports asked for), plus the random baseline."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import metric, rng
+from . import analysis, metric, rng
 from .cluster import Dendrogram, Partition, agglomerate_fast
 from .errors import DegenerateClusterError, InvalidArgumentError, RedundaError, ValidationError
 from .store import EmbeddingDataset
@@ -44,12 +45,15 @@ def per_class_k(class_size: int, fraction: float) -> int:
 
 @dataclass(frozen=True)
 class ClassResult:
-    """One clustered class: its partition, the retained medoid of each
-    cluster (aligned with ``partition.clusters``) and its dendrogram."""
+    """One clustered class: its partition, the medoid of each cluster (aligned
+    with ``partition.clusters``), its dendrogram and the report entries asked
+    for (None if not; ``dissimilarity`` also when no cluster has two members)."""
 
     partition: Partition
     reps: tuple[int, ...]
     dendrogram: Dendrogram
+    dissimilarity: analysis.ClassDissimilarity | None
+    pairs: tuple[analysis.NearestExcludedPair, ...] | None
 
 
 def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
@@ -76,22 +80,22 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
 
 
 def _cluster_class(
-    ds: EmbeddingDataset, class_id: int, fraction: float, memory_cap_bytes: int | None
+    ds: EmbeddingDataset, class_id: int, fraction: float, memory_cap_bytes: int | None,
+    dissimilarity: bool, nearest_excluded: bool,
 ) -> ClassResult:
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
-    dendro, part = agglomerate_fast(
-        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes
-    )
-    # Normalized only now: agglomerate_fast normalizes its own copy, and
-    # holds the largest allocation (a gram block, or the condensed matrix on
-    # a give-up); one more class-sized array held across it would raise the peak.
     U = metric.unit_rows(X)
+    dendro, part = agglomerate_fast(
+        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U
+    )
     reps = tuple(
         select_representative(ids[rows], X[rows], U[rows])
         for rows in part.member_rows(ids)
     )
-    return ClassResult(part, reps, dendro)
+    entry = analysis.avg_dissimilarity(part, reps, ids, X, U) if dissimilarity else None
+    pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U)) if nearest_excluded else None
+    return ClassResult(part, reps, dendro, entry, pairs)
 
 
 def _tagged(class_id: int, exc: Exception) -> RedundaError:
@@ -104,12 +108,14 @@ def build_cluster_subset(
     fraction: float,
     *,
     memory_cap_bytes: int | None = None,
+    dissimilarity: bool = False,
+    nearest_excluded: bool = False,
 ) -> tuple[SubsetManifest, dict[int, ClassResult]]:
     """Cluster every class at its per-class k and keep one medoid per cluster.
 
     Returns the manifest and one ``ClassResult`` per class, keyed by class_id
-    in ascending order.  Classes are clustered one after another; an error is
-    tagged with its class.
+    in ascending order, with the report entries the two switches ask for.
+    Classes are clustered one after another; an error is tagged with its class.
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
@@ -119,7 +125,9 @@ def build_cluster_subset(
     by_class: dict[int, ClassResult] = {}
     for cid in classes:
         try:
-            by_class[cid] = _cluster_class(ds, cid, fraction, memory_cap_bytes)
+            by_class[cid] = _cluster_class(
+                ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded
+            )
         except Exception as exc:
             raise _tagged(cid, exc) from exc
     retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}

@@ -166,14 +166,6 @@ def canonical_bytes(dataset: EmbeddingDataset) -> bytes:
     return head + body.tobytes()
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _load_binary(path: Path) -> EmbeddingDataset:
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -193,16 +185,20 @@ def _load_binary(path: Path) -> EmbeddingDataset:
             record = _record_dtype(dim, explicit)
         except ValueError:
             raise FormatError(f"{path}: dimension {dim} is too large for a record") from None
-        # Checked before reading: numpy cannot allocate what a corrupt header
-        # may claim.
+        # One read of at most what the file holds: a corrupt header's count
+        # allocates nothing, and the digest covers exactly the bytes parsed.
+        size = count * record.itemsize
         body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
-        if count * record.itemsize > body_bytes:
-            raise FormatError(
-                f"{path}: expected {count} records, file holds {body_bytes // record.itemsize}"
-            )
-        if count * record.itemsize < body_bytes:
+        if size < body_bytes:
             raise FormatError(f"{path}: trailing bytes after {count} records")
-        body = np.fromfile(f, dtype=record, count=count)
+        raw = f.read(min(size, body_bytes))
+    if len(raw) < size:
+        raise FormatError(
+            f"{path}: expected {count} records, file holds {len(raw) // record.itemsize}"
+        )
+    digest = hashlib.sha256(head)
+    digest.update(raw)
+    body = np.frombuffer(raw, dtype=record, count=count)
     if explicit:
         raw_ids = body["sid"]
         if (raw_ids > _MAX_SAMPLE_ID).any():
@@ -212,7 +208,7 @@ def _load_binary(path: Path) -> EmbeddingDataset:
     else:
         sids = np.arange(count, dtype=np.int64)
     return EmbeddingDataset.from_arrays(
-        sids, body["cid"].astype(np.int64), body["vec"], source_digest=_sha256_file(path)
+        sids, body["cid"].astype(np.int64), body["vec"], source_digest=digest.hexdigest()
     )
 
 
@@ -222,8 +218,10 @@ def _load_csv(path: Path) -> EmbeddingDataset:
     rows: list[list[float]] = []
     dim: int | None = None
     first_content = True
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     with io.StringIO(text, newline="") as f:
@@ -259,7 +257,7 @@ def _load_csv(path: Path) -> EmbeddingDataset:
             cids.append(cid)
             rows.append(vec)
     vectors = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, dim or 1))
-    return EmbeddingDataset.from_arrays(sids, cids, vectors, source_digest=_sha256_file(path))
+    return EmbeddingDataset.from_arrays(sids, cids, vectors, source_digest=digest)
 
 
 def load_dataset(path, fmt: str | None = None) -> EmbeddingDataset:

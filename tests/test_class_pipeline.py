@@ -3,18 +3,22 @@
 The reference below computes every value the way the per-cluster code did:
 gather the cluster's raw rows, normalize just those rows, then take one
 matrix-vector product.  The pipeline normalizes the whole class once and
-gathers unit rows instead.  Reports print 17 significant digits, so medoids,
-cluster means and nearest-excluded pairs are compared with ``==``.
+gathers unit rows instead, and builds the report entries of each
+``ClassResult`` from them.  Reports print 17 significant digits, so medoids,
+cluster means and nearest-excluded pairs are compared with ``==``, on the
+threshold engine's path and on a give-up to the dense loop.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import random_unit_rows, with_duplicates
+from redunda import metric
 from redunda.analysis import NearestExcludedPair, avg_dissimilarity, nearest_excluded
 from redunda.metric import unit_rows
 from redunda.selection import build_cluster_subset
@@ -53,9 +57,16 @@ def reference(ids, X, clusters):
     return tuple(reps), tuple(means), pairs
 
 
-@pytest.mark.parametrize("dim", [16, 64, 257, 2048])
-@pytest.mark.parametrize("interleaved", [False, True])
-def test_pipeline_matches_per_cluster_reference(dim, interleaved):
+# Fraction 0.6 stays on the threshold engine; 0.1 needs far more than 8 cells
+# per point below the cut, so every class gives up to the dense loop.
+CASES = [(d, i, f) for f in (0.6, 0.1) for i in (False, True) for d in (16, 64, 257, 2048)]
+
+
+@pytest.mark.parametrize(
+    "dim, interleaved, fraction", CASES,
+    ids=[f"{i}-{d}" + ("-give-up" if f < 0.5 else "") for d, i, f in CASES],
+)
+def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
     rs = np.random.default_rng(dim)
     sizes = {0: 240, 3: 150, 7: 90}
     X = np.vstack([
@@ -70,12 +81,17 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved):
         sids = rs.permutation(10 * len(X))[: len(X)]
     ds = EmbeddingDataset.from_arrays(sids, cids, X)
 
-    _, results = build_cluster_subset(ds, 0.6)
+    with mock.patch.object(metric, "pairwise_condensed", wraps=metric.pairwise_condensed) as dense:
+        _, results = build_cluster_subset(ds, fraction, dissimilarity=True, nearest_excluded=True)
+    assert dense.call_count == (len(sizes) if fraction < 0.5 else 0)
     for cid, res in results.items():
         ids, Xc = ds.class_arrays(cid)
         reps, means, pairs = reference(ids, Xc, res.partition.clusters)
         assert res.reps == reps
+        assert res.dissimilarity.cluster_means == means
+        assert res.pairs == tuple(pairs)
         U = unit_rows(Xc)
         assert avg_dissimilarity(res.partition, res.reps, ids, Xc, U).cluster_means == means
         assert nearest_excluded(res.partition, res.reps, ids, Xc, U) == pairs
-        assert 0.0 in means  # the injected duplicates collapsed into some cluster
+        if fraction > 0.5:
+            assert 0.0 in means  # the injected duplicates collapsed into some cluster

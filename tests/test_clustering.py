@@ -308,7 +308,7 @@ class TestThresholdEngine:
         with mock.patch.object(metric, "_BLOCK_ELEMS", block_rows * n), \
                 mock.patch.object(metric, "_SAMPLE_CELLS", cells):
             D = pairwise_condensed(X)
-            bound, idx, values = metric.smallest_pairs(X, room)
+            bound, idx, values = metric.smallest_pairs(X, metric.unit_rows(X), room)
         assert_exact_read(D, bound, idx, values)
         assert len(idx) <= room
         start = start_bound(D, n, room, block_rows, cells)
@@ -378,6 +378,25 @@ class TestThresholdEngine:
             with mock.patch.object(metric, "pairwise_condensed", spy):
                 agglomerate_fast(X, k)
             assert calls == [300] * builds
+
+    @pytest.mark.parametrize("k, builds", [(90, 0), (10, 1)])  # fractions 0.9 and 0.1
+    def test_callers_unit_rows_change_nothing(self, k, builds):
+        rs = np.random.default_rng(12)
+        X = with_duplicates(rs, rs.normal(size=(100, 6)), 25)
+
+        def run(**kw):
+            with mock.patch.object(metric, "pairwise_condensed",
+                                   wraps=metric.pairwise_condensed) as dense:
+                dendro, part = agglomerate_fast(X, k, **kw)
+            assert dense.call_count == builds  # which engine took the merges
+            return [(s.left, s.right, s.height.hex(), s.new_id) for s in dendro.steps], part
+
+        assert run(U=metric.unit_rows(X)) == run()
+        for U in (metric.unit_rows(X)[1:], metric.unit_rows(X)[:, 1:], metric.unit_rows(X).T):
+            with pytest.raises(InvalidArgumentError, match="unit rows"):
+                agglomerate_fast(X, k, U=U)
+        with pytest.raises(InvalidArgumentError, match="unit rows"):
+            agglomerate_fast(X, 100, U=metric.unit_rows(X)[1:])  # no merges, still checked
 
     def test_gives_up_to_the_dense_loop_on_an_untouched_matrix(self):
         rs = np.random.default_rng(9)

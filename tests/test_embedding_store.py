@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from redunda import store
 from redunda.errors import (
     FormatError,
     InvalidArgumentError,
@@ -187,6 +189,25 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="expected 2 records"):
             load_dataset(path)
 
+    def test_file_shorter_than_its_stat_size_is_a_format_error(self, tmp_path, monkeypatch):
+        # The header claims 3 records and the file holds 2, but fstat reports
+        # room for 3, as when the file shrinks after fstat: the read comes up
+        # one record short, and the explicit ids must not load as 2 records.
+        path = tmp_path / "x.bin"
+        path.write_bytes(pack_binary(
+            3, 2, [(10, 0, (1.0, 0.0)), (11, 0, (0.0, 1.0))], flags=FLAG_EXPLICIT_IDS
+        ))
+        fstat = os.fstat
+
+        def over_reported(fd):
+            st = list(fstat(fd))
+            st[6] += 8 + 4 + 2 * 4  # st_size, plus one explicit-id record
+            return os.stat_result(st)
+
+        monkeypatch.setattr(store.os, "fstat", over_reported)
+        with pytest.raises(FormatError, match="expected 3 records, file holds 2"):
+            load_dataset(path)
+
     def test_trailing_bytes(self, tmp_path):
         raw = pack_binary(1, 2, [(0, 0, (1.0, 0.0))]) + b"\x00"
         path = tmp_path / "x.bin"
@@ -264,6 +285,11 @@ class TestCsvFormat:
         path.write_text("0,0\n")
         with pytest.raises(FormatError):
             load_dataset(path)
+
+    def test_digest_is_file_sha256(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(dataset_to_csv(small_dataset()))
+        assert load_dataset(path).digest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_round_trip_values(self, tmp_path):
         ds = small_dataset()

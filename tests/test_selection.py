@@ -147,6 +147,20 @@ class TestBuildClusterSubset:
                 assert len(manifest.retained[cid]) == per_class_k(n, f)
             validate_manifest(manifest, ds)
 
+    def test_report_entries_only_when_asked_for(self):
+        ds = self.planted()
+        _, off = build_cluster_subset(ds, 0.8)
+        assert all(r.dissimilarity is None and r.pairs is None for r in off.values())
+        _, on = build_cluster_subset(ds, 0.8, dissimilarity=True, nearest_excluded=True)
+        assert [(r.partition, r.reps) for r in on.values()] == [
+            (r.partition, r.reps) for r in off.values()
+        ]
+        assert on[0].dissimilarity.cluster_means == (0.0, 0.0)  # the two duplicate pairs
+        assert [p.retained_id for p in on[0].pairs] == [2, 5]
+        assert len(on[1].dissimilarity.cluster_means) == len(on[1].pairs) == 1
+        _, singletons = build_cluster_subset(ds, 1.0, dissimilarity=True, nearest_excluded=True)
+        assert all(r.dissimilarity is None and r.pairs == () for r in singletons.values())
+
     def test_rep_is_cluster_member(self):
         ds = self.planted()
         manifest, results = build_cluster_subset(ds, 0.4)
