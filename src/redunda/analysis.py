@@ -58,16 +58,22 @@ def size_histogram(partition: Partition) -> SizeHistogram:
 
 
 def _qualifying(
-    partition: Partition, reps: Sequence[int], ids: np.ndarray
+    partition: Partition,
+    reps: Sequence[int],
+    ids: np.ndarray,
+    member_rows: Sequence[np.ndarray] | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """``(rep row, member rows)`` of each cluster of size >= 2, in partition
-    order; member rows ascend by sample id."""
+    order; member rows ascend by sample id.  ``member_rows`` is
+    ``partition.member_rows(ids)`` when the caller already holds it."""
     if len(reps) != len(partition.clusters):
         raise InvalidArgumentError(
             f"{len(reps)} representatives for {len(partition.clusters)} clusters"
         )
+    if member_rows is None:
+        member_rows = partition.member_rows(ids)
     out = []
-    for ci, (rep, rows) in enumerate(zip(reps, partition.member_rows(ids))):
+    for ci, (rep, rows) in enumerate(zip(reps, member_rows)):
         if rep not in partition.clusters[ci]:
             raise InvalidArgumentError(f"representative {rep} is not a member of cluster {ci}")
         if len(rows) >= 2:
@@ -76,18 +82,20 @@ def _qualifying(
 
 
 def avg_dissimilarity(
-    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray
+    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
+    member_rows: Sequence[np.ndarray] | None = None,
 ) -> ClassDissimilarity | None:
     """Average dissimilarity to the retained sample over clusters of size >= 2.
 
     ``reps`` holds each cluster's retained sample, aligned with
     ``partition.clusters``; ``ids``, ``X`` and ``U`` are the class's sample
-    ids, rows and unit rows in row order.  Returns None when the class has
-    no qualifying cluster (class omitted from the report rather than
-    reported as zero).
+    ids, rows and unit rows in row order, and ``member_rows`` is
+    ``partition.member_rows(ids)`` (computed when omitted).  Returns None
+    when the class has no qualifying cluster (class omitted from the report
+    rather than reported as zero).
     """
     cluster_means: list[float] = []
-    for rep_row, rows in _qualifying(partition, reps, ids):
+    for rep_row, rows in _qualifying(partition, reps, ids, member_rows):
         others = rows[rows != rep_row]
         d = metric.one_to_many(X[rep_row], X, U, others)
         cluster_means.append(float(d.mean()))
@@ -119,26 +127,27 @@ def assemble_dissimilarity_report(
 
 
 def nearest_excluded(
-    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray
+    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
+    member_rows: Sequence[np.ndarray] | None = None,
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
 
     Arguments as for ``avg_dissimilarity``.  Single-cluster classes have no
     outside points and yield an empty list.  Ties break toward the smallest
-    neighbor sample_id.
+    neighbor sample_id.  Pairs come in partition order.  Each cluster's
+    outside rows are compared in one matrix-vector product over ``U[outside]``
+    gathered into one buffer per class by ``metric.outside_gathers``, which
+    visits the clusters in its own order and copies only the rows that move.
     """
-    qualifying = _qualifying(partition, reps, ids)
+    qualifying = _qualifying(partition, reps, ids, member_rows)
     if len(partition.clusters) < 2:
         return []
-    out: list[NearestExcludedPair] = []
-    outside_mask = np.ones(len(ids), dtype=bool)
-    for rep_row, rows in qualifying:
-        outside_mask[rows] = False
-        outside = np.flatnonzero(outside_mask)
-        outside_mask[rows] = True
-        d = metric.one_to_many(X[rep_row], X, U, outside)
+    out: list[NearestExcludedPair | None] = [None] * len(qualifying)
+    for i, outside, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
+        rep_row = qualifying[i][0]
+        d = metric.one_to_many(X[rep_row], X, U, outside, gathered=V)
         pick = metric.first_min(d, ids[outside])
-        out.append(NearestExcludedPair(int(ids[rep_row]), int(ids[outside[pick]]), float(d[pick])))
+        out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[outside[pick]]), float(d[pick]))
     return out
 
 

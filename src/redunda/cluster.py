@@ -303,7 +303,7 @@ def agglomerate_fast(
         _, cells, heights = metric.smallest_pairs(X, U, _PAIRS_PER_POINT * n)
         raw = _threshold_merges(n, n - k, cells, heights)
         if raw is None:
-            raw = _generic_merges(metric.pairwise_condensed(X), n, n - k)
+            raw = _generic_merges(metric.pairwise_condensed(X, U), n, n - k)
     dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
     return dendro, cut_dendrogram(dendro, k)
 

@@ -62,12 +62,14 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows) -> np.ndarray:
+def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows, *, gathered=None) -> np.ndarray:
     """Dissimilarity of one vector to the rows ``X[rows]``, given ``U = unit_rows(X)``.
 
     Results are aligned with ``rows``.  Callers normalize a class once and pass
-    its whole ``X`` and ``U`` plus the row positions they need; the kernel
-    gathers ``U[rows]`` and runs one matrix-vector product on that copy.
+    its whole ``X`` and ``U`` plus the row positions they need.  The kernel runs
+    one matrix-vector product on ``U[rows]`` held in a C-contiguous array of its
+    own: ``gathered`` when the caller already holds those rows (a medoid's
+    cluster, a view from ``outside_gathers``), else a copy it makes.
     Computing over the whole class and indexing afterwards is not equivalent:
     the BLAS matrix-vector product can round a row differently depending on
     where it sits in the matrix.
@@ -83,7 +85,11 @@ def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows) -> np.ndarray
     if U.shape[1] != a.shape[0]:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape[0]} vs {U.shape[1]}")
     rows = np.asarray(rows, dtype=np.intp)
-    d = 1.0 - (U[rows] @ (a / na))
+    if gathered is None:
+        gathered = U[rows]
+    elif gathered.shape != (len(rows), U.shape[1]) or not gathered.flags.c_contiguous:
+        raise InvalidArgumentError(f"gathered rows {gathered.shape} are not U[rows]")
+    d = 1.0 - (gathered @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
     # Exact duplicates (raw rows equal under ==, so -0.0 == 0.0) are exactly zero.
     # Column 0 narrows the candidates, so most raw rows are never read.
@@ -91,6 +97,68 @@ def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows) -> np.ndarray
     if cand.size:
         d[cand[(X[rows[cand]] == a).all(axis=1)]] = 0.0
     return d
+
+
+def _gather_order(clusters, n: int) -> list[int]:
+    """Indices of ``clusters`` grouped by size, and within one size in
+    boustrophedon order over (min row, max row): ``isqrt(q)`` strips of
+    equal width on the min row, the max row ascending in even strips and
+    descending in odd ones.  Neighbours in this order remove nearby rows, so
+    their outside rows differ in few positions."""
+    strips = max(1, math.isqrt(len(clusters)))
+
+    def key(i):
+        lo, hi = int(clusters[i].min()), int(clusters[i].max())
+        strip = lo * strips // n
+        return len(clusters[i]), strip, -hi if strip % 2 else hi, lo, i
+
+    return sorted(range(len(clusters)), key=key)
+
+
+def _runs(pos: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, end)`` of each run of consecutive values in ascending ``pos``."""
+    if not pos.size:
+        return []
+    cut = np.flatnonzero(np.diff(pos) != 1)
+    starts = pos[np.r_[0, cut + 1]]
+    ends = pos[np.r_[cut, len(pos) - 1]] + 1
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def outside_gathers(U: np.ndarray, clusters):
+    """Yield ``(i, outside, V)`` for every ``clusters[i]`` (arrays of row
+    positions of ``U``): the rows outside that cluster, ascending, and ``V``,
+    the first ``len(outside)`` rows of one buffer, holding ``U[outside]`` with
+    the values and C-contiguous layout of that copy.  The buffer has as many
+    rows as the largest ``outside``.
+
+    ``V`` is valid until the next item.  Between one cluster and the next only
+    the runs of positions where ``outside`` changed are copied again; when the
+    length changes, everything from the first changed position on.  Clusters
+    come in ``_gather_order``, so most positions stay.  Each run is gathered
+    with ``np.take(..., out=, mode="clip")`` straight into the buffer: a slice
+    assignment from ``U[idx]`` would build a temporary as large as the run, and
+    ``mode="raise"`` buffers its output.  The indices are in range by
+    construction.
+    """
+    n = len(U)
+    buf = np.empty((n - min(map(len, clusters), default=n), U.shape[1]), dtype=U.dtype)
+    mask = np.ones(n, dtype=bool)
+    prev = np.empty(0, dtype=np.intp)
+    for i in _gather_order(clusters, n):
+        mask[clusters[i]] = False
+        outside = np.flatnonzero(mask)
+        mask[clusters[i]] = True
+        m, common = len(outside), min(len(outside), len(prev))
+        changed = np.flatnonzero(outside[:common] != prev[:common])
+        if m != len(prev):
+            runs = [(int(changed[0]) if changed.size else common, m)]
+        else:
+            runs = _runs(changed)
+        for a, b in runs:
+            np.take(U, outside[a:b], axis=0, out=buf[a:b], mode="clip")
+        prev = outside
+        yield i, outside, buf[:m]
 
 
 def first_min(d: np.ndarray, ids: np.ndarray) -> int:
@@ -155,16 +223,19 @@ def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
 
 
-def pairwise_condensed(X: np.ndarray) -> np.ndarray:
+def pairwise_condensed(X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
     """Upper-triangular cosine dissimilarities of the rows of ``X``.
 
     Returns a float64 vector of length ``n*(n-1)//2`` laid out row-major:
     (0,1), (0,2), ..., (0,n-1), (1,2), ...  Built from a blocked gram product
     of the normalized rows, so every value matches ``cosine_dissimilarity``
-    of the corresponding pair to within a few ulp.
+    of the corresponding pair to within a few ulp.  ``U`` is the caller's
+    ``unit_rows(X)`` when it holds one, and is computed when omitted.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    U = unit_rows(X)
+    U = unit_rows(X) if U is None else U
+    if U.shape != X.shape:
+        raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {X.shape}")
     n = U.shape[0]
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     offs = condensed_offsets(n)

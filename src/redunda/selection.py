@@ -60,8 +60,9 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
     """Medoid under cosine dissimilarity to the arithmetic-mean centroid.
 
     ``ids`` are the cluster's sample ids, ascending; ``X`` and ``U`` hold
-    their rows and unit rows in the same order.  Ties go to the smallest
-    sample_id.
+    their rows and unit rows in the same order, and the distances come from
+    one product over ``U`` as given, with no second copy.  Ties go to the
+    smallest sample_id.
     """
     if len(ids) == 0:
         raise InvalidArgumentError("cluster must be non-empty")
@@ -75,7 +76,7 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
         raise DegenerateClusterError(
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
-    d = metric.one_to_many(centroid, X, U, np.arange(len(ids)))
+    d = metric.one_to_many(centroid, X, U, np.arange(len(ids)), gathered=np.ascontiguousarray(U))
     return int(ids[metric.first_min(d, ids)])
 
 
@@ -89,12 +90,13 @@ def _cluster_class(
     dendro, part = agglomerate_fast(
         X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U
     )
-    reps = tuple(
-        select_representative(ids[rows], X[rows], U[rows])
-        for rows in part.member_rows(ids)
-    )
-    entry = analysis.avg_dissimilarity(part, reps, ids, X, U) if dissimilarity else None
-    pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U)) if nearest_excluded else None
+    member_rows = part.member_rows(ids)
+    reps = tuple(select_representative(ids[rows], X[rows], U[rows]) for rows in member_rows)
+    entry = pairs = None
+    if dissimilarity:
+        entry = analysis.avg_dissimilarity(part, reps, ids, X, U, member_rows)
+    if nearest_excluded:
+        pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U, member_rows))
     return ClassResult(part, reps, dendro, entry, pairs)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ class TestNearestExcluded:
             ]
             for p, (_, _, d) in zip(got, expect):
                 assert p.dissimilarity == pytest.approx(d, abs=1e-12)
+
+    def test_peak_allocation_is_one_gather_buffer(self):
+        # A 1300 x 2048 class at fraction 0.9: 130 pairs, the rest singletons.
+        # The gathers fill one (n, d) buffer in place; a slice assignment from
+        # ``U[idx]`` would allocate a second copy of the rows it moves.
+        n, d = 1300, 2048
+        X = random_unit_rows(np.random.default_rng(31), n, d)
+        U = unit_rows(X)
+        ids = np.arange(n)
+        p = part(0, *({2 * i, 2 * i + 1} for i in range(130)), *({i} for i in range(260, n)))
+        reps = tuple(min(c) for c in p.clusters)
+        tracemalloc.start()
+        try:
+            pairs = nearest_excluded(p, reps, ids, X, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 130
+        assert peak <= 1.1 * n * d * 8
 
     def test_exact_twin_outside_the_cluster(self):
         # Each class holds four groups of four rows equal under ``==`` (some

@@ -74,10 +74,10 @@ def test_traced_select_reaches_every_wrap_point_and_normalizes_once(
 ):
     spans, points = traced_select(tmp_path, fraction, *flags)
     assert {name for _, _, name, *_ in spans} == {n for n, *_ in load_spans().WRAP_POINTS} - off
-    # Each class is normalized once; the only other normalization is the one
-    # inside the condensed matrix a give-up builds.
+    # Each class is normalized once, also when a give-up builds the condensed
+    # matrix: that takes the class's unit rows instead of normalizing again.
     dense = {sid for sid, _, name, *_ in spans if name == "metric.pairwise_condensed"}
     rows = [(parent in dense, n) for _, parent, name, _, _, n in spans
             if name == "metric.unit_rows"]
     assert sum(n for in_dense, n in rows if not in_dense) == points
-    assert sum(n for in_dense, n in rows if in_dense) == (points if dense else 0)
+    assert [n for in_dense, n in rows if in_dense] == []

@@ -371,9 +371,9 @@ class TestThresholdEngine:
         for k, builds in [(270, 0), (30, 1)]:  # fractions 0.9 and 0.1
             calls = []
 
-            def spy(X):
+            def spy(X, U=None):
                 calls.append(len(X))
-                return pairwise_condensed(X)
+                return pairwise_condensed(X, U)
 
             with mock.patch.object(metric, "pairwise_condensed", spy):
                 agglomerate_fast(X, k)

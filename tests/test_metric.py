@@ -243,3 +243,87 @@ class TestPairwiseCondensed:
             assert got[j] == pytest.approx(d[i], abs=1e-12)
         with pytest.raises(InvalidArgumentError):
             one_to_many(x, M, unit_rows(M[1:]), np.arange(24))
+
+
+class TestOutsideGathers:
+    """Every view ``outside_gathers`` yields holds ``U[outside]`` bit for bit."""
+
+    @staticmethod
+    def walk(U, clusters):
+        """Check every yielded item; return the visit order and the rows copied."""
+        n = len(U)
+        copied = []
+        take = np.take
+
+        def counting_take(a, idx, *args, **kwargs):
+            copied.append(len(idx))
+            return take(a, idx, *args, **kwargs)
+
+        seen, addresses = [], set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric.np, "take", counting_take)
+            for i, outside, V in metric.outside_gathers(U, clusters):
+                expect = np.setdiff1d(np.arange(n), clusters[i])
+                assert outside.tolist() == expect.tolist()
+                assert V.flags.c_contiguous and V.shape == (len(expect), U.shape[1])
+                assert np.array_equal(V.view(np.int64), U[expect].view(np.int64))
+                seen.append(i)
+                addresses.add(V.__array_interface__["data"][0])
+        assert sorted(seen) == list(range(len(clusters)))
+        assert len(addresses) <= 1  # one buffer for the class
+        return seen, sum(copied)
+
+    @staticmethod
+    def rows(rs, n, d):
+        U = rs.normal(size=(n, d))
+        U[rs.integers(0, n, 5), 0] = -0.0  # bits, not values, are compared
+        return U
+
+    def test_mixed_sizes_in_any_order(self):
+        rs = np.random.default_rng(21)
+        for n in (2, 3, 17, 60, 211):
+            U = self.rows(rs, n, 5)
+            cuts = np.sort(rs.choice(np.arange(1, n), size=min(n - 1, n // 3 + 1), replace=False))
+            clusters = [np.sort(c) for c in np.split(rs.permutation(n), cuts)]
+            self.walk(U, clusters)
+
+    def test_only_singletons(self):
+        U = self.rows(np.random.default_rng(22), 40, 3)
+        _, copied = self.walk(U, [np.array([i]) for i in range(40)])
+        assert copied < 40 * 39 // 4
+
+    def test_one_cluster_holding_every_row(self):
+        U = self.rows(np.random.default_rng(23), 9, 4)
+        self.walk(U, [np.arange(9)])
+
+    def test_clusters_at_both_ends_and_size_changes(self):
+        rs = np.random.default_rng(24)
+        n = 50
+        U = self.rows(rs, n, 7)
+        clusters = [np.array([0, 1]), np.array([n - 2, n - 1]), np.array([0, n - 1]),
+                    np.array([0, 10, 20]), np.array([5, 30, n - 1]), np.array([n - 1]),
+                    np.array([0]), np.array([0, 1, 2, 3, n - 1]), np.array([24, 25])]
+        for _ in range(5):
+            self.walk(U, [clusters[i] for i in rs.permutation(len(clusters))])
+
+    def test_grouped_by_size_and_few_rows_copied(self):
+        # Neighbouring pairs: each next cluster's outside differs from the
+        # last one's in a few positions, so almost nothing is copied again.
+        n = 200
+        U = self.rows(np.random.default_rng(25), n, 3)
+        clusters = [np.array([i, i + 1]) for i in range(0, 100, 2)]
+        clusters += [np.array([i, i + 1, i + 2]) for i in range(100, n - 2, 3)]
+        order, copied = self.walk(U, clusters)
+        assert [len(clusters[i]) for i in order] == sorted(len(c) for c in clusters)
+        assert copied < 0.05 * sum(n - len(c) for c in clusters)
+
+    def test_gathered_rows_must_be_the_requested_rows(self):
+        rs = np.random.default_rng(26)
+        M = rs.normal(size=(10, 4))
+        U = unit_rows(M)
+        rows = np.array([1, 4, 7])
+        assert one_to_many(M[0], M, U, rows, gathered=U[rows]).tolist() == (
+            one_to_many(M[0], M, U, rows).tolist())
+        for bad in (U[:2], U[rows][:, :3], np.asfortranarray(U[[1, 4, 7, 8]])[:3]):
+            with pytest.raises(InvalidArgumentError, match="gathered rows"):
+                one_to_many(M[0], M, U, rows, gathered=bad)
