@@ -90,14 +90,14 @@ def avg_dissimilarity(
     ``reps`` holds each cluster's retained sample, aligned with
     ``partition.clusters``; ``ids``, ``X`` and ``U`` are the class's sample
     ids, rows and unit rows in row order, and ``member_rows`` is
-    ``partition.member_rows(ids)`` (computed when omitted).  Returns None
-    when the class has no qualifying cluster (class omitted from the report
-    rather than reported as zero).
+    ``partition.member_rows(ids)`` (computed when omitted).  Each cluster's
+    other members are compared in one product over ``U[others]``, copied
+    here.  None when no cluster qualifies (the class is left out, not 0).
     """
     cluster_means: list[float] = []
     for rep_row, rows in _qualifying(partition, reps, ids, member_rows):
         others = rows[rows != rep_row]
-        d = metric.one_to_many(X[rep_row], X, U, others)
+        d = metric.one_to_many(X[rep_row], U[others], X, others)
         cluster_means.append(float(d.mean()))
     if not cluster_means:
         return None
@@ -135,9 +135,9 @@ def nearest_excluded(
     Arguments as for ``avg_dissimilarity``.  Single-cluster classes have no
     outside points and yield an empty list.  Ties break toward the smallest
     neighbor sample_id.  Pairs come in partition order.  Each cluster's
-    outside rows are compared in one matrix-vector product over ``U[outside]``
-    gathered into one buffer per class by ``metric.outside_gathers``, which
-    visits the clusters in its own order and copies only the rows that move.
+    outside rows are compared in one product over ``U[outside]``, the view
+    ``metric.outside_gathers`` yields from one buffer per class; it visits the
+    clusters in its own order and copies only the rows that move.
     """
     qualifying = _qualifying(partition, reps, ids, member_rows)
     if len(partition.clusters) < 2:
@@ -145,7 +145,7 @@ def nearest_excluded(
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
     for i, outside, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
         rep_row = qualifying[i][0]
-        d = metric.one_to_many(X[rep_row], X, U, outside, gathered=V)
+        d = metric.one_to_many(X[rep_row], V, X, outside)
         pick = metric.first_min(d, ids[outside])
         out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[outside[pick]]), float(d[pick]))
     return out

@@ -212,7 +212,6 @@ def _cmd_select(args) -> int:
         )
     else:
         manifest = selection.build_random_subset(ds, args.fraction, args.seed)
-    selection.validate_manifest(manifest, ds)
 
     artifacts: list[tuple[str, str | bytes]] = [
         ("manifest.json", selection.manifest_to_json(manifest)),

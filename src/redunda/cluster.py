@@ -95,7 +95,7 @@ class Partition:
         flat = np.array([sid for m in members for sid in m], dtype=np.int64)
         order = np.argsort(sample_ids, kind="stable")
         pos = np.searchsorted(sample_ids[order], flat)
-        rows = order[np.minimum(pos, len(order) - 1)]
+        rows = order[pos[pos < len(order)]]  # an id above them all has no row; the check fails
         if not np.array_equal(sample_ids[rows], flat):
             raise InvalidArgumentError("partition names a sample_id outside the class")
         return np.split(rows, np.cumsum([len(m) for m in members])[:-1])

@@ -62,17 +62,14 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
-def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows, *, gathered=None) -> np.ndarray:
-    """Dissimilarity of one vector to the rows ``X[rows]``, given ``U = unit_rows(X)``.
+def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray:
+    """Dissimilarity of one vector to the rows ``X[rows]``, aligned with ``rows``.
 
-    Results are aligned with ``rows``.  Callers normalize a class once and pass
-    its whole ``X`` and ``U`` plus the row positions they need.  The kernel runs
-    one matrix-vector product on ``U[rows]`` held in a C-contiguous array of its
-    own: ``gathered`` when the caller already holds those rows (a medoid's
-    cluster, a view from ``outside_gathers``), else a copy it makes.
-    Computing over the whole class and indexing afterwards is not equivalent:
-    the BLAS matrix-vector product can round a row differently depending on
-    where it sits in the matrix.
+    ``V`` is ``unit_rows(X)[rows]`` in one C-contiguous array, which the caller
+    makes or holds (a cluster's rows, a view from ``outside_gathers``); the
+    kernel runs one matrix-vector product on it as given, and reads ``X`` only
+    for exact duplicates.  A product over the whole class indexed afterwards
+    is not equivalent: BLAS can round a row differently by its place.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
@@ -80,16 +77,10 @@ def one_to_many(x: np.ndarray, X: np.ndarray, U: np.ndarray, rows, *, gathered=N
     na = math.sqrt(float(np.dot(a, a)))
     if na < MIN_NORM:
         raise InvalidArgumentError(f"zero-norm vector (norm below {MIN_NORM:g}) has no direction")
-    if U.shape != np.shape(X):
-        raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {np.shape(X)}")
-    if U.shape[1] != a.shape[0]:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape[0]} vs {U.shape[1]}")
     rows = np.asarray(rows, dtype=np.intp)
-    if gathered is None:
-        gathered = U[rows]
-    elif gathered.shape != (len(rows), U.shape[1]) or not gathered.flags.c_contiguous:
-        raise InvalidArgumentError(f"gathered rows {gathered.shape} are not U[rows]")
-    d = 1.0 - (gathered @ (a / na))
+    if V.shape != (len(rows), len(a)) or not V.flags.c_contiguous or np.shape(X)[1:] != a.shape:
+        raise InvalidArgumentError(f"unit rows {V.shape} or rows {np.shape(X)} do not fit {a.shape}")
+    d = 1.0 - (V @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
     # Exact duplicates (raw rows equal under ==, so -0.0 == 0.0) are exactly zero.
     # Column 0 narrows the candidates, so most raw rows are never read.

@@ -76,7 +76,7 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
         raise DegenerateClusterError(
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
-    d = metric.one_to_many(centroid, X, U, np.arange(len(ids)), gathered=np.ascontiguousarray(U))
+    d = metric.one_to_many(centroid, np.ascontiguousarray(U), X, np.arange(len(ids)))
     return int(ids[metric.first_min(d, ids)])
 
 
@@ -100,9 +100,13 @@ def _cluster_class(
     return ClassResult(part, reps, dendro, entry, pairs)
 
 
-def _tagged(class_id: int, exc: Exception) -> RedundaError:
-    msg = f"class {class_id}: {exc}"
-    return type(exc)(msg) if isinstance(exc, RedundaError) else RedundaError(msg)
+def _classes(ds: EmbeddingDataset, fraction: float) -> list[int]:
+    """Classes for either subset method; refuses a fraction outside (0, 1] and an empty dataset."""
+    if not 0.0 < fraction <= 1.0:
+        raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
+    if not len(ds):
+        raise InvalidArgumentError("dataset has no records")
+    return ds.classes()
 
 
 def build_cluster_subset(
@@ -119,19 +123,15 @@ def build_cluster_subset(
     in ascending order, with the report entries the two switches ask for.
     Classes are clustered one after another; an error is tagged with its class.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
-    classes = ds.classes()
-    if not classes:
-        raise InvalidArgumentError("dataset has no records")
     by_class: dict[int, ClassResult] = {}
-    for cid in classes:
+    for cid in _classes(ds, fraction):
         try:
             by_class[cid] = _cluster_class(
                 ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded
             )
-        except Exception as exc:
-            raise _tagged(cid, exc) from exc
+        except Exception as exc:  # tagged with its class, as the same error type
+            msg = f"class {cid}: {exc}"
+            raise (type(exc)(msg) if isinstance(exc, RedundaError) else RedundaError(msg)) from exc
     retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
     return manifest, by_class
@@ -144,10 +144,8 @@ def build_random_subset(ds: EmbeddingDataset, fraction: float, seed: int) -> Sub
     draw for a class depends only on (seed, class_id) and the class's file
     order -- not on other classes.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidArgumentError(f"fraction must lie in (0, 1], got {fraction}")
     retained: dict[int, tuple[int, ...]] = {}
-    for cid in ds.classes():
+    for cid in _classes(ds, fraction):
         ids, _ = ds.class_arrays(cid)
         k = per_class_k(len(ids), fraction)
         stream = rng.class_stream(seed, cid, rng.DOMAIN_SAMPLING)
@@ -199,22 +197,30 @@ def manifest_to_json(manifest: SubsetManifest) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs):
+    if len({k for k, _ in pairs}) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return dict(pairs)
+
+
 def read_manifest_json(path) -> SubsetManifest:
+    """Parse ``manifest_to_json`` output; refuse any other form (ValidationError)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        raw = doc["retained"]
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw, seed, fraction = doc["retained"], doc["seed"], doc["fraction"]
         if not isinstance(raw, dict) or not all(
-            isinstance(ids, list) and all(type(s) is int for s in ids)
-            for ids in raw.values()
+            str(int(cid)) == cid and isinstance(ids, list) and all(type(s) is int for s in ids)
+            for cid, ids in raw.items()
         ):
-            raise TypeError('"retained" must map class ids to lists of integer sample ids')
-        retained = {int(cid): tuple(ids) for cid, ids in raw.items()}
+            raise TypeError('"retained" must map decimal class ids to lists of integer sample ids')
+        if not (seed is None or type(seed) is int) or type(fraction) not in (int, float):
+            raise TypeError('"seed" must be an integer or null and "fraction" a number')
         return SubsetManifest(
             method=doc["method"],
-            retention_fraction=float(doc["fraction"]),
-            seed=None if doc["seed"] is None else int(doc["seed"]),
+            retention_fraction=float(fraction),
+            seed=seed,
             source_digest=str(doc["source_digest"]),
-            retained=retained,
+            retained={int(cid): tuple(ids) for cid, ids in raw.items()},
         )
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"bad manifest file {path}: {exc}") from exc

@@ -18,7 +18,9 @@ from conftest import stacked_dataset
 from redunda import selection
 from redunda.cli import build_parser, main
 from redunda.selection import read_manifest_json
-from redunda.store import canonical_bytes, load_dataset
+from redunda.store import (
+    FLAG_EXPLICIT_IDS, FORMAT_VERSION, MAGIC, EmbeddingDataset, canonical_bytes, load_dataset,
+)
 from redunda.synth import measure_separation
 
 SYNTH = [
@@ -385,6 +387,22 @@ class TestAllOrNothing:
         assert calls["n"] >= 3
         assert not [p for p in out.rglob("*") if p.is_file()]
 
+    @pytest.mark.parametrize("method_args", [
+        ["--method", "cluster-medoid"], ["--method", "uniform-random", "--seed", "1"],
+    ], ids=["cluster-medoid", "uniform-random"])
+    def test_empty_dataset_is_refused_by_both_methods(self, tmp_path, capsys, method_args):
+        src = tmp_path / "empty.bin"
+        src.write_bytes(canonical_bytes(EmbeddingDataset.from_arrays([], [], np.empty((0, 4)))))
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "notes.txt").write_text("user file\n")
+        code, _, err = run(
+            capsys, "select", "--input", src, "--fraction", "0.5", *method_args, "--out", out,
+        )
+        assert code == 1
+        assert err == "invalid_argument: dataset has no records\n"
+        assert sorted(tree(out)) == ["notes.txt"]
+
 
 class TestOneRunPerOut:
     def test_rerun_removes_stale_artifacts(self, synth_dataset, tmp_path, capsys):
@@ -433,27 +451,44 @@ class TestOneRunPerOut:
         assert after["manifest.txt"] == before["manifest.txt"]
         assert "pairs.json" not in after and "histogram.csv" in after
 
+    @pytest.mark.parametrize("method_args", [[], ["--method", "uniform-random", "--seed", "1"]],
+                             ids=["cluster-medoid", "uniform-random"])
+    def test_select_checks_its_manifest_once(
+        self, synth_dataset, tmp_path, capsys, monkeypatch, method_args
+    ):
+        orig, checked = selection.validate_manifest, []
+
+        def counting(manifest, ds):
+            checked.append(manifest)
+            return orig(manifest, ds)
+
+        monkeypatch.setattr(selection, "validate_manifest", counting)
+        out = tmp_path / "D"
+        code, _, err = run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "0.5", *method_args,
+            "--out", out,
+        )
+        assert code == 0, err
+        assert checked == [read_manifest_json(out / "manifest.json")]
+
     def test_failed_revalidation_removes_what_was_written(
         self, synth_dataset, tmp_path, capsys, monkeypatch
     ):
         out = tmp_path / "D"
         out.mkdir()
         (out / "notes.txt").write_text("user file\n")
-        orig = selection.validate_manifest
-        calls = {"n": 0}
+        calls = []
 
-        def second_call_fails(manifest, ds):
-            calls["n"] += 1
-            if calls["n"] == 2:  # the re-read of the manifest on disk
-                raise selection.ValidationError("manifest on disk is corrupt")
-            return orig(manifest, ds)
+        def reread_fails(manifest, ds):  # select's one check: the manifest as written
+            calls.append(manifest)
+            raise selection.ValidationError("manifest on disk is corrupt")
 
-        monkeypatch.setattr(selection, "validate_manifest", second_call_fails)
+        monkeypatch.setattr(selection, "validate_manifest", reread_fails)
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
             "--out", out,
         )
-        assert code == 1
+        assert code == 1 and len(calls) == 1
         assert re.fullmatch(r"validation_error: [^\n]+\n", err)
         assert sorted(tree(out)) == ["notes.txt"]
 
@@ -468,21 +503,18 @@ class TestOneRunPerOut:
         (out / "notes.txt").write_text("user file\n")
         before = tree(out)
         assert "dendrograms/class_0.txt" in before
-        orig = selection.validate_manifest
-        calls = {"n": 0}
+        calls = []
 
-        def second_call_fails(manifest, ds):
-            calls["n"] += 1
-            if calls["n"] == 2:  # the re-read of the manifest as written
-                raise selection.ValidationError("manifest on disk is corrupt")
-            return orig(manifest, ds)
+        def reread_fails(manifest, ds):  # select's one check: the manifest as written
+            calls.append(manifest)
+            raise selection.ValidationError("manifest on disk is corrupt")
 
-        monkeypatch.setattr(selection, "validate_manifest", second_call_fails)
+        monkeypatch.setattr(selection, "validate_manifest", reread_fails)
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.34",
             "--no-histogram", "--out", out,
         )
-        assert code == 1
+        assert code == 1 and len(calls) == 1
         assert re.fullmatch(r"validation_error: [^\n]+\n", err)
         assert tree(out) == before
 
@@ -645,6 +677,50 @@ class TestStatsCommand:
         assert code == 1
         assert re.fullmatch(r"validation_error: [^\n]+\n", err)
 
+    # Each form read as a valid manifest before: class keys went through
+    # int(), the last of two equal keys won, seed through int() and fraction
+    # through float().
+    @pytest.mark.parametrize("old, new", [
+        ('"retained": {', '"retained": {"00": [0, 1, 2, 3, 4, 5], '),
+        ('"retained": {', '"retained": {"0": [0, 1, 2, 3, 4, 5], '),
+        ('"1": [', '"0_1": ['),
+        ('"1": [', '" 1": ['),
+        ('"method": ', '"method": "cluster-medoid", "method": '),
+        ('"seed": null', '"seed": 1.5'),
+        ('"seed": null', '"seed": "1"'),
+        ('"seed": null', '"seed": true'),
+        ('"fraction": 1.0', '"fraction": true'),
+        ('"fraction": 1.0', '"fraction": "1.0"'),
+    ], ids=["key-00", "repeated-class-key", "key-underscore", "key-space",
+            "repeated-top-key", "seed-float", "seed-string", "seed-bool",
+            "fraction-bool", "fraction-string"])
+    def test_rejects_non_canonical_manifest_forms(self, synth_dataset, tmp_path, capsys, old, new):
+        sel = tmp_path / "sel"
+        assert run(
+            capsys, "select", "--input", synth_dataset, "--fraction", "1", "--out", sel,
+        )[0] == 0
+        text = (sel / "manifest.json").read_text()
+        assert json.loads(text)["retained"]["0"] == [0, 1, 2, 3, 4, 5] and old in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, new, 1))
+        out = tmp_path / "s"
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset, "--manifest", bad, "--out", out,
+        )
+        assert code == 1
+        assert re.fullmatch(rf"validation_error: bad manifest file {re.escape(str(bad))}: [^\n]+\n", err)
+        assert not out.exists()
+
+    def test_rejects_fraction_out_of_range(self, synth_dataset, tmp_path, capsys):
+        sel = self.select_run(synth_dataset, tmp_path, capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text((sel / "manifest.json").read_text().replace('"fraction": 0.5', '"fraction": 1.5'))
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset, "--manifest", bad, "--out", tmp_path / "s",
+        )
+        assert code == 1
+        assert err == "validation_error: fraction out of range: 1.5\n"
+
 
 class TestDendrogramDump:
     def test_format_and_monotone_heights(self, synth_dataset, tmp_path, capsys):
@@ -691,6 +767,22 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "--input", bad)
         assert code == 1
         assert re.fullmatch(r"format_error: [^\n]+\n", err)
+
+    def test_rejects_sample_id_above_int64(self, tmp_path, capsys):
+        head = struct.pack("<4sIIQI", MAGIC, FORMAT_VERSION, FLAG_EXPLICIT_IDS, 2, 2)
+        body = b"".join(struct.pack("<QI2f", sid, 0, 1.0, 0.0) for sid in (7, 2**63))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(head + body)
+        code, _, err = run(capsys, "validate", "--input", bad)
+        assert code == 1
+        assert err == "validation_error: record 1: sample_id exceeds supported range\n"
+
+    def test_rejects_zero_dimension(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(struct.pack("<4sIIQI", MAGIC, FORMAT_VERSION, 0, 0, 0))
+        code, _, err = run(capsys, "validate", "--input", bad)
+        assert code == 1
+        assert err == f"format_error: {bad}: dimension must be positive, got 0\n"
 
 
 class TestEntryPoints:

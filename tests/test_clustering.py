@@ -15,6 +15,7 @@ from redunda import cluster, metric
 from redunda.cluster import (
     Dendrogram,
     MergeStep,
+    Partition,
     agglomerate_fast,
     cut_dendrogram,
     format_dendrogram,
@@ -79,6 +80,17 @@ class TestWorkedExamples:
     def test_no_points_rejected(self, engine):
         with pytest.raises(InvalidArgumentError):
             engine(np.zeros((0, 2)), 1)
+
+    def test_non_finite_row_rejected(self):
+        X = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]])
+        with pytest.raises(InvalidArgumentError, match="non-finite vector component"):
+            agglomerate_fast(X, 2)
+
+    def test_member_rows_of_an_empty_class(self):
+        part = Partition(0, (frozenset({3}),))
+        with pytest.raises(InvalidArgumentError, match="outside the class"):
+            part.member_rows(np.empty(0, dtype=np.int64))
+        assert part.member_rows(np.array([3]))[0].tolist() == [0]
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicates_merge_first_at_height_zero(self, engine):

@@ -99,6 +99,14 @@ class TestFromArrays:
         with pytest.raises(ValidationError):
             EmbeddingDataset.from_arrays([0], [1 << 32], vectors)
 
+    def test_shape_errors(self):
+        with pytest.raises(ValidationError, match="2-d array, got ndim=1"):
+            EmbeddingDataset.from_arrays([0, 1], [0, 0], [1.0, 0.0])
+        with pytest.raises(ValidationError, match="dimension must be at least 1"):
+            EmbeddingDataset.from_arrays([0, 1], [0, 0], np.empty((2, 0)))
+        with pytest.raises(ValidationError, match="length mismatch: 2 vectors, 1 ids, 2 classes"):
+            EmbeddingDataset.from_arrays([0], [0, 0], np.eye(2))
+
 
 class TestBinaryFormat:
     def test_round_trip_byte_identical(self, tmp_path):

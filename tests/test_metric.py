@@ -198,7 +198,7 @@ class TestPairwiseCondensed:
             assert X[i].tobytes() != X[i + 1].tobytes()
             assert cond[condensed_index(400, i, i + 1)] == 0.0
             assert cosine_dissimilarity(X[i], X[i + 1]) == 0.0
-            assert one_to_many(X[i], X, U, [i + 1])[0] == 0.0
+            assert one_to_many(X[i], U[[i + 1]], X, [i + 1])[0] == 0.0
         # The twins merge first, at height 0.0.
         dendro, part = agglomerate_fast(X[:80], 40)
         assert [s.height for s in dendro.steps] == [0.0] * 40
@@ -228,21 +228,21 @@ class TestPairwiseCondensed:
         M[7] = x
         M[7, 0] = -0.0  # equal to x under ==, so also exactly zero
         U = unit_rows(M)
-        d = one_to_many(x, M, U, np.arange(25))
+        d = one_to_many(x, U, M, np.arange(25))
         assert d[3] == 0.0 and d[7] == 0.0
         assert d[5] > 0.0
         for i in range(25):
             assert d[i] == pytest.approx(cosine_dissimilarity(x, M[i]), abs=1e-12)
         # Arbitrary row order: results follow ``rows`` and equal the kernel
-        # on the already gathered rows bit for bit.
+        # on the already gathered raw rows bit for bit.
         rows = np.array([7, 20, 3, 5, 0, 19, 11])
-        got = one_to_many(x, M, U, rows)
-        assert got.tolist() == one_to_many(x, M[rows], U[rows], np.arange(7)).tolist()
+        got = one_to_many(x, U[rows], M, rows)
+        assert got.tolist() == one_to_many(x, U[rows], M[rows], np.arange(7)).tolist()
         assert got[0] == 0.0 and got[2] == 0.0 and got[3] > 0.0
         for j, i in enumerate(rows):
             assert got[j] == pytest.approx(d[i], abs=1e-12)
         with pytest.raises(InvalidArgumentError):
-            one_to_many(x, M, unit_rows(M[1:]), np.arange(24))
+            one_to_many(x, unit_rows(M[:, 1:]), M, np.arange(25))
 
 
 class TestOutsideGathers:
@@ -322,8 +322,8 @@ class TestOutsideGathers:
         M = rs.normal(size=(10, 4))
         U = unit_rows(M)
         rows = np.array([1, 4, 7])
-        assert one_to_many(M[0], M, U, rows, gathered=U[rows]).tolist() == (
-            one_to_many(M[0], M, U, rows).tolist())
         for bad in (U[:2], U[rows][:, :3], np.asfortranarray(U[[1, 4, 7, 8]])[:3]):
-            with pytest.raises(InvalidArgumentError, match="gathered rows"):
-                one_to_many(M[0], M, U, rows, gathered=bad)
+            with pytest.raises(InvalidArgumentError, match="unit rows"):
+                one_to_many(M[0], bad, M, rows)
+        with pytest.raises(InvalidArgumentError, match="unit rows"):
+            one_to_many(M[0], U[rows], M[:, :3], rows)  # raw rows of another width
