@@ -42,8 +42,8 @@ def _one_line(exc: BaseException) -> str:
 
 
 # Artifacts a subset run may leave out, as glob patterns under --out.
-# manifest.* and run_metadata.json are not listed: select always writes them,
-# and stats must keep the manifest it reads.
+# run_metadata.json is not listed: every run writes it.  The manifest files
+# are added for a stats run unless --out holds the manifest it reads.
 _OPTIONAL_ARTIFACTS = (
     "histogram.csv", "histogram.json", "histogram.txt",
     "dissimilarity.json", "dissimilarity.txt",
@@ -157,7 +157,8 @@ def _finish(
 ) -> None:
     """Add run_metadata.json, write every artifact, remove what an earlier run
     left behind, and print the summary.  ``reads`` lists the files the run
-    read besides ``--input``; they are never removed."""
+    read besides ``--input``; they are never removed.  A run that writes no
+    manifest removes the one an earlier run left, unless it read that one."""
     sizes = ds.class_sizes()
     classes = {
         cid: {
@@ -180,7 +181,9 @@ def _finish(
     out = Path(args.out)
     _emit(out, artifacts, revalidate)
     keep = {p.resolve() for p in (Path(args.input), *reads)}
-    _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, keep)
+    own = (out / "manifest.json").resolve() in keep
+    stale = _OPTIONAL_ARTIFACTS + (() if own else ("manifest.json", "manifest.txt"))
+    _remove_stale(out, stale, {rel for rel, _ in artifacts}, keep)
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
@@ -329,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cluster_knobs(p):
         p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
                        help="bytes of the condensed pairwise matrix allowed per "
-                            "class, counted even when the threshold engine does "
-                            f"not build it (default {DEFAULT_MEMORY_CAP})")
+                            f"class that needs it (default {DEFAULT_MEMORY_CAP})")
         p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
                        help="emit cluster-size histogram")
         p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,

@@ -109,8 +109,8 @@ def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
     ids = np.arange(len(X)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
     if ids.shape != (len(X),) or len(np.unique(ids)) != len(ids):
         raise InvalidArgumentError("need one distinct sample_id per row")
-    if not np.isfinite(X).all():
-        raise InvalidArgumentError("non-finite vector component")
+    if fault := metric.first_without_direction(X):
+        raise InvalidArgumentError("row %d: %s" % fault)
     return ids, X
 
 
@@ -283,26 +283,23 @@ def agglomerate_fast(
     merge needs a cell above those it gives up; only then is the condensed
     distance matrix built, O(n^2), and the generic algorithm's dense loop
     takes the merges from it at O(n) per merge.  Both give the same merges
-    with the same height bits.  The memory cap counts the condensed matrix on
-    either path, since any class may need the dense loop.
+    with the same height bits.  The memory cap bounds the condensed matrix,
+    checked only when a give-up is about to build it.
     """
     ids, X = _check_class(X, sample_ids)
     n = len(ids)
     _check_k(n, k)
     if U is not None and np.shape(U) != X.shape:
         raise InvalidArgumentError(f"unit rows {np.shape(U)} do not match rows {X.shape}")
-    cap = DEFAULT_MEMORY_CAP if memory_cap_bytes is None else memory_cap_bytes
-    need = n * (n - 1) // 2 * 8
-    if need > cap:
-        raise MemoryCapError(
-            f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}"
-        )
     raw = []
     if k < n:
         U = metric.unit_rows(X) if U is None else U
         _, cells, heights = metric.smallest_pairs(X, U, _PAIRS_PER_POINT * n)
         raw = _threshold_merges(n, n - k, cells, heights)
         if raw is None:
+            cap = DEFAULT_MEMORY_CAP if memory_cap_bytes is None else memory_cap_bytes
+            if (need := n * (n - 1) // 2 * 8) > cap:
+                raise MemoryCapError(f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}")
             raw = _generic_merges(metric.pairwise_condensed(X, U), n, n - k)
     dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
     return dendro, cut_dendrogram(dendro, k)

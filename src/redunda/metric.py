@@ -27,6 +27,30 @@ def _clamp(value: float) -> float:
     return 0.0 if value < 0.0 else (2.0 if value > 2.0 else value)
 
 
+def first_without_direction(X: np.ndarray, norms: np.ndarray | None = None) -> tuple[int, str] | None:
+    """``(row, reason)`` for the first row of the 2-d ``X`` with no direction,
+    or None: a row has one when its components are finite and ``MIN_NORM <=
+    norm < inf``.  Each reason is tried over all rows before the next, only
+    once the rows' ``norms`` (computed when omitted) show a fault."""
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X)) if norms is None else norms
+    if not norms.size or (norms.min() >= MIN_NORM and norms.max() < math.inf):
+        return None
+    for bad, reason in ((~np.isfinite(X).all(axis=1), "non-finite vector component"),
+                        (norms < MIN_NORM, f"vector norm below {MIN_NORM:g}"),
+                        (norms == math.inf, "vector norm overflows")):
+        if bad.any():
+            return int(np.argmax(bad)), reason
+
+
+def _norm(a: np.ndarray, name: str) -> float:
+    """``|a|``, refused unless ``a`` has a direction.  ``np.vdot`` is the BLAS
+    dot ``np.dot`` runs, bit for bit, without its warning on overflow."""
+    na = math.sqrt(float(np.vdot(a, a)))
+    if not MIN_NORM <= na < math.inf:
+        raise InvalidArgumentError(f"{name}: {first_without_direction(a[None], np.array([na]))[1]}")
+    return na
+
+
 def cosine_dissimilarity(x1, x2) -> float:
     """``1 - <x1,x2> / (|x1| |x2|)``, clamped to ``[0, 2]``.
 
@@ -37,28 +61,20 @@ def cosine_dissimilarity(x1, x2) -> float:
     b = np.asarray(x2, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] < 1:
-        raise InvalidArgumentError("vectors must have at least one component")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na < MIN_NORM or nb < MIN_NORM:
-        raise InvalidArgumentError(
-            f"zero-norm vector (norm below {MIN_NORM:g}) has no direction"
-        )
+    na, nb = _norm(a, "x1"), _norm(b, "x2")
     if np.array_equal(a, b):
         return 0.0  # the quotient form can round identical vectors to +-1 ulp
     return _clamp(1.0 - float(np.dot(a, b)) / (na * nb))
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows of ``X`` scaled to unit norm; rejects rows with no direction."""
+    """Rows of ``X`` scaled to unit norm; refuses a row with no direction."""
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     if X.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-d array of row vectors, got ndim={X.ndim}")
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    bad = np.flatnonzero(norms < MIN_NORM)
-    if bad.size:
-        raise InvalidArgumentError(f"row {int(bad[0])} has norm below {MIN_NORM:g}")
+    if fault := first_without_direction(X, norms):
+        raise InvalidArgumentError("row %d: %s" % fault)
     return X / norms[:, None]
 
 
@@ -74,9 +90,7 @@ def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise InvalidArgumentError("expected a single vector")
-    na = math.sqrt(float(np.dot(a, a)))
-    if na < MIN_NORM:
-        raise InvalidArgumentError(f"zero-norm vector (norm below {MIN_NORM:g}) has no direction")
+    na = _norm(a, "x")
     rows = np.asarray(rows, dtype=np.intp)
     if V.shape != (len(rows), len(a)) or not V.flags.c_contiguous or np.shape(X)[1:] != a.shape:
         raise InvalidArgumentError(f"unit rows {V.shape} or rows {np.shape(X)} do not fit {a.shape}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, UnknownClassError, ValidationError
-from .metric import MIN_NORM
+from .metric import first_without_direction
 
 MAGIC = b"REDE"
 FORMAT_VERSION = 1
@@ -28,6 +27,7 @@ _MAX_CLASS_ID = 0xFFFFFFFF
 # sample_ids are u64 on disk but kept as int64 internally; the top half of
 # the u64 range is rejected rather than silently wrapped.
 _MAX_SAMPLE_ID = (1 << 63) - 1
+_READ_STEP = 1 << 26  # bytes of a binary body read into memory per step
 
 
 @dataclass
@@ -47,8 +47,8 @@ class EmbeddingDataset:
                     ) -> "EmbeddingDataset":
         """Validate raw arrays and assemble a dataset.
 
-        Raises ValidationError on the first offending record: non-finite
-        component, zero-norm vector, duplicate or out-of-range ids.
+        Raises ValidationError on the first offending record: a vector with
+        no direction (``metric.first_without_direction``), bad or repeated ids.
         """
         vec = np.asarray(vectors, dtype=np.float64)
         if vec.ndim != 2:
@@ -63,22 +63,8 @@ class EmbeddingDataset:
                 f"length mismatch: {n} vectors, {len(sids)} ids, {len(cids)} classes"
             )
 
-        finite = np.isfinite(vec).all(axis=1) if n else np.ones(0, dtype=bool)
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            raise ValidationError(f"record {int(bad[0])}: non-finite vector component")
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.einsum("ij,ij->i", vec, vec)) if n else np.ones(0)
-        bad = np.flatnonzero(norms < MIN_NORM)
-        if bad.size:
-            raise ValidationError(
-                f"record {int(bad[0])}: vector norm below {MIN_NORM:g}"
-            )
-        # Finite components whose squares overflow: no dot product of the row
-        # would be finite.
-        bad = np.flatnonzero(np.isinf(norms))
-        if bad.size:
-            raise ValidationError(f"record {int(bad[0])}: vector norm overflows")
+        if fault := first_without_direction(vec):
+            raise ValidationError("record %d: %s" % fault)
         bad = np.flatnonzero(sids < 0)
         if bad.size:
             raise ValidationError(f"record {int(bad[0])}: negative sample_id")
@@ -185,19 +171,22 @@ def _load_binary(path: Path) -> EmbeddingDataset:
             record = _record_dtype(dim, explicit)
         except ValueError:
             raise FormatError(f"{path}: dimension {dim} is too large for a record") from None
-        # One read of at most what the file holds: a corrupt header's count
-        # allocates nothing, and the digest covers exactly the bytes parsed.
+        # Up to size + 1 bytes, whatever the file is (a pipe reports no size),
+        # into one buffer grown _READ_STEP bytes at a time: a corrupt count
+        # costs one step, and the digest covers exactly the bytes parsed.
         size = count * record.itemsize
-        body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
-        if size < body_bytes:
-            raise FormatError(f"{path}: trailing bytes after {count} records")
-        raw = f.read(min(size, body_bytes))
-    if len(raw) < size:
-        raise FormatError(
-            f"{path}: expected {count} records, file holds {len(raw) // record.itemsize}"
-        )
+        raw = np.empty(min(size + 1, _READ_STEP), dtype=np.uint8)
+        got = 0
+        while got < len(raw) and (n := f.readinto(raw[got:])):
+            got += n
+            if got == len(raw) <= size:
+                raw.resize(min(size + 1, got + _READ_STEP), refcheck=False)
+    if got > size:
+        raise FormatError(f"{path}: trailing bytes after {count} records")
+    if got < size:
+        raise FormatError(f"{path}: expected {count} records, file holds {got // record.itemsize}")
     digest = hashlib.sha256(head)
-    digest.update(raw)
+    digest.update(raw[:size])
     body = np.frombuffer(raw, dtype=record, count=count)
     if explicit:
         raw_ids = body["sid"]

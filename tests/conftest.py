@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,18 @@ def tiny_dataset() -> EmbeddingDataset:
     """3 records, 2 classes, dim 2 — the smallest interesting dataset."""
     vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     return EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 1], vectors)
+
+
+# Rows with no direction, and the reason ``metric.first_without_direction``
+# gives for each: a NaN, a +inf and a -inf component, finite components whose
+# norm overflows, and the zero row.
+NO_DIRECTION = [
+    ([np.nan, 1.0], "non-finite vector component"),
+    ([np.inf, 1.0], "non-finite vector component"),
+    ([1.0, -np.inf], "non-finite vector component"),
+    ([1e200, 1e200], "vector norm overflows"),
+    ([0.0, 0.0], "vector norm below 1e-30"),
+]
 
 
 def random_unit_rows(rs: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -43,3 +59,23 @@ def stacked_dataset(class_arrays: dict, start_id: int = 0) -> EmbeddingDataset:
         np.array(cids, dtype=np.int64),
         np.array(rows, dtype=np.float64),
     )
+
+
+@contextlib.contextmanager
+def pipe_serving(tmp_path, raw: bytes):
+    """Path of a named pipe that a thread fills with ``raw`` and closes once a
+    reader opens it."""
+    fifo = tmp_path / "pipe.bin"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as w:  # blocks until the reader opens the pipe
+            w.write(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive(), "the reader never opened the pipe"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import redunda
-from conftest import stacked_dataset
+from conftest import pipe_serving, stacked_dataset
 from redunda import selection
 from redunda.cli import build_parser, main
 from redunda.selection import read_manifest_json
@@ -333,14 +333,30 @@ class TestSeedRange:
 
 
 class TestMemoryCap:
-    def test_flag_trips_cap(self, synth_dataset, tmp_path, capsys):
+    def test_flag_trips_cap(self, tmp_path, capsys):
+        # 60 random rows kept at 10% need the dense loop, which builds the
+        # 60 * 59 / 2 * 8 = 14160-byte condensed matrix.
+        src = tmp_path / "wide.bin"
+        rows = np.random.default_rng(2).normal(size=(60, 8))
+        src.write_bytes(canonical_bytes(stacked_dataset({0: rows})))
         code, _, err = run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
+            capsys, "select", "--input", src, "--fraction", "0.1",
             "--memory-cap", "50", "--out", tmp_path / "r",
         )
         assert code == 1
         assert err.startswith("memory_cap_exceeded: ")
         assert not (tmp_path / "r" / "manifest.json").exists()
+
+    def test_cap_spares_classes_that_never_build_the_matrix(self, synth_dataset, tmp_path, capsys):
+        # Both 6-point classes keep all 15 cells (15 <= 8 * 6), so the
+        # threshold engine finishes them and a 50-byte cap does not bind.
+        args = ["select", "--input", synth_dataset, "--fraction", "0.5"]
+        code, _, err = run(capsys, *args, "--memory-cap", "50", "--out", tmp_path / "capped")
+        assert code == 0, err
+        assert run(capsys, *args, "--out", tmp_path / "free")[0] == 0
+        capped, free = tree(tmp_path / "capped"), tree(tmp_path / "free")
+        del capped["run_metadata.json"], free["run_metadata.json"]
+        assert capped == free
 
     def test_negative_flag_is_config_error(self, synth_dataset, tmp_path, capsys):
         code, _, err = run(
@@ -450,6 +466,24 @@ class TestOneRunPerOut:
         assert after["manifest.json"] == before["manifest.json"]
         assert after["manifest.txt"] == before["manifest.txt"]
         assert "pairs.json" not in after and "histogram.csv" in after
+
+    def test_stats_leaves_no_manifest_of_another_run(self, synth_dataset, tmp_path, capsys):
+        out, other = tmp_path / "D", tmp_path / "A"
+        for fraction, where in (("0.5", out), ("1.0", other)):
+            assert run(
+                capsys, "select", "--input", synth_dataset, "--fraction", fraction,
+                "--out", where,
+            )[0] == 0
+        code, _, err = run(
+            capsys, "stats", "--input", synth_dataset, "--manifest",
+            other / "manifest.json", "--out", out,
+        )
+        assert code == 0, err
+        after = tree(out)
+        assert sorted(after) == sorted(set(SELECT_REPORTS) - {"manifest.json", "manifest.txt"})
+        assert json.loads(after["run_metadata.json"])["fraction"] == 1.0
+        assert after["histogram.csv"] == tree(other)["histogram.csv"]
+        assert sorted(tree(other)) == sorted(SELECT_REPORTS)
 
     @pytest.mark.parametrize("method_args", [[], ["--method", "uniform-random", "--seed", "1"]],
                              ids=["cluster-medoid", "uniform-random"])
@@ -751,6 +785,15 @@ class TestValidateCommand:
         )
         assert "class 0: n=6" in stdout
         assert "class 1: n=6" in stdout
+
+    def test_reads_a_pipe(self, synth_dataset, tmp_path, capsys):
+        # as in ``redunda validate --input <(cat dataset.bin)``
+        code, on_disk, _ = run(capsys, "validate", "--input", synth_dataset)
+        assert code == 0
+        with pipe_serving(tmp_path, synth_dataset.read_bytes()) as fifo:
+            code, piped, err = run(capsys, "validate", "--input", fifo)
+        assert (code, err) == (0, "")
+        assert piped == on_disk
 
     def test_rejects_corrupt_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

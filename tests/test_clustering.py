@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import agglomerate_naive
-from conftest import random_unit_rows, with_duplicates
+from conftest import NO_DIRECTION, random_unit_rows, with_duplicates
 from redunda import cluster, metric
 from redunda.cluster import (
     Dendrogram,
@@ -85,6 +85,14 @@ class TestWorkedExamples:
         X = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]])
         with pytest.raises(InvalidArgumentError, match="non-finite vector component"):
             agglomerate_fast(X, 2)
+        # Every row without a direction, whichever k, with the caller's U or
+        # without: the rule reads X, not U.
+        U = metric.unit_rows(THREE)
+        for row, reason in NO_DIRECTION:
+            X = np.array([[1.0, 0.0], row, [0.0, 1.0]])
+            for k, given in [(2, None), (3, None), (2, U), (3, U)]:
+                with pytest.raises(InvalidArgumentError, match=f"^row 1: {reason}$"):
+                    agglomerate_fast(X, k, U=given)
 
     def test_member_rows_of_an_empty_class(self):
         part = Partition(0, (frozenset({3}),))
@@ -573,6 +581,15 @@ class TestMemoryCap:
                 5,
                 memory_cap_bytes=need - 1,
             )
+
+    def test_cap_binds_only_a_class_that_builds_the_matrix(self):
+        # At 90% kept the threshold engine finishes the class and never builds
+        # the condensed matrix, so a cap far below its size does not bind.
+        rs = np.random.default_rng(4)
+        X = with_duplicates(rs, random_unit_rows(rs, 300, 8), 10)
+        with mock.patch.object(metric, "pairwise_condensed", side_effect=AssertionError):
+            for k in (270, 300):
+                assert agglomerate_fast(X, k, memory_cap_bytes=0) == agglomerate_fast(X, k)
 
     def test_cap_boundary_allows_exact_fit(self):
         n = 50

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from redunda import store
+from conftest import NO_DIRECTION, pipe_serving
 from redunda.errors import (
     FormatError,
     InvalidArgumentError,
@@ -39,6 +39,11 @@ def pack_binary(n, dim, records, flags=0, version=FORMAT_VERSION, magic=MAGIC) -
         body += struct.pack("<I", rec[1])
         body += struct.pack(f"<{dim}f", *rec[2])
     return head + body
+
+
+def load_through_pipe(tmp_path, raw: bytes) -> EmbeddingDataset:
+    with pipe_serving(tmp_path, raw) as fifo:
+        return load_dataset(fifo)
 
 
 class TestFromArrays:
@@ -78,6 +83,16 @@ class TestFromArrays:
         vectors = np.array([[1.0, 0.0], [1e200, 1.0]])
         with pytest.raises(ValidationError, match="record 1: vector norm overflows"):
             EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
+        for row, reason in NO_DIRECTION:
+            vectors = np.array([[1.0, 0.0], [0.0, 1.0], row])
+            with pytest.raises(ValidationError, match=f"^record 2: {reason}$"):
+                EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 0], vectors)
+        # Each reason is tried over all records before the next.
+        vectors = np.array([[1e200, 1e200], [0.0, 0.0], [1.0, np.inf]])
+        with pytest.raises(ValidationError, match="^record 2: non-finite vector component$"):
+            EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 0], vectors)
+        with pytest.raises(ValidationError, match="^record 1: vector norm below 1e-30$"):
+            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors[:2])
 
     def test_zero_vector_rejected(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -201,6 +216,8 @@ class TestBinaryFormat:
         # The header claims 3 records and the file holds 2, but fstat reports
         # room for 3, as when the file shrinks after fstat: the read comes up
         # one record short, and the explicit ids must not load as 2 records.
+        # The loader reads to the end and never asks fstat, so the stat size
+        # it would have trusted cannot matter.
         path = tmp_path / "x.bin"
         path.write_bytes(pack_binary(
             3, 2, [(10, 0, (1.0, 0.0)), (11, 0, (0.0, 1.0))], flags=FLAG_EXPLICIT_IDS
@@ -212,9 +229,30 @@ class TestBinaryFormat:
             st[6] += 8 + 4 + 2 * 4  # st_size, plus one explicit-id record
             return os.stat_result(st)
 
-        monkeypatch.setattr(store.os, "fstat", over_reported)
+        monkeypatch.setattr(os, "fstat", over_reported)
         with pytest.raises(FormatError, match="expected 3 records, file holds 2"):
             load_dataset(path)
+
+    def test_good_file_loads_through_a_pipe(self, tmp_path):
+        raw = pack_binary(3, 2, [(10, 0, (1.0, 0.0)), (11, 0, (0.0, 1.0)), (12, 1, (1.0, 1.0))],
+                          flags=FLAG_EXPLICIT_IDS)
+        path = tmp_path / "x.bin"
+        path.write_bytes(raw)
+        on_disk, piped = load_dataset(path), load_through_pipe(tmp_path, raw)
+        assert piped.digest() == on_disk.digest() == hashlib.sha256(raw).hexdigest()
+        assert piped.sample_ids.tolist() == [10, 11, 12]
+        assert np.array_equal(piped.vectors, on_disk.vectors)
+
+    @pytest.mark.parametrize("raw, message", [
+        (pack_binary(1, 2, [(0, 0, (1.0, 0.0))]) + b"\x00", "trailing bytes after 1 records"),
+        (pack_binary(2, 2, [(0, 0, (1.0, 0.0))]), "expected 2 records, file holds 1"),
+        (pack_binary(1, 2, [(0, 0, (1.0, 0.0))])[:12] + struct.pack("<QI", 2**62, 2)
+         + pack_binary(1, 2, [(0, 0, (1.0, 0.0))])[24:],
+         f"expected {2**62} records, file holds 1"),
+    ], ids=["trailing-bytes", "short", "count-2**62"])
+    def test_bad_file_through_a_pipe_is_a_format_error(self, tmp_path, raw, message):
+        with pytest.raises(FormatError, match=message):
+            load_through_pipe(tmp_path, raw)
 
     def test_trailing_bytes(self, tmp_path):
         raw = pack_binary(1, 2, [(0, 0, (1.0, 0.0))]) + b"\x00"

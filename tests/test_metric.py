@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import cluster_dissimilarity, condensed_index, pairwise_full_block
-from conftest import random_unit_rows, with_duplicates
+from conftest import NO_DIRECTION, random_unit_rows, with_duplicates
 from redunda import metric
 from redunda.cluster import agglomerate_fast
 from redunda.errors import InvalidArgumentError
 from redunda.metric import (
     condensed_offsets,
     cosine_dissimilarity,
+    first_without_direction,
     one_to_many,
     pairwise_condensed,
     unit_rows,
@@ -52,6 +53,16 @@ class TestCosineDissimilarity:
             cosine_dissimilarity([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(InvalidArgumentError):
             cosine_dissimilarity([1.0, 0.0], [1e-200, 0.0])
+        # Every vector without a direction, either side: never NaN.
+        for row, reason in NO_DIRECTION:
+            with pytest.raises(InvalidArgumentError, match=f"^x1: {reason}$"):
+                cosine_dissimilarity(row, [1.0, 0.0])
+            with pytest.raises(InvalidArgumentError, match=f"^x2: {reason}$"):
+                cosine_dissimilarity([1.0, 0.0], row)
+            with pytest.raises(InvalidArgumentError, match=f"^x1: {reason}$"):
+                cosine_dissimilarity(row, row)
+        with pytest.raises(InvalidArgumentError, match="^x1: vector norm below"):
+            cosine_dissimilarity([], [])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -156,6 +167,34 @@ class TestPairwiseCondensed:
         X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidArgumentError, match="row 1"):
             pairwise_condensed(X)
+        for row, reason in NO_DIRECTION:
+            X = np.array([[1.0, 0.0], [0.0, 1.0], row, [1.0, 1.0]])
+            with pytest.raises(InvalidArgumentError, match=f"^row 2: {reason}$"):
+                pairwise_condensed(X)
+
+    def test_unit_rows_refuses_rows_without_direction(self):
+        for row, reason in NO_DIRECTION:
+            X = np.array([[1.0, 0.0], row, [0.0, 1.0]])
+            with pytest.raises(InvalidArgumentError, match=f"^row 1: {reason}$"):
+                unit_rows(X)
+
+    def test_one_to_many_refuses_x_without_direction(self):
+        M = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for row, reason in NO_DIRECTION:
+            with pytest.raises(InvalidArgumentError, match=f"^x: {reason}$"):
+                one_to_many(np.array(row), unit_rows(M), M, [0, 1])
+
+    def test_first_without_direction_tries_one_reason_at_a_time(self):
+        over, zero, nan = [1e200, 1e200], [0.0, 0.0], [np.nan, 1.0]
+        assert first_without_direction(np.array([[1.0, 0.0], [0.0, 1.0]])) is None
+        assert first_without_direction(np.empty((0, 3))) is None
+        # The reasons in the loader's order, each over all rows before the next.
+        X = np.array([over, zero, [1.0, 0.0], nan])
+        assert first_without_direction(X) == (3, "non-finite vector component")
+        assert first_without_direction(X[:3]) == (1, "vector norm below 1e-30")
+        assert first_without_direction(X[:1]) == (0, "vector norm overflows")
+        # The caller's norms decide which rows are flagged; X names the reason.
+        assert first_without_direction(X[2:3], np.array([0.0])) == (0, "vector norm below 1e-30")
 
     def test_duplicate_rows_give_exact_zero(self):
         X = np.array([[0.3, -0.7, 1.1]] * 4)
