@@ -284,7 +284,8 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
         # The ufuncs pairwise_condensed applies, on the same gram values.
         rows = np.searchsorted(offs, cells, side="right") - 1
         v = np.clip(np.subtract(1.0, G[rows - lo, cells - base[rows]]), 0.0, 2.0)
-        v[np.isin(cells, dups)] = 0.0
+        if dups.size:
+            v[np.isin(cells, dups)] = 0.0
         return v
 
     for lo, hi, G in _gram_blocks(U):
@@ -305,7 +306,9 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
         r, j = np.divmod(np.flatnonzero(G[:, lo:] >= thr), width)
         upper = j > r
         cells = base[lo + r[upper]] + lo + j[upper]
-        cells = np.union1d(cells, dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)])
+        twins = dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)]
+        if twins.size:
+            cells = np.union1d(cells, twins)
         v = values(G, lo, cells)
         keep = v <= bound
         held.append((cells[keep], v[keep]))
@@ -316,7 +319,10 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
             bound = float(np.nextafter(np.partition(v, room)[room], -np.inf))
             keep = v <= bound
             held, count = [(cells[keep], v[keep])], int(np.count_nonzero(keep))
+    # The held cells ascend: each block's come from flatnonzero in row-major
+    # order, blocks are read in ascending order and the bound's filter keeps
+    # that order.  A stable sort by value then gives (value, index) order.
     cells = np.concatenate([c for c, _ in held])
     v = np.concatenate([x for _, x in held])
-    order = np.lexsort((cells, v))
+    order = np.argsort(v, kind="stable")
     return bound, cells[order], v[order]

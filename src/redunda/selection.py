@@ -56,8 +56,17 @@ class ClassResult:
     pairs: tuple[analysis.NearestExcludedPair, ...] | None
 
 
-def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
-    """Medoid under cosine dissimilarity to the arithmetic-mean centroid.
+# Elements per gathered array in ``select_representative``'s pass: a size
+# group is read in chunks of this many, or one cluster when s * d is larger,
+# so its gathers stay small enough to be reused by the heap.  Without chunks
+# the freed gathers sat under the later ``nearest_excluded`` buffer and raised
+# the peak RSS of a 1300 x 2048 class at fraction 0.9 from 105 to 111 MB.
+_CHUNK_ELEMS = 1 << 16
+
+
+def _medoid(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
+    """Medoid of one cluster under cosine dissimilarity to the arithmetic-mean
+    centroid: the exact path that defines ``select_representative``.
 
     ``ids`` are the cluster's sample ids, ascending; ``X`` and ``U`` hold
     their rows and unit rows in the same order, and the distances come from
@@ -80,10 +89,80 @@ def select_representative(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
     return int(ids[metric.first_min(d, ids)])
 
 
+def select_representative(
+    ids: np.ndarray, X: np.ndarray, U: np.ndarray, member_rows
+) -> tuple[int, ...]:
+    """Medoid of every cluster of one class, aligned with ``member_rows``.
+
+    ``ids``, ``X`` and ``U`` are the class's sample ids, rows and unit rows;
+    ``member_rows[i]`` holds the positions of cluster i's members, ascending
+    by sample id.  The medoid is the member of least cosine dissimilarity to
+    the cluster's arithmetic-mean centroid, ties to the smallest sample_id:
+    exactly the ids the per-cluster ``_medoid`` picks.
+
+    A singleton is its own medoid.  Clusters of one size s >= 2 are read
+    together: one stacked mean gives every centroid, with the bits of the
+    per-cluster ``X[rows].mean(axis=0)`` (each is the same sequence of row
+    additions and one division), and one einsum the value ``b = 1 - <u, c/|c|>``
+    of every member.  A cluster is certified when its two smallest ``b``
+    differ by more than ``2 * eps``; its argmin is then the exact path's
+    medoid.  Every other cluster runs ``_medoid`` in partition order; as no
+    certified cluster can make ``_medoid`` raise, the first error
+    (``DegenerateClusterError``, an empty cluster) names the first cluster
+    in partition order that ``_medoid`` refuses.
+
+    Why ``eps = 4 (d + 4) u`` (u = 2**-53) bounds ``|b - e|``, where ``e``
+    is the exact path's ``1 - g`` before its clip and twin rule.  Both take
+    the same centroid bits c and unit rows; let t be the value in exact
+    arithmetic.  A length-d sum of products is within ``d u`` (to first
+    order) of its exact value in any summation order.  So each squared norm
+    is within ``d u`` relatively, the norm within ``(d/2 + 1) u`` and each
+    component of ``c / |c|`` within ``(d/2 + 2) u``, which moves ``g`` by at
+    most that much (Cauchy-Schwarz, unit rows).  The product adds ``d u``
+    and ``1 - g`` one rounding: each evaluation is within ``(1.5 d + 4) u``
+    of t, and the two within ``(3 d + 8) u < eps`` of each other.  With the
+    gap above ``2 eps``, e at the certified member is below every other e.
+    The clip and the twin rule (a raw row equal to c reads 0) move only
+    values within ``eps`` of 0 or 2; two such values lie within ``2 eps`` of
+    each other in ``b``, so a cluster where they could tie is not certified.
+    A certified centroid also has ``2 MIN_NORM <= |c| <= 2**511``: the exact
+    norm then is at least ``MIN_NORM`` and its square finite, so ``_medoid``
+    would raise on none of them.
+    """
+    sizes = np.array([len(r) for r in member_rows], dtype=np.intp)
+    flat = np.concatenate(member_rows) if len(sizes) else sizes
+    starts = np.cumsum(sizes) - sizes
+    best = np.full(len(sizes), -1, dtype=np.intp)  # row of each medoid found here
+    best[sizes == 1] = flat[starts[sizes == 1]]
+    d = X.shape[1]
+    eps = 4.0 * (d + 4) * 2.0**-53
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        group = np.flatnonzero(sizes == s)
+        per = max(1, _CHUNK_ELEMS // (s * d))
+        for lo in range(0, len(group), per):
+            at = group[lo : lo + per]
+            R = flat[starts[at][:, None] + np.arange(s)]
+            with np.errstate(all="ignore"):  # refused below, and again by ``_medoid``
+                C = X[R].mean(axis=1)
+                norm = np.sqrt(np.einsum("ij,ij->i", C, C))
+                b = 1.0 - np.einsum("csd,cd->cs", U[R], C / norm[:, None])
+            two = np.partition(b, 1, axis=1)
+            ok = (two[:, 1] - two[:, 0] > 2.0 * eps) & (norm >= 2.0 * metric.MIN_NORM)
+            ok &= norm <= 2.0**511
+            best[at[ok]] = R[ok, np.argmin(b[ok], axis=1)]
+    return tuple(
+        int(ids[best[i]]) if best[i] >= 0 else _medoid(ids[rows], X[rows], U[rows])
+        for i, rows in enumerate(member_rows)
+    )
+
+
 def _cluster_class(
     ds: EmbeddingDataset, class_id: int, fraction: float, memory_cap_bytes: int | None,
     dissimilarity: bool, nearest_excluded: bool,
 ) -> ClassResult:
+    """Read, normalize and cluster one class once, then take every medoid in
+    one ``select_representative`` pass and build the report entries asked for
+    from the same rows and unit rows."""
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
     U = metric.unit_rows(X)
@@ -91,7 +170,7 @@ def _cluster_class(
         X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U
     )
     member_rows = part.member_rows(ids)
-    reps = tuple(select_representative(ids[rows], X[rows], U[rows]) for rows in member_rows)
+    reps = select_representative(ids, X, U, member_rows)
     entry = pairs = None
     if dissimilarity:
         entry = analysis.avg_dissimilarity(part, reps, ids, X, U, member_rows)

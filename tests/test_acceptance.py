@@ -141,9 +141,8 @@ def test_criterion_3_planted_recovery(capsys):
             if set(part.clusters) != set(groups):
                 exact = False
             planted = Partition(cid, tuple(groups))
-            for group, rows in zip(groups, planted.member_rows(ids)):
-                if select_representative(ids[rows], X[rows], unit_rows(X[rows])) not in group:
-                    rep_outside += 1
+            reps = select_representative(ids, X, unit_rows(X), planted.member_rows(ids))
+            rep_outside += sum(rep not in group for group, rep in zip(groups, reps))
         recovered += exact
     ok = recovered == 100 and rep_outside == 0
     _report(
@@ -197,9 +196,7 @@ def test_criterion_5_statistic_definitions(capsys):
     part = Partition(0, tuple(frozenset(c) for c in clusters))
     ids, X = ds.class_arrays(0)
     U = unit_rows(X)
-    reps = tuple(
-        select_representative(ids[rows], X[rows], U[rows]) for rows in part.member_rows(ids)
-    )
+    reps = select_representative(ids, X, U, part.member_rows(ids))
     entry = avg_dissimilarity(part, reps, ids, X, U)
     oracle_mean, oracle_per = _oracles.class_avg_dissim(
         clusters, reps, lambda s: vecs[s]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from redunda.errors import (
     InvalidArgumentError,
     ValidationError,
 )
+from redunda import selection
 from redunda.metric import unit_rows
 from redunda.selection import (
     METHOD_CLUSTER,
@@ -35,10 +37,12 @@ def class_sids(ds, cid):
 
 
 def medoid(pts):
-    """``select_representative`` on ``(sample_id, vector)`` pairs."""
+    """``select_representative`` on ``(sample_id, vector)`` pairs, as one cluster."""
     pts = sorted(pts, key=lambda p: p[0])
     X = np.array([v for _, v in pts], dtype=np.float64)
-    return select_representative(np.array([s for s, _ in pts]), X, unit_rows(X))
+    ids = np.array([s for s, _ in pts])
+    (rep,) = select_representative(ids, X, unit_rows(X), [np.arange(len(ids))])
+    return rep
 
 
 class TestPerClassK:
@@ -97,7 +101,8 @@ class TestSelectRepresentative:
 
     def test_empty_cluster(self):
         with pytest.raises(InvalidArgumentError):
-            select_representative(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 2)))
+            select_representative(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 2)),
+                                  [np.zeros(0, dtype=np.intp)])
 
     def test_matches_pure_python_oracle(self):
         rs = np.random.default_rng(5)
@@ -107,6 +112,91 @@ class TestSelectRepresentative:
             ids = [int(i) for i in rs.permutation(100)[:n]]
             pts = list(zip(ids, X))
             assert medoid(pts) == _oracles.medoid(pts)
+
+
+def per_cluster(ids, X, U, member_rows):
+    """The exact per-cluster path, one cluster at a time in partition order."""
+    return tuple(selection._medoid(ids[r], X[r], U[r]) for r in member_rows)
+
+
+def clusters_of(ids, sizes, rs):
+    """``member_rows`` for consecutive runs of ``sizes`` rows in a shuffled
+    order, each ascending by sample id."""
+    order = rs.permutation(len(ids))
+    runs = np.split(order, np.cumsum(sizes)[:-1])
+    return [r[np.argsort(ids[r])] for r in runs]
+
+
+class TestCertifiedPass:
+    """The class-wide pass against the exact per-cluster path it certifies."""
+
+    @pytest.mark.parametrize("dim", [3, 16, 64, 257, 2048])
+    def test_equal_norm_near_ties(self, dim):
+        # {x, x[perm]} are equidistant from their centroid in exact
+        # arithmetic, so rounding alone decides the medoid; a batch argmin
+        # taken without the margin disagrees with the exact path here.
+        rs = np.random.default_rng(dim)
+        x = rs.normal(size=(400, dim))
+        X = np.empty((800, dim))
+        X[0::2] = x
+        X[1::2] = x[:, rs.permutation(dim)]
+        ids = rs.permutation(8000)[:800]
+        rows = [r[np.argsort(ids[r])] for r in np.arange(800).reshape(400, 2)]
+        U = unit_rows(X)
+        assert select_representative(ids, X, U, rows) == per_cluster(ids, X, U, rows)
+
+    def test_twins_and_a_member_at_the_centroid(self):
+        # Cluster 0: exact duplicates, the larger id first in row order.
+        # Cluster 1: its centroid (2, 2, 3) equals its middle member, which
+        # has a twin of larger id.  Cluster 2: its centroid (1, 1, 1) is a
+        # member with no twin.
+        X = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0],
+                      [1, 2, 3], [2, 2, 3], [3, 2, 3], [2, 2, 3],
+                      [1, 0, 1], [1, 2, 1], [1, 1, 1]], dtype=np.float64)
+        ids = np.array([9, 4, 10, 11, 12, 13, 20, 21, 22])
+        rows = [np.array([1, 0]), np.array([2, 3, 4, 5]), np.array([6, 7, 8])]
+        U = unit_rows(X)
+        got = select_representative(ids, X, U, rows)
+        assert got == per_cluster(ids, X, U, rows) == (4, 11, 22)
+
+    def test_first_error_in_partition_order(self):
+        # Both clusters have a zero centroid; grouped by size, the pair
+        # (cluster 1) would be visited before the triple (cluster 0).
+        X = np.array([[1, 0], [0, 1], [-1, -1], [2, 1], [-2, -1], [1, 1]], dtype=np.float64)
+        ids = np.arange(6)
+        rows = [np.array([5]), np.array([0, 1, 2]), np.array([3, 4])]
+        with pytest.raises(DegenerateClusterError, match=r"cluster \{0, 1, 2\}"):
+            select_representative(ids, X, unit_rows(X), rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7 * 5, 13 * 5, 1 << 16])
+    def test_chunk_boundaries_mixed_sizes(self, monkeypatch, chunk):
+        # Grid rows repeat, so ties, twins and members at their centroid all
+        # occur; chunks from one cluster to a whole size group.
+        rs = np.random.default_rng(chunk)
+        sizes = rs.integers(1, 17, size=120)
+        X = rs.choice([-1.0, 0.5, 1.0, 2.0], size=(int(sizes.sum()), 5))
+        ids = rs.permutation(10 * len(X))[: len(X)]
+        rows = clusters_of(ids, sizes, rs)
+        U = unit_rows(X)
+        monkeypatch.setattr(selection, "_CHUNK_ELEMS", chunk)
+        assert select_representative(ids, X, U, rows) == per_cluster(ids, X, U, rows)
+
+    def test_gathers_stay_chunk_sized(self):
+        # A 1300 x 2048 class (21 MB of rows) with 130 pairs: the pass holds
+        # a chunk of gathered rows at a time, not every pair's.
+        rs = np.random.default_rng(0)
+        X = rs.normal(size=(1300, 2048))
+        ids = np.arange(1300)
+        rows = clusters_of(ids, [2] * 130 + [1] * 1040, rs)
+        U = unit_rows(X)
+        tracemalloc.start()
+        try:
+            got = select_representative(ids, X, U, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == per_cluster(ids, X, U, rows)
+        assert peak < 4 * 8 * selection._CHUNK_ELEMS < X.nbytes // 10
 
 
 class TestBuildClusterSubset:
