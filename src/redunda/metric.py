@@ -21,18 +21,40 @@ MIN_NORM = 1e-30
 # gram block to roughly block * n doubles.
 _BLOCK_ELEMS = 1 << 22
 _SAMPLE_CELLS = 1 << 16  # size of the strided sample that sets the start bound
+_NORM_ELEMS = 1 << 16  # elements per chunk that ``_row_norms`` widens
 
 
 def _clamp(value: float) -> float:
     return 0.0 if value < 0.0 else (2.0 if value > 2.0 else value)
 
 
+def as_rows(X) -> np.ndarray:
+    """``X`` as an array of float32 or float64: float32 is kept as given, in
+    the precision a binary file holds, and anything else becomes float64.
+    Widening float32 to float64 is exact, so a reader widens only the rows it
+    uses, before any arithmetic on them."""
+    X = np.asarray(X)
+    return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Float64 norms of the rows of the 2-d ``X``, widened ``_NORM_ELEMS``
+    elements at a time, so a float32 ``X`` is never copied whole (and a row
+    whose float32 norm would overflow gets its finite float64 norm)."""
+    out = np.empty(len(X))
+    step = max(1, _NORM_ELEMS // max(1, X.shape[1]))
+    for lo in range(0, len(X), step):
+        W = X[lo : lo + step].astype(np.float64, copy=False)
+        np.sqrt(np.einsum("ij,ij->i", W, W), out=out[lo : lo + step])
+    return out
+
+
 def first_without_direction(X: np.ndarray, norms: np.ndarray | None = None) -> tuple[int, str] | None:
     """``(row, reason)`` for the first row of the 2-d ``X`` with no direction,
     or None: a row has one when its components are finite and ``MIN_NORM <=
     norm < inf``.  Each reason is tried over all rows before the next, only
-    once the rows' ``norms`` (computed when omitted) show a fault."""
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X)) if norms is None else norms
+    once the rows' ``norms`` (``_row_norms(X)`` when omitted) show a fault."""
+    norms = _row_norms(X) if norms is None else norms
     if not norms.size or (norms.min() >= MIN_NORM and norms.max() < math.inf):
         return None
     for bad, reason in ((~np.isfinite(X).all(axis=1), "non-finite vector component"),
@@ -67,15 +89,20 @@ def cosine_dissimilarity(x1, x2) -> float:
     return _clamp(1.0 - float(np.dot(a, b)) / (na * nb))
 
 
-def unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows of ``X`` scaled to unit norm; refuses a row with no direction."""
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2:
-        raise InvalidArgumentError(f"expected a 2-d array of row vectors, got ndim={X.ndim}")
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    if fault := first_without_direction(X, norms):
+def unit_rows(X: np.ndarray, return_norms: bool = False):
+    """Rows of ``X`` scaled to unit norm, in a new C-contiguous float64 array;
+    refuses a row with no direction.  ``X`` is widened once, into that array,
+    which is then divided in place: the bits of ``X / norms[:, None]`` on the
+    float64 rows.  With ``return_norms``, returns ``(U, norms)``: the row
+    norms, which hold no fault."""
+    U = np.array(X, dtype=np.float64, order="C")
+    if U.ndim != 2:
+        raise InvalidArgumentError(f"expected a 2-d array of row vectors, got ndim={U.ndim}")
+    norms = np.sqrt(np.einsum("ij,ij->i", U, U))
+    if fault := first_without_direction(U, norms):
         raise InvalidArgumentError("row %d: %s" % fault)
-    return X / norms[:, None]
+    U /= norms[:, None]
+    return (U, norms) if return_norms else U
 
 
 def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray:
@@ -84,8 +111,9 @@ def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray
     ``V`` is ``unit_rows(X)[rows]`` in one C-contiguous array, which the caller
     makes or holds (a cluster's rows, a view from ``outside_gathers``); the
     kernel runs one matrix-vector product on it as given, and reads ``X`` only
-    for exact duplicates.  A product over the whole class indexed afterwards
-    is not equivalent: BLAS can round a row differently by its place.
+    for exact duplicates (float32 rows are widened to compare with the float64
+    ``x``, exactly).  A product over the whole class indexed afterwards is not
+    equivalent: BLAS can round a row differently by its place.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
@@ -211,14 +239,15 @@ def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
 
     These cells are exactly 0, as in ``one_to_many`` (``+ 0.0`` maps -0.0 to
     0.0 in the key); the gram product rounds them to ~1e-16.  Only rows whose
-    column-0 bits repeat can share a key, so only those are keyed.
+    column-0 bits repeat can share a key, so only those are keyed.  Keys are
+    taken on the widened rows, which are equal exactly when the rows are.
     """
-    key0 = (X[:, :1] + 0.0).view(np.int64).ravel()
+    key0 = (X[:, 0].astype(np.float64) + 0.0).view(np.int64)
     ranked = np.sort(key0)
     repeats = ranked[1:][ranked[1:] == ranked[:-1]]
     groups: dict[bytes, list[int]] = {}
     for i in np.flatnonzero(np.isin(key0, repeats)).tolist():
-        groups.setdefault((X[i] + 0.0).tobytes(), []).append(i)
+        groups.setdefault((X[i].astype(np.float64) + 0.0).tobytes(), []).append(i)
     cells = []
     for rows in groups.values():
         r = np.array(rows, dtype=np.int64)
@@ -237,7 +266,7 @@ def pairwise_condensed(X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray
     of the corresponding pair to within a few ulp.  ``U`` is the caller's
     ``unit_rows(X)`` when it holds one, and is computed when omitted.
     """
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    X = as_rows(X)
     U = unit_rows(X) if U is None else U
     if U.shape != X.shape:
         raise InvalidArgumentError(f"unit rows {U.shape} do not match rows {X.shape}")
@@ -270,7 +299,7 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
     values, and only the cells that pass get ``1 - g`` and the clip; it holds
     one gram block at a time plus the cells kept.
     """
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    X = as_rows(X)
     n = U.shape[0]
     total = n * (n - 1) // 2
     offs = condensed_offsets(n)

@@ -60,7 +60,7 @@ class ClassResult:
 # group is read in chunks of this many, or one cluster when s * d is larger,
 # so its gathers stay small enough to be reused by the heap.  Without chunks
 # the freed gathers sat under the later ``nearest_excluded`` buffer and raised
-# the peak RSS of a 1300 x 2048 class at fraction 0.9 from 105 to 111 MB.
+# the peak RSS of a 1300 x 2048 class at fraction 0.9 from 93 to 100 MB.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -70,14 +70,15 @@ def _medoid(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
 
     ``ids`` are the cluster's sample ids, ascending; ``X`` and ``U`` hold
     their rows and unit rows in the same order, and the distances come from
-    one product over ``U`` as given, with no second copy.  Ties go to the
-    smallest sample_id.
+    one product over ``U`` as given, with no second copy.  The centroid is
+    the mean of the rows widened to float64.  Ties go to the smallest
+    sample_id.
     """
     if len(ids) == 0:
         raise InvalidArgumentError("cluster must be non-empty")
     if len(ids) == 1:
         return int(ids[0])
-    centroid = X.mean(axis=0)
+    centroid = X.astype(np.float64, copy=False).mean(axis=0)
     norm = math.sqrt(float(centroid @ centroid))
     if norm < metric.MIN_NORM:
         shown = ", ".join(str(i) for i in ids[:8])
@@ -101,9 +102,9 @@ def select_representative(
     exactly the ids the per-cluster ``_medoid`` picks.
 
     A singleton is its own medoid.  Clusters of one size s >= 2 are read
-    together: one stacked mean gives every centroid, with the bits of the
-    per-cluster ``X[rows].mean(axis=0)`` (each is the same sequence of row
-    additions and one division), and one einsum the value ``b = 1 - <u, c/|c|>``
+    together: one stacked mean of the widened rows gives every centroid, with
+    the bits of ``_medoid``'s per-cluster mean (each is the same sequence of
+    row additions and one division), and one einsum the value ``b = 1 - <u, c/|c|>``
     of every member.  A cluster is certified when its two smallest ``b``
     differ by more than ``2 * eps``; its argmin is then the exact path's
     medoid.  Every other cluster runs ``_medoid`` in partition order; as no
@@ -143,7 +144,7 @@ def select_representative(
             at = group[lo : lo + per]
             R = flat[starts[at][:, None] + np.arange(s)]
             with np.errstate(all="ignore"):  # refused below, and again by ``_medoid``
-                C = X[R].mean(axis=1)
+                C = X[R].astype(np.float64, copy=False).mean(axis=1)
                 norm = np.sqrt(np.einsum("ij,ij->i", C, C))
                 b = 1.0 - np.einsum("csd,cd->cs", U[R], C / norm[:, None])
             two = np.partition(b, 1, axis=1)
@@ -162,12 +163,15 @@ def _cluster_class(
 ) -> ClassResult:
     """Read, normalize and cluster one class once, then take every medoid in
     one ``select_representative`` pass and build the report entries asked for
-    from the same rows and unit rows."""
+    from the same rows and unit rows.  The rows stay in the dataset's
+    precision; ``U`` is their only float64 copy, and the norms ``unit_rows``
+    checked go on to the clustering, so no row is checked twice here."""
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
-    U = metric.unit_rows(X)
+    U, norms = metric.unit_rows(X, return_norms=True)
     dendro, part = agglomerate_fast(
-        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U
+        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes,
+        U=U, norms=norms,
     )
     member_rows = part.member_rows(ids)
     reps = select_representative(ids, X, U, member_rows)

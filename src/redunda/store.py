@@ -1,8 +1,11 @@
 """Labeled embedding datasets: in-memory model plus binary and CSV codecs.
 
-Vectors are stored as float32 on disk and widened to float64 the moment they
-are loaded; all downstream arithmetic is float64.  A dataset is immutable
-after construction (the backing arrays are marked read-only).
+Vectors are kept in the precision they come in: float32 rows stay float32 (a
+binary file's as a view of the body that was read), and CSV text and any other
+input become float64.  Widening float32 to float64 is exact, so every reader
+widens only the rows it uses, before any arithmetic on them, and all
+arithmetic is float64 (``metric.as_rows``).  A dataset is immutable after
+construction (the backing arrays are marked read-only).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, UnknownClassError, ValidationError
-from .metric import first_without_direction
+from .metric import as_rows, first_without_direction
 
 MAGIC = b"REDE"
 FORMAT_VERSION = 1
@@ -37,7 +40,7 @@ class EmbeddingDataset:
     dimension: int
     sample_ids: np.ndarray  # int64, file order
     class_ids: np.ndarray  # int64, file order
-    vectors: np.ndarray  # float64, (n, dimension), file order
+    vectors: np.ndarray  # float32 or float64 (``metric.as_rows``), (n, dimension), file order
     source_digest: str | None = None
     _class_rows: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     _digest_cache: str | None = field(repr=False, default=None)
@@ -48,9 +51,10 @@ class EmbeddingDataset:
         """Validate raw arrays and assemble a dataset.
 
         Raises ValidationError on the first offending record: a vector with
-        no direction (``metric.first_without_direction``), bad or repeated ids.
+        no direction (``metric.first_without_direction``, on float64 norms),
+        bad or repeated ids.  ``vectors`` is kept as ``metric.as_rows`` gives it.
         """
-        vec = np.asarray(vectors, dtype=np.float64)
+        vec = as_rows(vectors)
         if vec.ndim != 2:
             raise ValidationError(f"vectors must form a 2-d array, got ndim={vec.ndim}")
         n, dim = vec.shape
@@ -86,7 +90,10 @@ class EmbeddingDataset:
         present, starts = np.unique(cids[order], return_index=True)
         class_rows = dict(zip(present.tolist(), np.split(order, starts[1:])))
 
-        vec = np.ascontiguousarray(vec)
+        if vec.strides[-1] != vec.itemsize:
+            # Rows are read in place as vectors, and BLAS can round a
+            # product over a strided vector differently.
+            vec = np.ascontiguousarray(vec)
         for arr in (sids, cids, vec):
             arr.flags.writeable = False
         return cls(dim, sids, cids, vec, source_digest, class_rows)
@@ -99,10 +106,12 @@ class EmbeddingDataset:
         return sorted(self._class_rows)
 
     def class_arrays(self, class_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample ids (int64) and float64 rows of one class, in file order.
+        """Sample ids (int64) and rows of one class, in file order.
 
-        A class stored as one contiguous run of records is returned as
-        read-only views, so no copy of its rows is made.
+        The rows are in the dataset's precision, float32 (as a binary file
+        holds them) or float64; a reader widens what it uses.  A class
+        stored as one contiguous run of records is returned as read-only
+        views, so no copy of its rows is made.
         """
         rows = self._class_rows.get(class_id)
         if rows is None:

@@ -28,6 +28,7 @@ from redunda.errors import InvalidArgumentError
 
 
 def cos_dissim(a, b) -> float:
+    a, b = [float(x) for x in a], [float(y) for y in b]  # float32 widens exactly
     dot = sum(x * y for x, y in zip(a, b))
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(y * y for y in b))

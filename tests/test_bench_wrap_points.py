@@ -74,6 +74,13 @@ def test_traced_select_reaches_every_wrap_point_and_normalizes_once(
 ):
     spans, points = traced_select(tmp_path, fraction, *flags)
     assert {name for _, _, name, *_ in spans} == {n for n, *_ in load_spans().WRAP_POINTS} - off
+    if REPORTS <= off:
+        # Only the medoid fallback calls ``metric.one_to_many`` here.  The
+        # input's twins tie some cluster's medoid scores, which forces one; an
+        # input without such a cluster must fail this, not drop the span.
+        medoids = {sid for sid, _, name, *_ in spans if name == "selection.select_representative"}
+        assert any(parent in medoids for _, parent, name, *_ in spans
+                   if name == "metric.one_to_many")
     # Each class is normalized once, also when a give-up builds the condensed
     # matrix: that takes the class's unit rows instead of normalizing again.
     dense = {sid for sid, _, name, *_ in spans if name == "metric.pairwise_condensed"}

@@ -75,6 +75,16 @@ class TestFromArrays:
         with pytest.raises(ValueError):
             ds.vectors[0, 0] = 5.0
 
+    def test_float32_vectors_kept_as_given(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [3e20, 1.0]], dtype=np.float32)
+        ds = EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 1], vectors)
+        assert ds.vectors is vectors and not vectors.flags.writeable
+        ints = EmbeddingDataset.from_arrays([0, 1], [0, 0], np.eye(2, dtype=np.int64))
+        assert ints.vectors.dtype == np.float64
+        # Each row is contiguous, as the kernels read a float64 row in place.
+        columns = EmbeddingDataset.from_arrays([0, 1], [0, 0], np.asfortranarray(np.eye(2) + 1))
+        assert columns.vectors.flags.c_contiguous
+
     def test_non_finite_reports_record_index(self):
         vectors = np.array([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValidationError, match="record 1"):
@@ -129,6 +139,7 @@ class TestBinaryFormat:
         path = tmp_path / "d.bin"
         path.write_bytes(canonical_bytes(ds))
         loaded = load_dataset(path, "binary")
+        assert loaded.vectors.dtype == np.float32 and not loaded.vectors.flags.writeable
         assert np.array_equal(loaded.vectors, ds.vectors)
         assert np.array_equal(loaded.sample_ids, ds.sample_ids)
         assert np.array_equal(loaded.class_ids, ds.class_ids)
