@@ -393,6 +393,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io_error: {_one_line(exc)}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out_of_memory: {_one_line(exc)}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

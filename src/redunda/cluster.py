@@ -101,19 +101,16 @@ class Partition:
         return np.split(rows, np.cumsum([len(m) for m in members])[:-1])
 
 
-def _check_class(X, sample_ids, norms=None) -> tuple[np.ndarray, np.ndarray]:
+def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
     """Validate one class's rows, kept in their precision (``metric.as_rows``);
-    ``sample_ids`` defaults to row positions.  ``norms`` are the rows' norms
-    when the caller holds them, and the direction check then reads only them."""
+    ``sample_ids`` defaults to row positions."""
     X = metric.as_rows(X)
     if X.ndim != 2 or len(X) == 0:
         raise InvalidArgumentError("need a non-empty 2-d array of row vectors")
     ids = np.arange(len(X)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
     if ids.shape != (len(X),) or len(np.unique(ids)) != len(ids):
         raise InvalidArgumentError("need one distinct sample_id per row")
-    if norms is not None and np.shape(norms) != (len(X),):
-        raise InvalidArgumentError(f"norms {np.shape(norms)} do not match rows {X.shape}")
-    if fault := metric.first_without_direction(X, norms):
+    if fault := metric.first_without_direction(X):
         raise InvalidArgumentError("row %d: %s" % fault)
     return ids, X
 
@@ -275,16 +272,14 @@ def agglomerate_fast(
     class_id: int = 0,
     memory_cap_bytes: int | None = None,
     U=None,
-    norms=None,
 ) -> tuple[Dendrogram, Partition]:
     """Merge the rows of ``X`` by complete linkage until ``k`` clusters remain.
 
     ``sample_ids`` (row positions when omitted) name the points in the
     partition and dendrogram.  ``U`` is ``metric.unit_rows(X)`` when the
-    caller already holds it, and is computed when omitted; ``norms`` are the
-    row norms ``unit_rows(X, return_norms=True)`` gave with it, and the
-    direction check reads them instead of computing them from ``X`` again.
-    ``X`` itself is read in its own precision, for exact twins only.  Takes the n - k
+    caller already holds it, and is computed when omitted.  Every row of ``X``
+    is checked for a direction whether or not ``U`` is given; beyond that
+    ``X`` is read in its own precision, for exact twins only.  Takes the n - k
     merges kept, so the dendrogram holds exactly those.  The threshold engine
     takes them from the at most ``_PAIRS_PER_POINT * n`` smallest pairwise
     cells, read from the blocked gram product one block at a time.  If a
@@ -294,7 +289,7 @@ def agglomerate_fast(
     with the same height bits.  The memory cap bounds the condensed matrix,
     checked only when a give-up is about to build it.
     """
-    ids, X = _check_class(X, sample_ids, norms)
+    ids, X = _check_class(X, sample_ids)
     n = len(ids)
     _check_k(n, k)
     if U is not None and np.shape(U) != X.shape:

@@ -89,12 +89,11 @@ def cosine_dissimilarity(x1, x2) -> float:
     return _clamp(1.0 - float(np.dot(a, b)) / (na * nb))
 
 
-def unit_rows(X: np.ndarray, return_norms: bool = False):
+def unit_rows(X: np.ndarray) -> np.ndarray:
     """Rows of ``X`` scaled to unit norm, in a new C-contiguous float64 array;
     refuses a row with no direction.  ``X`` is widened once, into that array,
     which is then divided in place: the bits of ``X / norms[:, None]`` on the
-    float64 rows.  With ``return_norms``, returns ``(U, norms)``: the row
-    norms, which hold no fault."""
+    float64 rows."""
     U = np.array(X, dtype=np.float64, order="C")
     if U.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-d array of row vectors, got ndim={U.ndim}")
@@ -102,7 +101,7 @@ def unit_rows(X: np.ndarray, return_norms: bool = False):
     if fault := first_without_direction(U, norms):
         raise InvalidArgumentError("row %d: %s" % fault)
     U /= norms[:, None]
-    return (U, norms) if return_norms else U
+    return U
 
 
 def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray:

@@ -164,14 +164,12 @@ def _cluster_class(
     """Read, normalize and cluster one class once, then take every medoid in
     one ``select_representative`` pass and build the report entries asked for
     from the same rows and unit rows.  The rows stay in the dataset's
-    precision; ``U`` is their only float64 copy, and the norms ``unit_rows``
-    checked go on to the clustering, so no row is checked twice here."""
+    precision, and ``U`` is their only float64 copy."""
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
-    U, norms = metric.unit_rows(X, return_norms=True)
+    U = metric.unit_rows(X)
     dendro, part = agglomerate_fast(
-        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes,
-        U=U, norms=norms,
+        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U,
     )
     member_rows = part.member_rows(ids)
     reps = select_representative(ids, X, U, member_rows)

@@ -5,7 +5,7 @@ binary file's as a view of the body that was read), and CSV text and any other
 input become float64.  Widening float32 to float64 is exact, so every reader
 widens only the rows it uses, before any arithmetic on them, and all
 arithmetic is float64 (``metric.as_rows``).  A dataset is immutable after
-construction (the backing arrays are marked read-only).
+construction: it copies its ids and marks its vectors read-only (``from_arrays``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ class EmbeddingDataset:
 
         Raises ValidationError on the first offending record: a vector with
         no direction (``metric.first_without_direction``, on float64 norms),
-        bad or repeated ids.  ``vectors`` is kept as ``metric.as_rows`` gives it.
+        bad or repeated ids.  Copies the ids.  ``vectors`` (``metric.as_rows``) is too large
+        to copy: it is marked read-only, the caller's own array included, so no later write
+        by the caller can change a dataset whose digest may already be cached.
         """
         vec = as_rows(vectors)
         if vec.ndim != 2:
@@ -60,8 +62,8 @@ class EmbeddingDataset:
         n, dim = vec.shape
         if n > 0 and dim < 1:
             raise ValidationError("dimension must be at least 1")
-        sids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
-        cids = np.asarray(class_ids, dtype=np.int64).reshape(-1)
+        sids = np.array(sample_ids, dtype=np.int64).reshape(-1)
+        cids = np.array(class_ids, dtype=np.int64).reshape(-1)
         if len(sids) != n or len(cids) != n:
             raise ValidationError(
                 f"length mismatch: {n} vectors, {len(sids)} ids, {len(cids)} classes"

@@ -50,6 +50,8 @@ class PlantedSpec:
     def __post_init__(self) -> None:
         if self.classes < 1:
             raise InvalidArgumentError(f"classes must be >= 1, got {self.classes}")
+        if self.classes > 1 << 32:  # class ids key 32-bit streams (rng.class_stream)
+            raise InvalidArgumentError(f"classes must be <= 2**32, got {self.classes}")
         if self.groups_per_class < 1:
             raise InvalidArgumentError(
                 f"groups_per_class must be >= 1, got {self.groups_per_class}"

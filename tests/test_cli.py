@@ -126,6 +126,16 @@ class TestSynthCommand:
         assert code == 1
         assert err.startswith("config_error: ")
 
+    def test_class_count_above_the_stream_keys(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth", "--classes", "5000000000", "--groups", "1", "--dim", "2",
+            "--delta", "0.1", "--margin", "0.5", "--seed", "0",
+            "--sizes", "1", "--out", tmp_path / "g",
+        )
+        assert code == 1
+        assert err == "invalid_argument: classes must be <= 2**32, got 5000000000\n"
+        assert not (tmp_path / "g").exists()
+
     def test_unsatisfiable_margin(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "synth", "--classes", "1", "--groups", "50", "--dim", "2",
@@ -302,6 +312,22 @@ class TestConfigErrors:
         )
         assert code == 1
         assert err.startswith("io_error: ")
+
+    def test_out_of_memory_is_one_line(self, synth_dataset, tmp_path, capsys, monkeypatch):
+        # Raised, not provoked: whether a huge allocation fails depends on the
+        # kernel's overcommit setting.
+        def no_memory(*_):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(redunda.synth, "generate", no_memory)
+        monkeypatch.setattr(redunda.cli, "load_dataset", no_memory)
+        for argv in (
+            [*SYNTH, "--out", tmp_path / "g"],
+            ["select", "--input", synth_dataset, "--fraction", "0.5", "--out", tmp_path / "s"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert err == "out_of_memory: Unable to allocate 7.28 TiB for an array\n"
 
     def test_errors_are_single_line(self, synth_dataset, tmp_path, capsys):
         for argv in (

@@ -86,13 +86,18 @@ class TestWorkedExamples:
         with pytest.raises(InvalidArgumentError, match="non-finite vector component"):
             agglomerate_fast(X, 2)
         # Every row without a direction, whichever k, with the caller's U or
-        # without: the rule reads X, not U.
+        # without, in float64 and in the float32 a binary file holds: the rule
+        # reads X, not U.
         U = metric.unit_rows(THREE)
         for row, reason in NO_DIRECTION:
             X = np.array([[1.0, 0.0], row, [0.0, 1.0]])
-            for k, given in [(2, None), (3, None), (2, U), (3, U)]:
-                with pytest.raises(InvalidArgumentError, match=f"^row 1: {reason}$"):
-                    agglomerate_fast(X, k, U=given)
+            with np.errstate(over="ignore"):  # [1e200, 1e200] is [inf, inf] in float32
+                X32 = X.astype(np.float32)
+            reason32 = reason if np.isfinite(X32).all() else "non-finite vector component"
+            for rows, why in [(X, reason), (X32, reason32)]:
+                for k, given in [(2, None), (3, None), (2, U), (3, U)]:
+                    with pytest.raises(InvalidArgumentError, match=f"^row 1: {why}$"):
+                        agglomerate_fast(rows, k, U=given)
 
     def test_member_rows_of_an_empty_class(self):
         part = Partition(0, (frozenset({3}),))

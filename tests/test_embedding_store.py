@@ -85,6 +85,14 @@ class TestFromArrays:
         columns = EmbeddingDataset.from_arrays([0, 1], [0, 0], np.asfortranarray(np.eye(2) + 1))
         assert columns.vectors.flags.c_contiguous
 
+    def test_ids_are_copied(self):
+        # A later write by the caller must not reach a validated dataset.
+        sids, cids = np.arange(3), np.array([0, 0, 1])
+        ds = EmbeddingDataset.from_arrays(sids, cids, np.eye(3))
+        sids[1], cids[0] = 0, 1
+        assert ds.sample_ids.tolist() == [0, 1, 2] and ds.class_ids.tolist() == [0, 0, 1]
+        assert not ds.sample_ids.flags.writeable and not ds.class_ids.flags.writeable
+
     def test_non_finite_reports_record_index(self):
         vectors = np.array([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValidationError, match="record 1"):

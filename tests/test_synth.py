@@ -42,6 +42,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             self.base(dim=1)
 
+    def test_class_count_the_streams_can_key(self):
+        # Class ids key 32-bit streams, so 2**32 classes is the most there can
+        # be; more is refused up front, not when generation reaches id 2**32.
+        self.base(classes=2**32)
+        with pytest.raises(InvalidArgumentError, match=r"^classes must be <= 2\*\*32, got 4294967297$"):
+            self.base(classes=2**32 + 1)
+        with pytest.raises(InvalidArgumentError, match="^classes must be >= 1, got 0$"):
+            self.base(classes=0)
+
     def test_spread_range(self):
         with pytest.raises(InvalidArgumentError):
             self.base(within_spread=-0.1)
