@@ -94,10 +94,12 @@ def avg_dissimilarity(
     other members are compared in one product over ``U[others]``, copied
     here.  None when no cluster qualifies (the class is left out, not 0).
     """
+    twins = metric.twin_index(X)
     cluster_means: list[float] = []
     for rep_row, rows in _qualifying(partition, reps, ids, member_rows):
         others = rows[rows != rep_row]
-        d = metric.one_to_many(X[rep_row], U[others], X, others)
+        at = np.flatnonzero(np.isin(others, twins[rep_row])) if rep_row in twins else ()
+        d = metric.one_to_many(X[rep_row], U[others], at)
         cluster_means.append(float(d.mean()))
     if not cluster_means:
         return None
@@ -137,17 +139,24 @@ def nearest_excluded(
     neighbor sample_id.  Pairs come in partition order.  Each cluster's
     outside rows are compared in one product over ``U[outside]``, the view
     ``metric.outside_gathers`` yields from one buffer per class; it visits the
-    clusters in its own order and copies only the rows that move.
+    clusters in its own order and copies only the rows that move.  Only the
+    outside twins and the tied minima are mapped between rows and positions.
     """
     qualifying = _qualifying(partition, reps, ids, member_rows)
     if len(partition.clusters) < 2:
         return []
+    twins = metric.twin_index(X)
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
-    for i, outside, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
+    for i, members, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
         rep_row = qualifying[i][0]
-        d = metric.one_to_many(X[rep_row], V, X, outside)
-        pick = metric.first_min(d, ids[outside])
-        out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[outside[pick]]), float(d[pick]))
+        at = ()
+        if rep_row in twins:
+            tw = twins[rep_row][~np.isin(twins[rep_row], members)]
+            at = tw - np.searchsorted(members, tw)
+        d = metric.one_to_many(X[rep_row], V, at)
+        best = np.flatnonzero(d == d.min())
+        rows = best + np.searchsorted(members - np.arange(len(members)), best, "right")
+        out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[rows].min()), float(d[best[0]]))
     return out
 
 

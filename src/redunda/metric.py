@@ -7,6 +7,7 @@ near-identical or near-opposite directions.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import mmap
@@ -104,30 +105,26 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return U
 
 
-def one_to_many(x: np.ndarray, V: np.ndarray, X: np.ndarray, rows) -> np.ndarray:
-    """Dissimilarity of one vector to the rows ``X[rows]``, aligned with ``rows``.
+def one_to_many(x: np.ndarray, V: np.ndarray, twins) -> np.ndarray:
+    """Dissimilarity of one vector to each row of ``V``, aligned with ``V``.
 
-    ``V`` is ``unit_rows(X)[rows]`` in one C-contiguous array, which the caller
-    makes or holds (a cluster's rows, a view from ``outside_gathers``); the
-    kernel runs one matrix-vector product on it as given, and reads ``X`` only
-    for exact duplicates (float32 rows are widened to compare with the float64
-    ``x``, exactly).  A product over the whole class indexed afterwards is not
-    equivalent: BLAS can round a row differently by its place.
+    ``V`` holds unit rows in one C-contiguous array, which the caller makes or
+    holds (a cluster's rows, a view from ``outside_gathers``); the kernel runs
+    one matrix-vector product on it as given.  ``twins`` are the positions in
+    ``V`` of the rows whose raw row equals ``x`` under ``==``, which the caller
+    finds (``twin_index``); they are exactly 0.  A product over the whole
+    class indexed afterwards is not equivalent: BLAS can round a row
+    differently by its place.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise InvalidArgumentError("expected a single vector")
     na = _norm(a, "x")
-    rows = np.asarray(rows, dtype=np.intp)
-    if V.shape != (len(rows), len(a)) or not V.flags.c_contiguous or np.shape(X)[1:] != a.shape:
-        raise InvalidArgumentError(f"unit rows {V.shape} or rows {np.shape(X)} do not fit {a.shape}")
+    if V.ndim != 2 or V.shape[1] != len(a) or not V.flags.c_contiguous:
+        raise InvalidArgumentError(f"unit rows {V.shape} do not fit {a.shape}")
     d = 1.0 - (V @ (a / na))
     np.clip(d, 0.0, 2.0, out=d)
-    # Exact duplicates (raw rows equal under ==, so -0.0 == 0.0) are exactly zero.
-    # Column 0 narrows the candidates, so most raw rows are never read.
-    cand = np.flatnonzero(X[rows, 0] == a[0])
-    if cand.size:
-        d[cand[(X[rows[cand]] == a).all(axis=1)]] = 0.0
+    d[np.asarray(twins, dtype=np.intp)] = 0.0
     return d
 
 
@@ -147,56 +144,40 @@ def _gather_order(clusters, n: int) -> list[int]:
     return sorted(range(len(clusters)), key=key)
 
 
-def _runs(pos: np.ndarray) -> list[tuple[int, int]]:
-    """``(start, end)`` of each run of consecutive values in ascending ``pos``."""
-    if not pos.size:
-        return []
-    cut = np.flatnonzero(np.diff(pos) != 1)
-    starts = pos[np.r_[0, cut + 1]]
-    ends = pos[np.r_[cut, len(pos) - 1]] + 1
-    return list(zip(starts.tolist(), ends.tolist()))
+def _copy_rows(buf: np.ndarray, U: np.ndarray, a: int, b: int, k: int) -> None:
+    """``buf[a:b] = U[a + k : b + k]``, the one copy ``outside_gathers`` makes."""
+    buf[a:b] = U[a + k : b + k]
 
 
 def outside_gathers(U: np.ndarray, clusters):
-    """Yield ``(i, outside, V)`` for every ``clusters[i]`` (arrays of row
-    positions of ``U``): the rows outside that cluster, ascending, and ``V``,
-    the first ``len(outside)`` rows of one buffer, holding ``U[outside]`` with
-    the values and C-contiguous layout of that copy.  The buffer has as many
-    rows as the largest ``outside``.
+    """Yield ``(i, members, V)`` for every ``clusters[i]`` (arrays of row
+    positions of ``U``, in any order): ``members``, those rows ascending, and
+    ``V``, the first ``n - len(members)`` rows of one buffer, holding
+    ``U[outside]`` with the values and C-contiguous layout of that copy.
 
-    ``V`` is valid until the next item.  Between one cluster and the next only
-    the runs of positions where ``outside`` changed are copied again; when the
-    length changes, everything from the first changed position on.  Clusters
-    come in ``_gather_order``, so most positions stay.  Each run is gathered
-    with ``np.take(..., out=, mode="clip")`` straight into the buffer: a slice
-    assignment from ``U[idx]`` would build a temporary as large as the run, and
-    ``mode="raise"`` buffers its output.  The indices are in range by
-    construction.
+    With ``steps = members - arange(len(members))``, position p of ``V``
+    holds row ``p + #{steps <= p}``, so between two steps it holds one slice
+    of ``U``.  ``V`` is valid until the next item.  Clusters come in
+    ``_gather_order``, grouped by size.  Between two clusters of one size only
+    the ranges where that count changed are copied again; when the size
+    changes, every position from the lower of the two first members on.
     """
     n = len(U)
     buf = np.empty((n - min(map(len, clusters), default=n), U.shape[1]), dtype=U.dtype)
-    mask = np.ones(n, dtype=bool)
-    prev = np.empty(0, dtype=np.intp)
+    prev: list[int] = []
     for i in _gather_order(clusters, n):
-        mask[clusters[i]] = False
-        outside = np.flatnonzero(mask)
-        mask[clusters[i]] = True
-        m, common = len(outside), min(len(outside), len(prev))
-        changed = np.flatnonzero(outside[:common] != prev[:common])
-        if m != len(prev):
-            runs = [(int(changed[0]) if changed.size else common, m)]
-        else:
-            runs = _runs(changed)
-        for a, b in runs:
-            np.take(U, outside[a:b], axis=0, out=buf[a:b], mode="clip")
-        prev = outside
-        yield i, outside, buf[:m]
-
-
-def first_min(d: np.ndarray, ids: np.ndarray) -> int:
-    """Position of the smallest ``d``, ties to the smallest of the distinct ``ids``."""
-    best = np.flatnonzero(d == d.min())
-    return int(best[np.argmin(ids[best])])
+        members = np.sort(clusters[i])
+        steps = [c - j for j, c in enumerate(members.tolist())]
+        same = len(prev) == len(steps)
+        lo = min(prev[0], steps[0]) if prev else 0
+        starts = sorted(prev + steps) if same else [lo] + [p for p in steps if p > lo]
+        m = n - len(steps)
+        for a, b in zip(starts, starts[1:] + [m]):
+            k = bisect.bisect_right(steps, a)
+            if a < b and not (same and k == bisect.bisect_right(prev, a)):
+                _copy_rows(buf, U, a, b, k)
+        prev = steps
+        yield i, members, buf[:m]
 
 
 def condensed_offsets(n: int) -> np.ndarray:
@@ -233,26 +214,30 @@ def _gram_blocks(U: np.ndarray):
         yield lo, hi, np.matmul(U[lo:hi], U.T, out=G)
 
 
-def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Condensed indices, ascending, of the row pairs of ``X`` equal under ``==``.
-
-    These cells are exactly 0, as in ``one_to_many`` (``+ 0.0`` maps -0.0 to
-    0.0 in the key); the gram product rounds them to ~1e-16.  Only rows whose
-    column-0 bits repeat can share a key, so only those are keyed.  Keys are
-    taken on the widened rows, which are equal exactly when the rows are.
-    """
+def twin_index(X: np.ndarray) -> dict[int, np.ndarray]:
+    """Row -> the ascending rows of the 2-d ``X`` equal to it under ``==``
+    (itself included, and -0.0 == 0.0), for each row that has such a twin.
+    Only rows whose column-0 value repeats can have one, so only those are
+    keyed, by their widened row plus 0.0: equal exactly when the rows are."""
     key0 = (X[:, 0].astype(np.float64) + 0.0).view(np.int64)
     ranked = np.sort(key0)
     repeats = ranked[1:][ranked[1:] == ranked[:-1]]
     groups: dict[bytes, list[int]] = {}
     for i in np.flatnonzero(np.isin(key0, repeats)).tolist():
         groups.setdefault((X[i].astype(np.float64) + 0.0).tobytes(), []).append(i)
+    return {r: g for g in map(np.array, groups.values()) if len(g) > 1 for r in g.tolist()}
+
+
+def _duplicate_cells(X: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Condensed indices, ascending, of the row pairs of ``X`` equal under
+    ``==`` (``twin_index``).  These cells are exactly 0, as in
+    ``one_to_many``; the gram product rounds them to ~1e-16."""
     cells = []
-    for rows in groups.values():
-        r = np.array(rows, dtype=np.int64)
-        ii, jj = np.triu_indices(len(r), k=1)
-        a, b = r[ii], r[jj]
-        cells.append(offs[a] + b - a - 1)
+    for row, r in twin_index(X).items():
+        if row == r[0]:
+            ii, jj = np.triu_indices(len(r), k=1)
+            a, b = r[ii], r[jj]
+            cells.append(offs[a] + b - a - 1)
     return np.sort(np.concatenate(cells)) if cells else np.empty(0, dtype=np.int64)
 
 

@@ -86,8 +86,10 @@ def _medoid(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
         raise DegenerateClusterError(
             f"cluster {{{shown}{more}}} has centroid norm below {metric.MIN_NORM:g}"
         )
-    d = metric.one_to_many(centroid, np.ascontiguousarray(U), X, np.arange(len(ids)))
-    return int(ids[metric.first_min(d, ids)])
+    twins = np.flatnonzero((X == centroid).all(axis=1))
+    d = metric.one_to_many(centroid, np.ascontiguousarray(U), twins)
+    best = np.flatnonzero(d == d.min())
+    return int(ids[best].min())
 
 
 def select_representative(

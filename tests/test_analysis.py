@@ -25,11 +25,12 @@ from redunda.analysis import (
     pairs_to_table,
     size_histogram,
 )
-from redunda.cluster import Partition
+from redunda.cluster import Partition, agglomerate_fast
 from redunda.errors import InvalidArgumentError
 from redunda.metric import unit_rows
 from redunda.selection import build_cluster_subset
 from redunda.store import EmbeddingDataset
+from test_class_pipeline import reference
 
 # mean of d((1,0),(1,1)) = 1 - 1/sqrt(2) and d((1,0),(0,1)) = 1.
 MEAN_DIAG_ORTHO = 0.6464466094067263
@@ -269,6 +270,59 @@ class TestNearestExcluded:
                     split += 1
                     ties += len(twins) > 1
         assert split == ties == classes
+
+    @staticmethod
+    def cut_one_merge(X, ids):
+        """Take the first merge only (k = n - 1) and check both reports with
+        ``==`` against the per-cluster reference; return the partition's pair
+        (in rows) and the nearest-excluded pairs."""
+        _, p = agglomerate_fast(X, len(X) - 1, sample_ids=ids)
+        reps, means, pairs = reference(ids, X, p.clusters)
+        U = unit_rows(X)
+        assert nearest_excluded(p, reps, ids, X, U) == pairs
+        assert avg_dissimilarity(p, reps, ids, X, U).cluster_means == means
+        pair = next(c for c in p.clusters if len(c) == 2)
+        return sorted(np.flatnonzero(np.isin(ids, list(pair))).tolist()), pairs
+
+    # Ids ascending, and descending in row order (member rows then come
+    # unsorted, and a tie's smallest id is its last row).
+    IDS = [np.arange(20), 3 * np.arange(20)[::-1]]
+
+    @pytest.mark.parametrize("ids", IDS, ids=["ascending", "descending"])
+    def test_twin_just_after_the_members(self, ids):
+        # Three rows equal under ``==`` (one with -0.0 for 0.0) at rows 3-5;
+        # the cut falls between their two height-0 merges, so row 5 is the
+        # representative's twin outside, at the position of the members' step.
+        X = random_unit_rows(np.random.default_rng(5), 20, 8)
+        X[3:6] = X[3]
+        X[3:6, 2] = 0.0
+        X[4, 2] = -0.0
+        rows, pairs = self.cut_one_merge(X, ids)
+        assert rows == [3, 4]
+        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(ids[5], 0.0)]
+
+    def test_two_outside_twins_smallest_id_wins(self):
+        X = random_unit_rows(np.random.default_rng(6), 20, 8)
+        X[3:7] = X[3]
+        X[3:7:2, 0] = 0.0
+        X[4:7:2, 0] = -0.0
+        ids = self.IDS[1]
+        rows, pairs = self.cut_one_merge(X, ids)
+        assert rows == [3, 4]
+        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(ids[6], 0.0)]
+
+    @pytest.mark.parametrize("ids", IDS, ids=["ascending", "descending"])
+    def test_near_duplicates_clip_to_a_tie(self, ids):
+        # Rows (1, 1, 1) scaled by powers of two share their unit row, whose
+        # squared norm rounds above 1, so ``1 - g`` clips to 0.0 for each of
+        # them although no two are equal under ``==``.
+        X = random_unit_rows(np.random.default_rng(7), 20, 3)
+        X[3:7] = np.ones((1, 3)) * [[1.0], [2.0], [4.0], [8.0]]
+        U = unit_rows(X)
+        assert 1.0 - U[3] @ U[3] < 0.0 and len(set(map(bytes, U[3:7]))) == 1
+        rows, pairs = self.cut_one_merge(X, ids)
+        outside = [r for r in range(3, 7) if r not in rows]
+        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(min(ids[outside]), 0.0)]
 
 
 class TestEmitters:

@@ -182,7 +182,7 @@ class TestPairwiseCondensed:
         M = np.array([[1.0, 0.0], [0.0, 1.0]])
         for row, reason in NO_DIRECTION:
             with pytest.raises(InvalidArgumentError, match=f"^x: {reason}$"):
-                one_to_many(np.array(row), unit_rows(M), M, [0, 1])
+                one_to_many(np.array(row), unit_rows(M), [])
 
     def test_first_without_direction_tries_one_reason_at_a_time(self):
         over, zero, nan = [1e200, 1e200], [0.0, 0.0], [np.nan, 1.0]
@@ -219,7 +219,8 @@ class TestPairwiseCondensed:
 
     def test_twins_differing_in_sign_of_zero_are_exactly_zero(self):
         # Rows equal under ``==`` whose bytes differ only where one has -0.0:
-        # one rule for the pairwise matrix, the scalar kernel and one_to_many.
+        # one rule for the pairwise matrix, the scalar kernel and the twins
+        # the reports pass to one_to_many.
         rs = np.random.default_rng(17)
         base = rs.normal(size=(200, 7))
         zeros = rs.random((200, 7)) < 0.3
@@ -231,13 +232,13 @@ class TestPairwiseCondensed:
         X = np.empty((400, 7))
         X[0::2], X[1::2] = base, twin
         cond = pairwise_condensed(X)
-        U = unit_rows(X)
+        twins = {r: g.tolist() for r, g in metric.twin_index(X).items()}
+        assert twins == {i: [i - i % 2, i - i % 2 + 1] for i in range(400)}
         for p in range(200):
             i = 2 * p
             assert X[i].tobytes() != X[i + 1].tobytes()
             assert cond[condensed_index(400, i, i + 1)] == 0.0
             assert cosine_dissimilarity(X[i], X[i + 1]) == 0.0
-            assert one_to_many(X[i], U[[i + 1]], X, [i + 1])[0] == 0.0
         # The twins merge first, at height 0.0.
         dendro, part = agglomerate_fast(X[:80], 40)
         assert [s.height for s in dendro.steps] == [0.0] * 40
@@ -262,55 +263,67 @@ class TestPairwiseCondensed:
         x = rs.normal(size=6)
         x[0] = 0.0
         M = rs.normal(size=(25, 6))
-        M[3] = x  # an exact duplicate is exactly zero
+        M[3] = x  # an exact duplicate
         M[5, 0] = x[0]  # equal in column 0 only: not a duplicate
         M[7] = x
-        M[7, 0] = -0.0  # equal to x under ==, so also exactly zero
+        M[7, 0] = -0.0  # equal to x under ==, so also a duplicate
         U = unit_rows(M)
-        d = one_to_many(x, U, M, np.arange(25))
+        assert {r: g.tolist() for r, g in metric.twin_index(M).items()} == {3: [3, 7], 7: [3, 7]}
+        d = one_to_many(x, U, [3, 7])
         assert d[3] == 0.0 and d[7] == 0.0
         assert d[5] > 0.0
         for i in range(25):
             assert d[i] == pytest.approx(cosine_dissimilarity(x, M[i]), abs=1e-12)
-        # Arbitrary row order: results follow ``rows`` and equal the kernel
-        # on the already gathered raw rows bit for bit.
+        # Gathered rows in any order: the twins are given by position in V.
         rows = np.array([7, 20, 3, 5, 0, 19, 11])
-        got = one_to_many(x, U[rows], M, rows)
-        assert got.tolist() == one_to_many(x, U[rows], M[rows], np.arange(7)).tolist()
+        got = one_to_many(x, U[rows], [0, 2])
         assert got[0] == 0.0 and got[2] == 0.0 and got[3] > 0.0
         for j, i in enumerate(rows):
             assert got[j] == pytest.approx(d[i], abs=1e-12)
+        plain = one_to_many(x, U[rows], [])  # no twins named: the product's values stand
+        assert np.delete(plain, [0, 2]).tolist() == np.delete(got, [0, 2]).tolist()
+        assert plain[[0, 2]].max() < 1e-15
         with pytest.raises(InvalidArgumentError):
-            one_to_many(x, unit_rows(M[:, 1:]), M, np.arange(25))
+            one_to_many(x, unit_rows(M[:, 1:]), [])
 
 
 class TestOutsideGathers:
-    """Every view ``outside_gathers`` yields holds ``U[outside]`` bit for bit."""
+    """Every view ``outside_gathers`` yields holds ``U[outside]`` bit for bit,
+    and between clusters of one size only the positions whose row changed
+    are copied again."""
 
     @staticmethod
-    def walk(U, clusters):
-        """Check every yielded item; return the visit order and the rows copied."""
+    def walk(U, clusters, order=None):
+        """Check every yielded item; return the visit order and the rows
+        copied.  ``order`` replaces ``_gather_order``'s visit order."""
         n = len(U)
         copied = []
-        take = np.take
+        copy_rows = metric._copy_rows
 
-        def counting_take(a, idx, *args, **kwargs):
-            copied.append(len(idx))
-            return take(a, idx, *args, **kwargs)
+        def counting_copy(buf, U, a, b, k):
+            copied.append(b - a)
+            copy_rows(buf, U, a, b, k)
 
-        seen, addresses = [], set()
+        seen, addresses, prev, total = [], set(), None, 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric.np, "take", counting_take)
-            for i, outside, V in metric.outside_gathers(U, clusters):
+            mp.setattr(metric, "_copy_rows", counting_copy)
+            if order is not None:
+                mp.setattr(metric, "_gather_order", lambda clusters, n: order)
+            for i, members, V in metric.outside_gathers(U, clusters):
                 expect = np.setdiff1d(np.arange(n), clusters[i])
-                assert outside.tolist() == expect.tolist()
+                assert members.tolist() == sorted(clusters[i].tolist())
                 assert V.flags.c_contiguous and V.shape == (len(expect), U.shape[1])
                 assert np.array_equal(V.view(np.int64), U[expect].view(np.int64))
+                if prev is not None and len(prev) == len(expect):
+                    assert sum(copied) == np.count_nonzero(prev != expect)
+                total += sum(copied)
+                copied.clear()
+                prev = expect
                 seen.append(i)
                 addresses.add(V.__array_interface__["data"][0])
         assert sorted(seen) == list(range(len(clusters)))
         assert len(addresses) <= 1  # one buffer for the class
-        return seen, sum(copied)
+        return seen, total
 
     @staticmethod
     def rows(rs, n, d):
@@ -323,8 +336,18 @@ class TestOutsideGathers:
         for n in (2, 3, 17, 60, 211):
             U = self.rows(rs, n, 5)
             cuts = np.sort(rs.choice(np.arange(1, n), size=min(n - 1, n // 3 + 1), replace=False))
-            clusters = [np.sort(c) for c in np.split(rs.permutation(n), cuts)]
-            self.walk(U, clusters)
+            self.walk(U, np.split(rs.permutation(n), cuts))  # member rows not ascending
+
+    def test_member_rows_ascending_by_id_not_row(self):
+        # Partition.member_rows orders a cluster by sample id, so with ids
+        # that do not ascend in row order the rows come unsorted.
+        rs = np.random.default_rng(27)
+        n = 90
+        ids = rs.permutation(1000)[:n]
+        clusters = [np.array(c) for c in np.split(rs.permutation(n), np.arange(3, n, 3))]
+        by_id = [c[np.argsort(ids[c])] for c in clusters]
+        assert any((np.diff(c) < 0).any() for c in by_id)
+        self.walk(self.rows(rs, n, 4), by_id)
 
     def test_only_singletons(self):
         U = self.rows(np.random.default_rng(22), 40, 3)
@@ -335,6 +358,12 @@ class TestOutsideGathers:
         U = self.rows(np.random.default_rng(23), 9, 4)
         self.walk(U, [np.arange(9)])
 
+    def test_one_cluster_and_no_cluster(self):
+        U = self.rows(np.random.default_rng(28), 12, 3)
+        _, copied = self.walk(U, [np.array([7, 2])])
+        assert copied == 10
+        assert list(metric.outside_gathers(U, [])) == []
+
     def test_clusters_at_both_ends_and_size_changes(self):
         rs = np.random.default_rng(24)
         n = 50
@@ -344,6 +373,25 @@ class TestOutsideGathers:
                     np.array([0]), np.array([0, 1, 2, 3, n - 1]), np.array([24, 25])]
         for _ in range(5):
             self.walk(U, [clusters[i] for i in rs.permutation(len(clusters))])
+
+    def test_sizes_up_then_down(self):
+        # ``_gather_order`` visits sizes ascending; any order must still give
+        # every view, as a size change rewrites from the first member on.
+        rs = np.random.default_rng(29)
+        n = 40
+        U = self.rows(rs, n, 3)
+        clusters = [np.array([30, 31]), np.array([5, 6, 7]), np.array([0, 20, 39, 10]),
+                    np.array([1, 2, 3]), np.array([38, 39]), np.array([4]), np.array([0, 39])]
+        self.walk(U, clusters, order=list(range(len(clusters))))
+        self.walk(U, clusters, order=list(range(len(clusters)))[::-1])
+
+    def test_adjacent_members_share_a_step(self):
+        # Adjacent rows give equal steps: the view skips both in one place.
+        n = 30
+        U = self.rows(np.random.default_rng(30), n, 3)
+        clusters = [np.array([4, 5, 6]), np.array([5, 6, 7]), np.array([0, 1, 2]),
+                    np.array([27, 28, 29]), np.array([10, 11, 20]), np.array([11, 20, 21])]
+        self.walk(U, clusters)
 
     def test_grouped_by_size_and_few_rows_copied(self):
         # Neighbouring pairs: each next cluster's outside differs from the
@@ -357,12 +405,12 @@ class TestOutsideGathers:
         assert copied < 0.05 * sum(n - len(c) for c in clusters)
 
     def test_gathered_rows_must_be_the_requested_rows(self):
+        # one_to_many multiplies the rows it is given as they are, so it
+        # refuses unit rows of another width, and any but a C-contiguous matrix.
         rs = np.random.default_rng(26)
         M = rs.normal(size=(10, 4))
         U = unit_rows(M)
         rows = np.array([1, 4, 7])
-        for bad in (U[:2], U[rows][:, :3], np.asfortranarray(U[[1, 4, 7, 8]])[:3]):
+        for bad in (U[rows][:, :3], np.asfortranarray(U[[1, 4, 7, 8]])[:3], U[1], U[::2]):
             with pytest.raises(InvalidArgumentError, match="unit rows"):
-                one_to_many(M[0], bad, M, rows)
-        with pytest.raises(InvalidArgumentError, match="unit rows"):
-            one_to_many(M[0], U[rows], M[:, :3], rows)  # raw rows of another width
+                one_to_many(M[0], bad, [])
