@@ -83,20 +83,26 @@ def _qualifying(
 
 def avg_dissimilarity(
     partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
-    member_rows: Sequence[np.ndarray] | None = None,
+    member_rows: Sequence[np.ndarray] | None = None, *,
+    qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
 ) -> ClassDissimilarity | None:
     """Average dissimilarity to the retained sample over clusters of size >= 2.
 
     ``reps`` holds each cluster's retained sample, aligned with
     ``partition.clusters``; ``ids``, ``X`` and ``U`` are the class's sample
     ids, rows and unit rows in row order, and ``member_rows`` is
-    ``partition.member_rows(ids)`` (computed when omitted).  Each cluster's
-    other members are compared in one product over ``U[others]``, copied
-    here.  None when no cluster qualifies (the class is left out, not 0).
+    ``partition.member_rows(ids)`` (computed when omitted).  ``qualifying``
+    (``_qualifying`` of those arguments) and ``twins``
+    (``metric.twin_index(X)``) are computed when omitted; a caller running
+    both reports builds them once for the two.  Each cluster's other members
+    are compared in one product over ``U[others]``, copied here.  None when
+    no cluster qualifies (the class is left out, not 0).
     """
-    twins = metric.twin_index(X)
+    if qualifying is None:
+        qualifying = _qualifying(partition, reps, ids, member_rows)
+    twins = metric.twin_index(X) if twins is None else twins
     cluster_means: list[float] = []
-    for rep_row, rows in _qualifying(partition, reps, ids, member_rows):
+    for rep_row, rows in qualifying:
         others = rows[rows != rep_row]
         at = np.flatnonzero(np.isin(others, twins[rep_row])) if rep_row in twins else ()
         d = metric.one_to_many(X[rep_row], U[others], at)
@@ -130,7 +136,8 @@ def assemble_dissimilarity_report(
 
 def nearest_excluded(
     partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
-    member_rows: Sequence[np.ndarray] | None = None,
+    member_rows: Sequence[np.ndarray] | None = None, *,
+    qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
 
@@ -142,10 +149,11 @@ def nearest_excluded(
     clusters in its own order and copies only the rows that move.  Only the
     outside twins and the tied minima are mapped between rows and positions.
     """
-    qualifying = _qualifying(partition, reps, ids, member_rows)
+    if qualifying is None:
+        qualifying = _qualifying(partition, reps, ids, member_rows)
     if len(partition.clusters) < 2:
         return []
-    twins = metric.twin_index(X)
+    twins = metric.twin_index(X) if twins is None else twins
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
     for i, members, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
         rep_row = qualifying[i][0]

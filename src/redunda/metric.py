@@ -19,8 +19,8 @@ from .errors import InvalidArgumentError
 MIN_NORM = 1e-30
 
 # Rows per block of the gram product; bounds the size of the intermediate
-# gram block to roughly block * n doubles.
-_BLOCK_ELEMS = 1 << 22
+# gram panel to roughly block * n doubles.
+_BLOCK_ELEMS = 1 << 21
 _SAMPLE_CELLS = 1 << 16  # size of the strided sample that sets the start bound
 _NORM_ELEMS = 1 << 16  # elements per chunk that ``_row_norms`` widens
 
@@ -187,18 +187,24 @@ def condensed_offsets(n: int) -> np.ndarray:
 
 
 def _gram_blocks(U: np.ndarray):
-    """``(lo, hi, U[lo:hi] @ U.T)`` for consecutive row blocks of ``U``.
+    """``(lo, hi, U[lo:hi] @ U[lo:].T)`` for consecutive row blocks of ``U``:
+    the panel of the upper triangle that holds rows ``lo:hi``, column ``c`` of
+    the panel being column ``lo + c`` of the gram matrix.
 
     The one GEMM shape and blocking behind every pairwise value: a cell's bits
     depend on its place in this product, so every reader of the pairwise
-    matrix takes its cells from here.
+    matrix takes its cells from here.  Every block but the last has
+    ``_BLOCK_ELEMS // n`` rows (at least one, at most n), so for n <= 1448 the
+    first block is the whole matrix.  No panel holds the cells left of its
+    diagonal block, which no reader uses.
 
-    Every block is written into one buffer that the next block overwrites,
+    Every panel is written into one buffer that the next panel overwrites,
     so a reader copies what it keeps.  The buffer is an anonymous mapping of
-    its own, unmapped when the last block is dropped.  Blocks taken from the
-    heap sometimes could not reuse the space a freed block left, so a later
-    block took fresh pages: on four 3400 x 32 classes, 8 of 40 output-path
-    lengths raised the peak RSS from 85 to 113 MB.
+    its own, sized for the first and widest panel, and unmapped when the last
+    panel is dropped.  Blocks taken from the heap sometimes could not reuse
+    the space a freed block left, so a later block took fresh pages: on four
+    3400 x 32 classes, 8 of 40 output-path lengths raised the peak RSS from
+    85 to 113 MB.
     """
     n = U.shape[0]
     if n == 0:
@@ -210,8 +216,8 @@ def _gram_blocks(U: np.ndarray):
     out = np.frombuffer(buf, dtype=np.float64)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        G = out[: (hi - lo) * n].reshape(hi - lo, n)
-        yield lo, hi, np.matmul(U[lo:hi], U.T, out=G)
+        G = out[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        yield lo, hi, np.matmul(U[lo:hi], U[lo:].T, out=G)
 
 
 def twin_index(X: np.ndarray) -> dict[int, np.ndarray]:
@@ -245,10 +251,12 @@ def pairwise_condensed(X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray
     """Upper-triangular cosine dissimilarities of the rows of ``X``.
 
     Returns a float64 vector of length ``n*(n-1)//2`` laid out row-major:
-    (0,1), (0,2), ..., (0,n-1), (1,2), ...  Built from a blocked gram product
-    of the normalized rows, so every value matches ``cosine_dissimilarity``
-    of the corresponding pair to within a few ulp.  ``U`` is the caller's
-    ``unit_rows(X)`` when it holds one, and is computed when omitted.
+    (0,1), (0,2), ..., (0,n-1), (1,2), ...  Built from the upper-triangle
+    panels ``U[lo:hi] @ U[lo:].T`` of the normalized rows (``_gram_blocks``),
+    row ``i`` copied from panel column ``i + 1 - lo`` on, so every value
+    matches ``cosine_dissimilarity`` of the corresponding pair to within a
+    few ulp.  ``U`` is the caller's ``unit_rows(X)`` when it holds one, and
+    is computed when omitted.
     """
     X = as_rows(X)
     U = unit_rows(X) if U is None else U
@@ -259,7 +267,7 @@ def pairwise_condensed(X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray
     offs = condensed_offsets(n)
     for lo, hi, G in _gram_blocks(U):
         for i in range(lo, hi):
-            out[offs[i] : offs[i] + n - 1 - i] = G[i - lo, i + 1 :]
+            out[offs[i] : offs[i] + n - 1 - i] = G[i - lo, i + 1 - lo :]
     np.subtract(1.0, out, out=out)  # elementwise: the bits a full block would get
     np.clip(out, 0.0, 2.0, out=out)
     out[_duplicate_cells(X, offs)] = 0.0
@@ -275,13 +283,13 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
     their values, bit for bit those of ``pairwise_condensed(X)[idx]``.
 
     The bound starts at a sample value: the sample strides over the first
-    gram block's cells (all cells when n <= 2048), about ``_SAMPLE_CELLS`` of
+    gram block's cells (all cells when n <= 1448), about ``_SAMPLE_CELLS`` of
     them, and the bound is its value at rank ``room * len(sample) // len(D)``
     (``+inf`` past its end).  Whenever more than ``room`` cells are held it
     drops to just below the (room+1)-th smallest of them, the largest bound
-    that leaves ``room`` or fewer.  Each block is screened on its raw gram
-    values, and only the cells that pass get ``1 - g`` and the clip; it holds
-    one gram block at a time plus the cells kept.
+    that leaves ``room`` or fewer.  Each block's panel is screened whole on
+    its raw gram values, and only the upper cells that pass get ``1 - g`` and
+    the clip; it holds one panel at a time plus the cells kept.
     """
     X = as_rows(X)
     n = U.shape[0]
@@ -296,7 +304,7 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
     def values(G, lo, cells):
         # The ufuncs pairwise_condensed applies, on the same gram values.
         rows = np.searchsorted(offs, cells, side="right") - 1
-        v = np.clip(np.subtract(1.0, G[rows - lo, cells - base[rows]]), 0.0, 2.0)
+        v = np.clip(np.subtract(1.0, G[rows - lo, cells - base[rows] - lo]), 0.0, 2.0)
         if dups.size:
             v[np.isin(cells, dups)] = 0.0
         return v
@@ -315,8 +323,7 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
         # it, and 1e-15 is about 9u.  A bound >= 2 keeps every cell, and
         # twins are 0.0 whatever their gram value, so they are added below.
         thr = 1.0 - bound - 1e-15 if bound < 2.0 else -math.inf
-        width = n - lo
-        r, j = np.divmod(np.flatnonzero(G[:, lo:] >= thr), width)
+        r, j = np.divmod(np.flatnonzero(G >= thr), n - lo)
         upper = j > r
         cells = base[lo + r[upper]] + lo + j[upper]
         twins = dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)]

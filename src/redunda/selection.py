@@ -165,7 +165,8 @@ def _cluster_class(
 ) -> ClassResult:
     """Read, normalize and cluster one class once, then take every medoid in
     one ``select_representative`` pass and build the report entries asked for
-    from the same rows and unit rows.  The rows stay in the dataset's
+    from the same rows and unit rows, with one qualifying-cluster walk and
+    one twin index shared by both reports.  The rows stay in the dataset's
     precision, and ``U`` is their only float64 copy."""
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
@@ -176,10 +177,13 @@ def _cluster_class(
     member_rows = part.member_rows(ids)
     reps = select_representative(ids, X, U, member_rows)
     entry = pairs = None
+    if dissimilarity or nearest_excluded:
+        shared = dict(qualifying=analysis._qualifying(part, reps, ids, member_rows),
+                      twins=metric.twin_index(X))
     if dissimilarity:
-        entry = analysis.avg_dissimilarity(part, reps, ids, X, U, member_rows)
+        entry = analysis.avg_dissimilarity(part, reps, ids, X, U, **shared)
     if nearest_excluded:
-        pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U, member_rows))
+        pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U, **shared))
     return ClassResult(part, reps, dendro, entry, pairs)
 
 

@@ -119,7 +119,8 @@ def nearest_excluded(clusters, reps, points):
 
 def pairwise_full_block(X) -> np.ndarray:
     """``metric.pairwise_condensed`` in its first form: subtract and clip each
-    whole gram block ``U[lo:hi] @ U.T``, then copy out its upper half.
+    whole gram panel ``U[lo:hi] @ U[lo:].T``, then copy out its upper half
+    (panel column ``c`` is column ``lo + c`` of the gram matrix).
 
     Uses the same blocking (``metric._BLOCK_ELEMS``, read at call time), so
     the values can be compared bit for bit.  Pairs of rows equal under ``==``
@@ -132,12 +133,12 @@ def pairwise_full_block(X) -> np.ndarray:
     block = max(1, metric._BLOCK_ELEMS // max(n, 1))
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        G = U[lo:hi] @ U.T
+        G = U[lo:hi] @ U[lo:].T
         np.subtract(1.0, G, out=G)
         np.clip(G, 0.0, 2.0, out=G)
         for i in range(lo, hi):
             start = i * n - i * (i + 1) // 2
-            out[start : start + n - 1 - i] = G[i - lo, i + 1 :]
+            out[start : start + n - 1 - i] = G[i - lo, i + 1 - lo :]
     for i in range(n - 1):
         for j in np.flatnonzero((X[i + 1 :] == X[i]).all(axis=1)):
             out[condensed_index(n, i, i + 1 + int(j))] = 0.0

@@ -368,7 +368,9 @@ class TestThresholdEngine:
         with mock.patch.object(metric, "_BLOCK_ELEMS", 7 * 42), \
                 mock.patch.object(metric, "_SAMPLE_CELLS", 1):
             fast, dense, bound = both_engines(X, 21)
-            G = np.vstack([G.copy() for _, _, G in metric._gram_blocks(metric.unit_rows(X))])
+            G = np.zeros((42, 42))
+            for lo, hi, P in metric._gram_blocks(metric.unit_rows(X)):
+                G[lo:hi, lo:] = P
         assert bound == 0.0
         assert fast == dense and {(a, b) for _, a, b in fast} == twins
         assert min(G[i, j] for i, j in twins) < 1.0 - 1e-15
@@ -451,9 +453,9 @@ class TestThresholdEngine:
         # tracemalloc peak over the condensed matrix the memory cap counts, at
         # fraction 0.9.  1.709 and 9.347 are the dense engine's own ratios
         # (1.7082 and 9.3466) rounded up.  The threshold engine's read never
-        # builds that matrix: it holds one gram block of about 2**22 cells at a
-        # time, 0.34 of the matrix at 5000 rows and 0.73 at 3400, plus the
-        # screen's mask and the cells it keeps (0.427 and 0.863 measured).
+        # builds that matrix: it holds one gram panel of about 2**21 cells at a
+        # time, 0.17 of the matrix at 5000 rows and 0.36 at 3400, plus the
+        # screen's mask and the cells it keeps (0.265 and 0.467 measured).
         # The gram blocks live in a mapping tracemalloc does not see, so the
         # largest one is added to the traced peak.
         X = np.random.default_rng(0).normal(size=(n, dim))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +286,51 @@ class TestPairwiseCondensed:
         assert plain[[0, 2]].max() < 1e-15
         with pytest.raises(InvalidArgumentError):
             one_to_many(x, unit_rows(M[:, 1:]), [])
+
+
+class TestGramBlocks:
+    """The panel plan of ``_gram_blocks``: panels ``U[lo:hi] @ U[lo:].T``
+    that tile the rows, ``_BLOCK_ELEMS // n`` rows each, in one mapping no
+    larger than ``max(_BLOCK_ELEMS, n)`` doubles."""
+
+    def plan(self, n, dim=3):
+        U = unit_rows(np.random.default_rng(n).normal(size=(n, dim)))
+        sizes, real_mmap = [], metric.mmap.mmap
+
+        def spy(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        panels = []
+        with mock.patch.object(metric.mmap, "mmap", spy):
+            for lo, hi, G in metric._gram_blocks(U):
+                assert G.shape == (hi - lo, n - lo)
+                assert G.tobytes() == (U[lo:hi] @ U[lo:].T).tobytes()
+                panels.append((lo, hi))
+        assert len(sizes) == 1 and sizes[0] <= 8 * max(metric._BLOCK_ELEMS, n)
+        block = min(n, max(1, metric._BLOCK_ELEMS // n))
+        assert [lo for lo, _ in panels] == list(range(0, n, block))
+        assert [hi for _, hi in panels] == [lo for lo, _ in panels[1:]] + [n]
+        return panels, sizes[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 1448])
+    def test_one_panel_up_to_1448_rows(self, n):
+        assert self.plan(n) == ([(0, n)], 8 * n * n)
+
+    @pytest.mark.parametrize("n, panels", [(1449, 2), (3400, 6), (5000, 12)])
+    def test_panels_of_larger_classes(self, n, panels):
+        plan, mapped = self.plan(n)
+        assert len(plan) == panels
+        assert mapped <= 8 << 21  # 2**21 doubles, whatever n
+
+    @pytest.mark.parametrize("elems, panels", [(1, 40), (39, 40), (7 * 40, 6), (7 * 40 + 39, 6),
+                                               (41 * 40, 1)])
+    def test_small_blocks(self, elems, panels, monkeypatch):
+        monkeypatch.setattr(metric, "_BLOCK_ELEMS", elems)
+        assert len(self.plan(40)[0]) == panels
+
+    def test_empty(self):
+        assert list(metric._gram_blocks(np.empty((0, 3)))) == []
 
 
 class TestOutsideGathers:
