@@ -51,55 +51,45 @@ class NearestExcludedPair:
 
 
 def size_histogram(partition: Partition) -> SizeHistogram:
-    counts: dict[int, int] = {}
-    for cluster in partition.clusters:
-        counts[len(cluster)] = counts.get(len(cluster), 0) + 1
-    return SizeHistogram(partition.class_id, dict(sorted(counts.items())))
+    sizes, counts = np.unique(partition.sizes(), return_counts=True)
+    return SizeHistogram(partition.class_id, dict(zip(sizes.tolist(), counts.tolist())))
 
 
-def _qualifying(
-    partition: Partition,
-    reps: Sequence[int],
-    ids: np.ndarray,
-    member_rows: Sequence[np.ndarray] | None = None,
-) -> list[tuple[int, np.ndarray]]:
+def _qualifying(partition: Partition, reps: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """``(rep row, member rows)`` of each cluster of size >= 2, in partition
-    order; member rows ascend by sample id.  ``member_rows`` is
-    ``partition.member_rows(ids)`` when the caller already holds it."""
-    if len(reps) != len(partition.clusters):
-        raise InvalidArgumentError(
-            f"{len(reps)} representatives for {len(partition.clusters)} clusters"
-        )
-    if member_rows is None:
-        member_rows = partition.member_rows(ids)
-    out = []
-    for ci, (rep, rows) in enumerate(zip(reps, member_rows)):
-        if rep not in partition.clusters[ci]:
-            raise InvalidArgumentError(f"representative {rep} is not a member of cluster {ci}")
-        if len(rows) >= 2:
-            out.append((int(rows[ids[rows] == rep][0]), rows))
-    return out
+    order; member rows ascend by sample id.  Refuses a ``reps`` that does not
+    name one member of each cluster."""
+    sizes, order, s = partition.sizes(), partition.order, partition.starts
+    if len(reps) != len(sizes):
+        raise InvalidArgumentError(f"{len(reps)} representatives for {len(sizes)} clusters")
+    reps = np.asarray(reps)  # no dtype: a rep beyond int64 is refused below as no member
+    at = np.repeat(np.arange(len(sizes)), sizes)  # the cluster of each entry of ``order``
+    hit = np.flatnonzero(partition.sample_ids[order] == reps[at])
+    rows = np.full(len(sizes), -1)
+    rows[at[hit]] = order[hit]
+    if len(bad := np.flatnonzero(rows < 0)):
+        ci = bad[0]
+        raise InvalidArgumentError(f"representative {reps[ci]} is not a member of cluster {ci}")
+    return [(int(rows[i]), order[s[i] : s[i + 1]]) for i in np.flatnonzero(sizes >= 2)]
 
 
 def avg_dissimilarity(
-    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
-    member_rows: Sequence[np.ndarray] | None = None, *,
+    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray, *,
     qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
 ) -> ClassDissimilarity | None:
     """Average dissimilarity to the retained sample over clusters of size >= 2.
 
-    ``reps`` holds each cluster's retained sample, aligned with
-    ``partition.clusters``; ``ids``, ``X`` and ``U`` are the class's sample
-    ids, rows and unit rows in row order, and ``member_rows`` is
-    ``partition.member_rows(ids)`` (computed when omitted).  ``qualifying``
-    (``_qualifying`` of those arguments) and ``twins``
-    (``metric.twin_index(X)``) are computed when omitted; a caller running
-    both reports builds them once for the two.  Each cluster's other members
-    are compared in one product over ``U[others]``, copied here.  None when
-    no cluster qualifies (the class is left out, not 0).
+    ``reps`` holds each cluster's retained sample id, in partition order;
+    ``X`` and ``U`` are the class's rows and unit rows, in the row order of
+    ``partition.sample_ids``.  ``qualifying`` (``_qualifying`` of those
+    arguments) and ``twins`` (``metric.twin_index(X)``) are computed when
+    omitted; a caller running both reports builds them once for the two.
+    Each cluster's other members are compared in one product over
+    ``U[others]``, copied here.  None when no cluster qualifies (the class is
+    left out, not 0).
     """
     if qualifying is None:
-        qualifying = _qualifying(partition, reps, ids, member_rows)
+        qualifying = _qualifying(partition, reps)
     twins = metric.twin_index(X) if twins is None else twins
     cluster_means: list[float] = []
     for rep_row, rows in qualifying:
@@ -135,8 +125,7 @@ def assemble_dissimilarity_report(
 
 
 def nearest_excluded(
-    partition: Partition, reps: Sequence[int], ids: np.ndarray, X: np.ndarray, U: np.ndarray,
-    member_rows: Sequence[np.ndarray] | None = None, *,
+    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray, *,
     qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
@@ -150,9 +139,10 @@ def nearest_excluded(
     outside twins and the tied minima are mapped between rows and positions.
     """
     if qualifying is None:
-        qualifying = _qualifying(partition, reps, ids, member_rows)
-    if len(partition.clusters) < 2:
+        qualifying = _qualifying(partition, reps)
+    if len(partition.starts) < 3:
         return []
+    ids = partition.sample_ids
     twins = metric.twin_index(X) if twins is None else twins
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
     for i, members, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):

@@ -164,7 +164,7 @@ def _finish(
         cid: {
             "n": sizes[cid],
             "k": len(ids),
-            "largest": max(results[cid].partition.sizes()) if results else None,
+            "largest": int(results[cid].partition.sizes().max()) if results else None,
         }
         for cid, ids in sorted(manifest.retained.items())
     }

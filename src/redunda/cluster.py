@@ -27,17 +27,19 @@ Only then is the condensed matrix built, O(n^2) memory, and the dense loop
 §3, the generic algorithm) runs on it: O(n^2) for each slot's first row
 minimum, then O(n) per merge taken plus the stale heap entries it pops.
 
-Recorded merge steps are in that same key order, with new clusters numbered
-n, n+1, ... as they form.  Children always come before their parents (a
-parent's height is >= each child's height, and at equal heights the parent's
-ref pair is lexicographically larger), so the step sequence is a valid
-bottom-up replay order.
+The dendrogram keeps the merges in that key order as arrays, which the cut
+reads.  Its canonical steps, new clusters numbered n, n+1, ... as they form,
+are built only when read.  Children always come before their parents (a
+parent's height is >= each child's, and at equal heights its ref pair is
+lexicographically larger), so the steps are a valid bottom-up replay order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,43 +64,61 @@ class MergeStep:
     new_id: int
 
 
-@dataclass(frozen=True)
-class Dendrogram:
-    """Canonical merge record for one class.
+def _same(self, other) -> bool:
+    """``==`` for a record of ints and arrays: same type, every field equal."""
+    return type(other) is type(self) and all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+    )
 
-    Cluster refs 0..n_points-1 are singletons in input order (positions in
-    ``sample_ids``); refs n_points, n_points+1, ... are merged clusters in
-    canonical step order.
+
+@dataclass(frozen=True, eq=False)
+class Dendrogram:
+    """Merges of one class in key order: merge i joins, at ``heights[i]``, the
+    clusters whose smallest rows are ``pairs[i]`` (a < b); row r holds sample
+    ``sample_ids[r]``.  ``steps``, built on first read, renumbers the merges:
+    refs 0..n_points-1 are the rows, merge i makes ref n_points + i.
     """
 
     class_id: int
     n_points: int
-    sample_ids: tuple[int, ...]
-    steps: tuple[MergeStep, ...]
+    sample_ids: np.ndarray
+    heights: np.ndarray
+    pairs: np.ndarray
+
+    __eq__ = _same
+
+    @cached_property
+    def steps(self) -> tuple[MergeStep, ...]:
+        return _canonical_steps(self.n_points, self.heights, self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cover of one class's sample ids; clusters ordered by smallest member."""
+    """Clusters of one class, whose ids in row order are ``sample_ids``:
+    cluster i's rows are ``order[starts[i]:starts[i + 1]]``, ascending by
+    sample id.  A cut covers the class, clusters ordered by smallest id."""
 
     class_id: int
-    clusters: tuple[frozenset[int], ...]
+    sample_ids: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.clusters]
+    __eq__ = _same
 
-    def member_rows(self, sample_ids: np.ndarray) -> list[np.ndarray]:
-        """Per cluster, the positions of its members in ``sample_ids`` (the
-        class's ids in row order), ascending by sample id."""
-        sample_ids = np.asarray(sample_ids, dtype=np.int64)
-        members = [sorted(c) for c in self.clusters]
-        flat = np.array([sid for m in members for sid in m], dtype=np.int64)
-        order = np.argsort(sample_ids, kind="stable")
-        pos = np.searchsorted(sample_ids[order], flat)
-        rows = order[pos[pos < len(order)]]  # an id above them all has no row; the check fails
-        if not np.array_equal(sample_ids[rows], flat):
+    @classmethod
+    def from_groups(cls, class_id: int, sample_ids, groups) -> Partition:
+        """The groups of sample ids given, in their order, over the class's
+        ``sample_ids`` (row order); a group may be empty and need not cover."""
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        members = [sorted(g) for g in groups]
+        row = {sid: r for r, sid in enumerate(ids.tolist())}
+        if not all(sid in row for m in members for sid in m):
             raise InvalidArgumentError("partition names a sample_id outside the class")
-        return np.split(rows, np.cumsum([len(m) for m in members])[:-1])
+        rows = np.array([row[sid] for m in members for sid in m], dtype=np.intp)
+        return cls(class_id, ids, rows, np.cumsum([0, *map(len, members)]))
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
 
 
 def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +140,13 @@ def _check_k(n: int, k: int) -> None:
         raise InvalidArgumentError(f"k={k} outside valid range [1, {n}]")
 
 
-def _canonical_steps(n: int, raw: list[tuple[float, int, int]]) -> tuple[MergeStep, ...]:
-    """Renumber merges already in key order; refs in ``raw`` are min-member ordinals."""
+def _canonical_steps(n: int, heights: np.ndarray, pairs: np.ndarray) -> tuple[MergeStep, ...]:
+    """Renumber merges already in key order; refs in ``pairs`` are min-member ordinals."""
     out = []
     current: dict[int, int] = {}  # min-member ordinal -> current cluster ref
-    for i, (height, lo, hi) in enumerate(raw):
-        left = current.get(lo, lo)
-        right = current.get(hi, hi)
-        if left > right:
-            left, right = right, left
-        new_id = n + i
-        out.append(MergeStep(left, right, float(height), new_id))
+    for new_id, height, (lo, hi) in zip(range(n, 2 * n), heights.tolist(), pairs.tolist()):
+        left, right = sorted((current.get(lo, lo), current.get(hi, hi)))
+        out.append(MergeStep(left, right, height, new_id))
         current[lo] = new_id  # union keeps the smaller ordinal as its key
         current.pop(hi, None)
     return tuple(out)
@@ -304,28 +320,32 @@ def agglomerate_fast(
             if (need := n * (n - 1) // 2 * 8) > cap:
                 raise MemoryCapError(f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}")
             raw = _generic_merges(metric.pairwise_condensed(X, U), n, n - k)
-    dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
+    raw = np.fromiter(chain.from_iterable(raw), np.float64, 3 * len(raw)).reshape(-1, 3)
+    dendro = Dendrogram(class_id, n, ids, raw[:, 0], raw[:, 1:].astype(np.int64))
     return dendro, cut_dendrogram(dendro, k)
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
-    """Replay canonical steps until ``k`` clusters remain."""
+    """The partition after the first n - k merges.  Merge (a, b) points row b
+    at row a < b, so pointer jumping takes every row to its cluster's smallest
+    row; one sort by (the cluster's smallest sample id, sample id) groups them."""
     n = dendrogram.n_points
-    lo = n - len(dendrogram.steps)
+    lo = n - len(dendrogram.heights)
     if not lo <= k <= n:
         raise InvalidArgumentError(
             f"k={k} outside achievable range [{lo}, {n}] for this dendrogram"
         )
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step in dendrogram.steps[: n - k]:
-        left = members.pop(step.left)
-        left.extend(members.pop(step.right))
-        members[step.new_id] = left
-    clusters = sorted(
-        (frozenset(dendrogram.sample_ids[m] for m in lst) for lst in members.values()),
-        key=min,
-    )
-    return Partition(dendrogram.class_id, tuple(clusters))
+    ids, (a, b) = dendrogram.sample_ids, dendrogram.pairs[: n - k].T
+    root = np.arange(n)
+    root[b] = a
+    while not np.array_equal(up := root[root], root):
+        root = up
+    low = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(low, root, ids)
+    order = np.lexsort((ids, low[root]))
+    key = low[root[order]]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+    return Partition(dendrogram.class_id, ids, order, starts)
 
 
 def format_dendrogram(dendrogram: Dendrogram) -> str:

@@ -45,9 +45,9 @@ def per_class_k(class_size: int, fraction: float) -> int:
 
 @dataclass(frozen=True)
 class ClassResult:
-    """One clustered class: its partition, the medoid of each cluster (aligned
-    with ``partition.clusters``), its dendrogram and the report entries asked
-    for (None if not; ``dissimilarity`` also when no cluster has two members)."""
+    """One clustered class: its partition, each cluster's medoid sample id (in
+    partition order), its dendrogram and the report entries asked for (None
+    if not; ``dissimilarity`` also when no cluster has two members)."""
 
     partition: Partition
     reps: tuple[int, ...]
@@ -93,15 +93,15 @@ def _medoid(ids: np.ndarray, X: np.ndarray, U: np.ndarray) -> int:
 
 
 def select_representative(
-    ids: np.ndarray, X: np.ndarray, U: np.ndarray, member_rows
+    ids: np.ndarray, X: np.ndarray, U: np.ndarray, order: np.ndarray, starts: np.ndarray
 ) -> tuple[int, ...]:
-    """Medoid of every cluster of one class, aligned with ``member_rows``.
+    """Medoid of every cluster of one class, as sample ids in cluster order.
 
     ``ids``, ``X`` and ``U`` are the class's sample ids, rows and unit rows;
-    ``member_rows[i]`` holds the positions of cluster i's members, ascending
-    by sample id.  The medoid is the member of least cosine dissimilarity to
-    the cluster's arithmetic-mean centroid, ties to the smallest sample_id:
-    exactly the ids the per-cluster ``_medoid`` picks.
+    cluster i's rows are ``order[starts[i]:starts[i + 1]]``, ascending by
+    sample id (a ``Partition``'s).  The medoid is the member of least cosine
+    dissimilarity to the cluster's arithmetic-mean centroid, ties to the
+    smallest sample_id: exactly the ids the per-cluster ``_medoid`` picks.
 
     A singleton is its own medoid.  Clusters of one size s >= 2 are read
     together: one stacked mean of the widened rows gives every centroid, with
@@ -132,11 +132,9 @@ def select_representative(
     norm then is at least ``MIN_NORM`` and its square finite, so ``_medoid``
     would raise on none of them.
     """
-    sizes = np.array([len(r) for r in member_rows], dtype=np.intp)
-    flat = np.concatenate(member_rows) if len(sizes) else sizes
-    starts = np.cumsum(sizes) - sizes
+    sizes, first = np.diff(starts), starts[:-1]
     best = np.full(len(sizes), -1, dtype=np.intp)  # row of each medoid found here
-    best[sizes == 1] = flat[starts[sizes == 1]]
+    best[sizes == 1] = order[first[sizes == 1]]
     d = X.shape[1]
     eps = 4.0 * (d + 4) * 2.0**-53
     for s in np.unique(sizes[sizes >= 2]).tolist():
@@ -144,7 +142,7 @@ def select_representative(
         per = max(1, _CHUNK_ELEMS // (s * d))
         for lo in range(0, len(group), per):
             at = group[lo : lo + per]
-            R = flat[starts[at][:, None] + np.arange(s)]
+            R = order[first[at][:, None] + np.arange(s)]
             with np.errstate(all="ignore"):  # refused below, and again by ``_medoid``
                 C = X[R].astype(np.float64, copy=False).mean(axis=1)
                 norm = np.sqrt(np.einsum("ij,ij->i", C, C))
@@ -153,10 +151,10 @@ def select_representative(
             ok = (two[:, 1] - two[:, 0] > 2.0 * eps) & (norm >= 2.0 * metric.MIN_NORM)
             ok &= norm <= 2.0**511
             best[at[ok]] = R[ok, np.argmin(b[ok], axis=1)]
-    return tuple(
-        int(ids[best[i]]) if best[i] >= 0 else _medoid(ids[rows], X[rows], U[rows])
-        for i, rows in enumerate(member_rows)
-    )
+    for i in np.flatnonzero(best < 0).tolist():
+        rows = order[starts[i] : starts[i + 1]]
+        best[i] = rows[ids[rows] == _medoid(ids[rows], X[rows], U[rows])][0]
+    return tuple(ids[best].tolist())
 
 
 def _cluster_class(
@@ -174,16 +172,14 @@ def _cluster_class(
     dendro, part = agglomerate_fast(
         X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U,
     )
-    member_rows = part.member_rows(ids)
-    reps = select_representative(ids, X, U, member_rows)
+    reps = select_representative(ids, X, U, part.order, part.starts)
     entry = pairs = None
     if dissimilarity or nearest_excluded:
-        shared = dict(qualifying=analysis._qualifying(part, reps, ids, member_rows),
-                      twins=metric.twin_index(X))
+        shared = dict(qualifying=analysis._qualifying(part, reps), twins=metric.twin_index(X))
     if dissimilarity:
-        entry = analysis.avg_dissimilarity(part, reps, ids, X, U, **shared)
+        entry = analysis.avg_dissimilarity(part, reps, X, U, **shared)
     if nearest_excluded:
-        pairs = tuple(analysis.nearest_excluded(part, reps, ids, X, U, **shared))
+        pairs = tuple(analysis.nearest_excluded(part, reps, X, U, **shared))
     return ClassResult(part, reps, dendro, entry, pairs)
 
 

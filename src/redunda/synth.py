@@ -92,16 +92,22 @@ class SeparationCertificate:
     min_between: float | None
 
 
-def _draw_anchors(stream: rng.Stream, spec: PlantedSpec) -> list[np.ndarray]:
-    anchors: list[np.ndarray] = []
+def _draw_anchors(stream: rng.Stream, spec: PlantedSpec) -> np.ndarray:
+    """Keeps a candidate when its ``metric.cosine_dissimilarity`` to each anchor kept is above
+    the margin.  ``1 - A @ c`` and each scalar value lie within ``(2 d + 5) u`` (u = 2**-53, to
+    first order: unit rows, d-term dot products) of the exact value, so only anchors it puts
+    within ``eps = 8 (d + 4) u`` of the margin take the scalar path."""
+    margin, eps = spec.between_margin, 8.0 * (spec.dim + 4) * 2.0**-53
+    anchors = np.empty((spec.groups_per_class, spec.dim))
     for g in range(spec.groups_per_class):
         for _ in range(_ANCHOR_ATTEMPTS):
             cand = stream.unit_vector(spec.dim)
-            if all(
-                metric.cosine_dissimilarity(cand, a) > spec.between_margin
-                for a in anchors
+            d = 1.0 - anchors[:g] @ cand
+            if (d >= margin - eps).all() and all(
+                metric.cosine_dissimilarity(cand, anchors[i]) > margin
+                for i in np.flatnonzero(d <= margin + eps)
             ):
-                anchors.append(cand)
+                anchors[g] = cand
                 break
         else:
             raise MarginError(
@@ -204,8 +210,8 @@ def measure_separation(
         ids, X = dataset.class_arrays(cid)
         n = len(ids)
         label = np.full(n, -1)
-        for g, rows in enumerate(Partition(cid, tuple(ground_truth[cid])).member_rows(ids)):
-            label[rows] = g
+        part = Partition.from_groups(cid, ids, ground_truth[cid])
+        label[part.order] = np.repeat(np.arange(len(part.starts) - 1), part.sizes())
         D, offs = metric.pairwise_condensed(X), metric.condensed_offsets(n)
         for i in np.flatnonzero(label >= 0):
             d, rest = D[offs[i] : offs[i] + n - 1 - i], label[i + 1 :]

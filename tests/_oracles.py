@@ -7,7 +7,9 @@ package's form can be held to the same bits.  The definitional ones below it
 (``condensed_index``, ``cluster_dissimilarity`` and the naive engine
 ``agglomerate_naive``) run on the package's own pairwise values, so heights
 can be compared bit for bit, but recompute every cluster distance from its
-member points instead of updating it.
+member points instead of updating it.  ``canonical_steps`` and ``replay_cut``
+keep the first form of the dendrogram's steps and of the cut: a replay of
+the steps over lists of members.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from redunda import metric
 from redunda.cluster import (
     Dendrogram,
+    MergeStep,
     Partition,
-    _canonical_steps,
     _check_class,
     _check_k,
 )
@@ -207,9 +209,38 @@ def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
                 S[i, x] = d
                 S[x, i] = d
 
-    dendro = Dendrogram(class_id, n, tuple(int(s) for s in ids), _canonical_steps(n, raw))
+    merges = np.array(raw, dtype=np.float64).reshape(-1, 3)
+    dendro = Dendrogram(class_id, n, ids, merges[:, 0], merges[:, 1:].astype(np.int64))
     clusters = sorted(
         (frozenset(int(ids[m]) for m in lst) for lst in members if lst is not None),
         key=min,
     )
-    return dendro, Partition(class_id, tuple(clusters))
+    return dendro, Partition.from_groups(class_id, ids, clusters)
+
+
+def canonical_steps(n: int, raw) -> tuple[MergeStep, ...]:
+    """Merges ``(height, a, b)`` in key order, a < b their clusters' smallest
+    ordinals, renumbered one at a time: refs 0..n-1 are the points, merge i
+    makes ref n + i, and ``left < right``."""
+    out = []
+    current: dict[int, int] = {}  # smallest ordinal -> current cluster ref
+    for i, (height, lo, hi) in enumerate(raw):
+        left, right = sorted((current.get(lo, lo), current.get(hi, hi)))
+        out.append(MergeStep(left, right, float(height), n + i))
+        current[lo] = n + i
+        current.pop(hi, None)
+    return tuple(out)
+
+
+def replay_cut(steps, sample_ids, k: int) -> tuple[frozenset[int], ...]:
+    """Replay canonical steps from singletons until ``k`` clusters remain;
+    the clusters' sample ids, ordered by smallest member."""
+    n = len(sample_ids)
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    for step in steps[: n - k]:
+        left = members.pop(step.left)
+        left.extend(members.pop(step.right))
+        members[step.new_id] = left
+    return tuple(sorted(
+        (frozenset(int(sample_ids[m]) for m in lst) for lst in members.values()), key=min
+    ))

@@ -34,6 +34,12 @@ def random_unit_rows(rs: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+def clusters(part) -> tuple[frozenset, ...]:
+    """A partition's clusters as sets of sample ids, in partition order."""
+    ids, s = part.sample_ids[part.order].tolist(), part.starts.tolist()
+    return tuple(frozenset(ids[a:b]) for a, b in zip(s, s[1:]))
+
+
 def with_duplicates(rs: np.random.Generator, X: np.ndarray, copies: int) -> np.ndarray:
     """Overwrite `copies` random rows with copies of other rows (forces ties)."""
     X = X.copy()

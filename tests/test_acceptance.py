@@ -18,7 +18,7 @@ from scipy.stats import chi2
 
 import _oracles
 from _oracles import agglomerate_naive, cluster_dissimilarity
-from conftest import random_unit_rows, stacked_dataset, with_duplicates
+from conftest import clusters, random_unit_rows, stacked_dataset, with_duplicates
 from redunda.analysis import avg_dissimilarity, nearest_excluded, size_histogram
 from redunda.cluster import Partition, agglomerate_fast
 from redunda.metric import cosine_dissimilarity, unit_rows
@@ -138,10 +138,10 @@ def test_criterion_3_planted_recovery(capsys):
         for cid, groups in truth.items():
             ids, X = ds.class_arrays(cid)
             _, part = agglomerate_fast(X, len(groups), sample_ids=ids, class_id=cid)
-            if set(part.clusters) != set(groups):
+            if set(clusters(part)) != set(groups):
                 exact = False
-            planted = Partition(cid, tuple(groups))
-            reps = select_representative(ids, X, unit_rows(X), planted.member_rows(ids))
+            planted = Partition.from_groups(cid, ids, groups)
+            reps = select_representative(ids, X, unit_rows(X), planted.order, planted.starts)
             rep_outside += sum(rep not in group for group, rep in zip(groups, reps))
         recovered += exact
     ok = recovered == 100 and rep_outside == 0
@@ -193,11 +193,11 @@ def test_criterion_5_statistic_definitions(capsys):
     }
     ds = stacked_dataset({0: [vecs[i] for i in range(5)]})
     clusters = [{0, 1}, {2, 3}, {4}]
-    part = Partition(0, tuple(frozenset(c) for c in clusters))
     ids, X = ds.class_arrays(0)
+    part = Partition.from_groups(0, ids, clusters)
     U = unit_rows(X)
-    reps = select_representative(ids, X, U, part.member_rows(ids))
-    entry = avg_dissimilarity(part, reps, ids, X, U)
+    reps = select_representative(ids, X, U, part.order, part.starts)
+    entry = avg_dissimilarity(part, reps, X, U)
     oracle_mean, oracle_per = _oracles.class_avg_dissim(
         clusters, reps, lambda s: vecs[s]
     )
@@ -205,7 +205,7 @@ def test_criterion_5_statistic_definitions(capsys):
     per_err = max(abs(g - o) for g, o in zip(entry.cluster_means, oracle_per))
 
     points = [(s, vecs[s]) for s in range(5)]
-    got = nearest_excluded(part, reps, ids, X, U)
+    got = nearest_excluded(part, reps, X, U)
     want = _oracles.nearest_excluded(clusters, reps, points)
     pairs_match = [(p.retained_id, p.neighbor_id) for p in got] == [
         (r, nb) for r, nb, _ in want
@@ -222,7 +222,7 @@ def test_criterion_5_statistic_definitions(capsys):
         for s in sizes:
             cl.append(frozenset(range(nxt, nxt + int(s))))
             nxt += int(s)
-        h = size_histogram(Partition(0, tuple(cl)))
+        h = size_histogram(Partition.from_groups(0, np.arange(nxt), cl))
         if (
             sum(sz * c for sz, c in h.counts.items()) != nxt
             or sum(h.counts.values()) != len(cl)

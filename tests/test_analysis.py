@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import random_unit_rows
+from conftest import clusters, random_unit_rows
 from redunda.analysis import (
     ClassDissimilarity,
     NearestExcludedPair,
@@ -38,14 +38,18 @@ MEAN_DIAG_ORTHO = 0.6464466094067263
 D_NEAR_MISS = 0.006116265326381098
 
 
-def part(class_id, *clusters):
-    return Partition(class_id, tuple(frozenset(c) for c in clusters))
+def part(class_id, *clusters, ids=None):
+    """``clusters`` of sample ids over a class whose ids in row order are
+    ``ids``, by default the clusters' ids ascending."""
+    return Partition.from_groups(
+        class_id, sorted(set().union(*clusters)) if ids is None else ids, clusters
+    )
 
 
 def class_of(points):
-    """``(ids, X, U)`` of a class given as ``(sample_id, vector)`` pairs."""
+    """``(X, U)`` of a class given as ``(sample_id, vector)`` pairs."""
     X = np.array([v for _, v in points], dtype=np.float64)
-    return np.array([s for s, _ in points], dtype=np.int64), X, unit_rows(X)
+    return X, unit_rows(X)
 
 
 def positional(X):
@@ -110,8 +114,9 @@ class TestAvgDissimilarity:
 
     def test_rep_must_be_member(self):
         p, _, cls = self.worked()
-        with pytest.raises(InvalidArgumentError, match="not a member"):
-            avg_dissimilarity(p, (99,), *cls)
+        for rep in (99, 2**70, None):  # outside the class, beyond int64, not a number
+            with pytest.raises(InvalidArgumentError, match="not a member"):
+                avg_dissimilarity(p, (rep,), *cls)
 
     def test_rep_must_exist(self):
         p, _, cls = self.worked()
@@ -190,7 +195,8 @@ class TestNearestExcluded:
     def test_tie_breaks_to_smallest_id(self):
         v = [0.6, 0.8]
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.0]), (5, v), (4, v)]
-        pairs = nearest_excluded(part(0, {0, 1}, {4}, {5}), (0, 4, 5), *class_of(pts))
+        p = part(0, {0, 1}, {4}, {5}, ids=[0, 1, 5, 4])
+        pairs = nearest_excluded(p, (0, 4, 5), *class_of(pts))
         assert pairs[0].neighbor_id == 4
 
     def test_neighbor_never_inside(self):
@@ -229,12 +235,11 @@ class TestNearestExcluded:
         n, d = 1300, 2048
         X = random_unit_rows(np.random.default_rng(31), n, d)
         U = unit_rows(X)
-        ids = np.arange(n)
         p = part(0, *({2 * i, 2 * i + 1} for i in range(130)), *({i} for i in range(260, n)))
-        reps = tuple(min(c) for c in p.clusters)
+        reps = tuple(min(c) for c in clusters(p))
         tracemalloc.start()
         try:
-            pairs = nearest_excluded(p, reps, ids, X, U)
+            pairs = nearest_excluded(p, reps, X, U)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,8 +266,8 @@ class TestNearestExcluded:
         split = ties = 0
         for cid, res in results.items():
             ids, Xc = ds.class_arrays(cid)
-            for p in nearest_excluded(res.partition, res.reps, ids, Xc, unit_rows(Xc)):
-                cluster = next(c for c in res.partition.clusters if p.retained_id in c)
+            for p in nearest_excluded(res.partition, res.reps, Xc, unit_rows(Xc)):
+                cluster = next(c for c in clusters(res.partition) if p.retained_id in c)
                 rep = Xc[ids == p.retained_id][0]
                 twins = [int(s) for s, v in zip(ids, Xc) if (v == rep).all() and s not in cluster]
                 if twins:
@@ -277,11 +282,11 @@ class TestNearestExcluded:
         ``==`` against the per-cluster reference; return the partition's pair
         (in rows) and the nearest-excluded pairs."""
         _, p = agglomerate_fast(X, len(X) - 1, sample_ids=ids)
-        reps, means, pairs = reference(ids, X, p.clusters)
+        reps, means, pairs = reference(ids, X, clusters(p))
         U = unit_rows(X)
-        assert nearest_excluded(p, reps, ids, X, U) == pairs
-        assert avg_dissimilarity(p, reps, ids, X, U).cluster_means == means
-        pair = next(c for c in p.clusters if len(c) == 2)
+        assert nearest_excluded(p, reps, X, U) == pairs
+        assert avg_dissimilarity(p, reps, X, U).cluster_means == means
+        pair = next(c for c in clusters(p) if len(c) == 2)
         return sorted(np.flatnonzero(np.isin(ids, list(pair))).tolist()), pairs
 
     # Ids ascending, and descending in row order (member rows then come

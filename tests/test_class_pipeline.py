@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import random_unit_rows, with_duplicates
+from conftest import clusters, random_unit_rows, with_duplicates
 from redunda import analysis, metric
 from redunda.analysis import NearestExcludedPair, avg_dissimilarity, nearest_excluded
 from redunda.metric import unit_rows
@@ -86,13 +86,13 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
     assert dense.call_count == (len(sizes) if fraction < 0.5 else 0)
     for cid, res in results.items():
         ids, Xc = ds.class_arrays(cid)
-        reps, means, pairs = reference(ids, Xc, res.partition.clusters)
+        reps, means, pairs = reference(ids, Xc, clusters(res.partition))
         assert res.reps == reps
         assert res.dissimilarity.cluster_means == means
         assert res.pairs == tuple(pairs)
         U = unit_rows(Xc)
-        assert avg_dissimilarity(res.partition, res.reps, ids, Xc, U).cluster_means == means
-        assert nearest_excluded(res.partition, res.reps, ids, Xc, U) == pairs
+        assert avg_dissimilarity(res.partition, res.reps, Xc, U).cluster_means == means
+        assert nearest_excluded(res.partition, res.reps, Xc, U) == pairs
         if fraction > 0.5:
             assert 0.0 in means  # the injected duplicates collapsed into some cluster
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -15,7 +16,8 @@ import pytest
 
 import redunda
 from conftest import pipe_serving, stacked_dataset
-from redunda import selection
+import _oracles
+from redunda import cluster, selection
 from redunda.cli import build_parser, main
 from redunda.selection import read_manifest_json
 from redunda.store import (
@@ -799,6 +801,62 @@ class TestDendrogramDump:
                 heights.append(float(height))
             assert len(heights) == 3  # n=6 to k=3
             assert heights == sorted(heights)
+
+
+    @staticmethod
+    def twins_input(tmp_path):
+        """Two classes of 60 rows, a third of them exact twins."""
+        rs = np.random.default_rng(8)
+        X = rs.normal(size=(120, 5))
+        X[rs.integers(0, 120, 40)] = X[rs.integers(0, 120, 40)]
+        ds = EmbeddingDataset.from_arrays(np.arange(120), np.repeat([0, 1], 60), X)
+        path = tmp_path / "twins.bin"
+        path.write_bytes(canonical_bytes(ds))
+        return path, load_dataset(path)
+
+    @pytest.mark.parametrize("fraction", ["0.9", "0.2"])  # the threshold engine; a give-up
+    def test_dump_is_the_reference_replay_byte_for_byte(self, tmp_path, capsys, fraction):
+        data, ds = self.twins_input(tmp_path)
+        out = tmp_path / "run"
+        assert run(capsys, "select", "--input", data, "--fraction", fraction,
+                   "--dump-dendrograms", "--out", out)[0] == 0
+        for cid in ds.classes():
+            ids, X = ds.class_arrays(cid)
+            n = len(ids)
+            dendro, _ = _oracles.agglomerate_naive(X, selection.per_class_k(n, float(fraction)))
+            raw = zip(dendro.heights.tolist(), *dendro.pairs.T.tolist())
+            text = "".join(f"{s.left} {s.right} {s.height:.17g} {s.new_id}\n"
+                           for s in _oracles.canonical_steps(n, raw))
+            assert (out / "dendrograms" / f"class_{cid}.txt").read_bytes() == text.encode()
+
+    def test_select_builds_steps_only_for_a_dump(self, tmp_path, capsys, monkeypatch):
+        # The cut, the medoids and every report read the partition's arrays:
+        # no canonical step and no MergeStep is built unless dendrograms are
+        # dumped, and no module ``select`` runs builds a frozenset.
+        data, _ = self.twins_input(tmp_path)
+        built, results = [], []
+        steps, step = cluster._canonical_steps, cluster.MergeStep
+        build = selection.build_cluster_subset
+        monkeypatch.setattr(cluster, "_canonical_steps",
+                            lambda *a: built.append("steps") or steps(*a))
+        monkeypatch.setattr(cluster, "MergeStep", lambda *a: built.append("step") or step(*a))
+        monkeypatch.setattr(selection, "build_cluster_subset",
+                            lambda *a, **kw: results.append(build(*a, **kw)) or results[-1])
+        for dump in ((), ("--dump-dendrograms",)):
+            built.clear()
+            results.clear()
+            assert run(capsys, "select", "--input", data, "--fraction", "0.7",
+                       *dump, "--out", tmp_path / "run")[0] == 0
+            (_, by_class), = results
+            lazy = ["steps" in vars(r.dendrogram) for r in by_class.values()]
+            if dump:
+                assert built.count("steps") == 2 and built.count("step") == 2 * (60 - 42)
+                assert lazy == [True, True]
+            else:
+                assert built == [] and lazy == [False, False]
+        for module in (redunda.cli, redunda.analysis, cluster, redunda.metric, selection,
+                       redunda.store):
+            assert "frozenset(" not in inspect.getsource(module), module.__name__
 
 
 class TestValidateCommand:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import agglomerate_naive
-from conftest import NO_DIRECTION, random_unit_rows, with_duplicates
+from conftest import NO_DIRECTION, clusters, random_unit_rows, with_duplicates
 from redunda import cluster, metric
 from redunda.cluster import (
     Dendrogram,
@@ -22,6 +22,8 @@ from redunda.cluster import (
 )
 from redunda.errors import InvalidArgumentError, MemoryCapError
 from redunda.metric import cosine_dissimilarity, pairwise_condensed
+from redunda.selection import build_cluster_subset
+from redunda.store import EmbeddingDataset
 from redunda.synth import PlantedSpec, generate
 
 # First merge of {(1,0), (1,0.001), (0,1)}: d((1,0),(1,0.001)), frozen oracle value.
@@ -39,7 +41,7 @@ class TestWorkedExamples:
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_three_points_k2(self, engine):
         dendro, part = engine(THREE, 2)
-        assert {frozenset(c) for c in part.clusters} == {
+        assert {frozenset(c) for c in clusters(part)} == {
             frozenset({0, 1}),
             frozenset({2}),
         }
@@ -50,18 +52,18 @@ class TestWorkedExamples:
     def test_k_equals_n_no_merges(self, engine):
         dendro, part = engine(THREE, 3)
         assert dendro.steps == ()
-        assert part.sizes() == [1, 1, 1]
+        assert part.sizes().tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_k1_full_agglomeration(self, engine):
         dendro, part = engine(THREE, 1)
         assert len(dendro.steps) == 2
-        assert part.clusters == (frozenset({0, 1, 2}),)
+        assert clusters(part) == (frozenset({0, 1, 2}),)
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_single_point(self, engine):
         dendro, part = engine(np.array([[1.0, 2.0]]), 1, sample_ids=[5])
-        assert part.clusters == (frozenset({5}),)
+        assert clusters(part) == (frozenset({5}),)
         with pytest.raises(InvalidArgumentError):
             engine(np.array([[1.0, 2.0]]), 2, sample_ids=[5])
 
@@ -100,17 +102,29 @@ class TestWorkedExamples:
                         agglomerate_fast(rows, k, U=given)
 
     def test_member_rows_of_an_empty_class(self):
-        part = Partition(0, (frozenset({3}),))
         with pytest.raises(InvalidArgumentError, match="outside the class"):
-            part.member_rows(np.empty(0, dtype=np.int64))
-        assert part.member_rows(np.array([3]))[0].tolist() == [0]
+            Partition.from_groups(0, np.empty(0, dtype=np.int64), [{3}])
+        part = Partition.from_groups(0, np.array([3]), [{3}])
+        assert (part.order.tolist(), part.starts.tolist()) == ([0], [0, 1])
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicates_merge_first_at_height_zero(self, engine):
         X = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         dendro, part = engine(X, 3)
         assert dendro.steps[0].height == 0.0
-        assert frozenset({0, 2}) in part.clusters
+        assert frozenset({0, 2}) in clusters(part)
+
+
+def assert_replayed(dendro, k, part):
+    """``part`` is the cut at ``k`` of the reference replay of the merges:
+    its clusters in its order, each cluster's rows ascending by sample id and
+    every row in one cluster."""
+    raw = zip(dendro.heights.tolist(), *dendro.pairs.T.tolist())
+    steps = _oracles.canonical_steps(dendro.n_points, raw)
+    assert clusters(part) == _oracles.replay_cut(steps, dendro.sample_ids, k)
+    assert sorted(part.order.tolist()) == list(range(dendro.n_points))
+    ids = part.sample_ids[part.order]
+    assert all((np.diff(ids[a:b]) > 0).all() for a, b in zip(part.starts, part.starts[1:]))
 
 
 class TestEngineEquivalence:
@@ -126,7 +140,8 @@ class TestEngineEquivalence:
             dn, pn = agglomerate_naive(X, k)
             df, pf = agglomerate_fast(X, k)
             assert pn == pf
-            assert dn == df  # canonicalized dendrograms match step-for-step
+            assert dn == df  # the raw merges match merge for merge
+            assert_replayed(df, k, pf)
 
     def test_small_inputs_vs_pure_python_oracle(self):
         rs = np.random.default_rng(1)
@@ -139,8 +154,8 @@ class TestEngineEquivalence:
             expect = _oracles.complete_linkage(as_points(X), k)
             _, pn = agglomerate_naive(X, k)
             _, pf = agglomerate_fast(X, k)
-            assert set(pn.clusters) == expect
-            assert set(pf.clusters) == expect
+            assert set(clusters(pn)) == expect
+            assert set(clusters(pf)) == expect
 
     def test_all_identical_points(self):
         X = np.tile([0.6, -0.8], (12, 1))
@@ -148,10 +163,10 @@ class TestEngineEquivalence:
             dn, pn = agglomerate_naive(X, k)
             df, pf = agglomerate_fast(X, k)
             assert pn == pf and dn == df
-            assert len(pn.clusters) == k
+            assert len(clusters(pn)) == k
         # ties resolve by ordinal: k=11 merges the two smallest ordinals
         _, p = agglomerate_fast(X, 11)
-        assert frozenset({0, 1}) in p.clusters
+        assert frozenset({0, 1}) in clusters(p)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -168,7 +183,10 @@ class TestEngineEquivalence:
         df, pf = agglomerate_fast(X, k)
         assert pn == pf
         assert dn == df
-        assert sum(len(c) for c in pn.clusters) == n
+        assert sum(len(c) for c in clusters(pn)) == n
+        full, _ = agglomerate_fast(X, 1)
+        for cut in range(1, n + 1):
+            assert_replayed(full, cut, cut_dendrogram(full, cut))
 
     @given(st.data())
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -187,6 +205,7 @@ class TestEngineEquivalence:
             df, pf = agglomerate_fast(X, k)
             assert pn == pf
             assert dn == df
+            assert_replayed(df, k, pf)
 
     def test_entry_whose_partner_grew_at_equal_height_stays_valid(self):
         # d(0,1) == d(0,2) exactly (same dot with x, same norms), and 1, 2
@@ -209,9 +228,9 @@ class TestEngineEquivalence:
         rs = np.random.default_rng(3)
         X = random_unit_rows(rs, 800, 16)
         dendro, part = agglomerate_fast(X, 640)
-        assert len(part.clusters) == 640
-        assert sum(len(c) for c in part.clusters) == 800
-        assert set().union(*part.clusters) == set(range(800))
+        assert len(clusters(part)) == 640
+        assert sum(len(c) for c in clusters(part)) == 800
+        assert set().union(*clusters(part)) == set(range(800))
 
 
 def assert_exact_read(D, bound, idx, values):
@@ -284,7 +303,7 @@ class TestThresholdEngine:
             assert fast is not None
             assert fast == dense
             _, part = agglomerate_fast(X, len(groups), sample_ids=ids)
-            assert set(part.clusters) == set(groups)
+            assert set(clusters(part)) == set(groups)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -443,7 +462,7 @@ class TestThresholdEngine:
             dendro, part = agglomerate_fast(X, k)
         assert handed == [True]
         expect = cluster._generic_merges(pairwise_condensed(X), 300, 300 - k)
-        assert dendro.steps == cluster._canonical_steps(300, expect)
+        assert dendro.steps == _oracles.canonical_steps(300, expect)
         assert part == cut_dendrogram(dendro, k)
 
     @pytest.mark.parametrize("n, dim, bound", [
@@ -505,8 +524,8 @@ class TestDendrogram:
         n = len(X)
         for k in range(1, n + 1):
             part = cut_dendrogram(dendro, k)
-            assert len(part.clusters) == k
-            assert sum(len(c) for c in part.clusters) == n
+            assert len(clusters(part)) == k
+            assert sum(len(c) for c in clusters(part)) == n
 
     def test_cut_reproduces_clustering_partition(self):
         rs = np.random.default_rng(8)
@@ -518,7 +537,7 @@ class TestDendrogram:
 
     def test_cut_range_checked(self):
         dendro, _ = agglomerate_fast(THREE, 2)  # one step recorded
-        assert len(cut_dendrogram(dendro, 3).clusters) == 3
+        assert len(clusters(cut_dendrogram(dendro, 3))) == 3
         with pytest.raises(InvalidArgumentError):
             cut_dendrogram(dendro, 1)  # below achievable range
         with pytest.raises(InvalidArgumentError):
@@ -529,14 +548,14 @@ class TestDendrogram:
         prev = cut_dendrogram(dendro, 30)
         for k in range(29, 0, -1):
             cur = cut_dendrogram(dendro, k)
-            for cluster in prev.clusters:
-                assert any(cluster <= c for c in cur.clusters)
+            for cluster in clusters(prev):
+                assert any(cluster <= c for c in clusters(cur))
             prev = cur
 
     def test_sample_ids_preserved(self):
         dendro, part = agglomerate_fast(THREE, 2, sample_ids=[100, 7, 55])
-        assert dendro.sample_ids == (100, 7, 55)
-        assert {frozenset(c) for c in part.clusters} == {
+        assert dendro.sample_ids.tolist() == [100, 7, 55]
+        assert {frozenset(c) for c in clusters(part)} == {
             frozenset({100, 7}),
             frozenset({55}),
         }
@@ -560,6 +579,33 @@ class TestDendrogram:
         assert format_dendrogram(dendro) == ""
 
 
+class TestCut:
+    """The array cut against the reference replay of the canonical steps."""
+
+    @pytest.mark.parametrize("ids", ["positional", "non-monotone"])
+    def test_every_cut_matches_the_replay(self, ids):
+        rs = np.random.default_rng(13)
+        X = with_duplicates(rs, random_unit_rows(rs, 70, 4), 15)
+        sample_ids = None if ids == "positional" else rs.permutation(10_000)[:70]
+        dendro, _ = agglomerate_fast(X, 1, sample_ids=sample_ids)
+        assert (np.diff(dendro.sample_ids) < 0).any() == (ids == "non-monotone")
+        for k in range(1, 71):
+            assert_replayed(dendro, k, cut_dendrogram(dendro, k))
+
+    @pytest.mark.parametrize("fraction", [0.6, 0.1])  # the threshold engine; a give-up
+    def test_interleaved_class_file(self, fraction):
+        rs = np.random.default_rng(14)
+        X = with_duplicates(rs, random_unit_rows(rs, 300, 6), 60)
+        ds = EmbeddingDataset.from_arrays(
+            rs.permutation(5000)[:300], rs.integers(0, 3, size=300), X
+        )
+        _, results = build_cluster_subset(ds, fraction)
+        for cid, res in results.items():
+            dendro = res.dendrogram
+            assert dendro.sample_ids.tolist() == ds.class_arrays(cid)[0].tolist()
+            assert_replayed(dendro, dendro.n_points - len(dendro.heights), res.partition)
+
+
 class TestDeterminism:
     def test_permutation_robustness_generic_input(self):
         rs = np.random.default_rng(17)
@@ -568,7 +614,7 @@ class TestDeterminism:
         for _ in range(5):
             perm = rs.permutation(40)
             _, part = agglomerate_fast(X[perm], 12, sample_ids=perm)
-            assert set(part.clusters) == set(base.clusters)
+            assert set(clusters(part)) == set(clusters(base))
 
     def test_reruns_bit_identical(self):
         rs = np.random.default_rng(23)
@@ -603,4 +649,4 @@ class TestMemoryCap:
         need = n * (n - 1) // 2 * 8
         X = np.random.default_rng(0).normal(size=(n, 3))
         _, part = agglomerate_fast(X, 5, memory_cap_bytes=need)
-        assert len(part.clusters) == 5
+        assert len(clusters(part)) == 5

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import cluster_dissimilarity, condensed_index, pairwise_full_block
-from conftest import NO_DIRECTION, random_unit_rows, with_duplicates
+from conftest import NO_DIRECTION, clusters, random_unit_rows, with_duplicates
 from redunda import metric
 from redunda.cluster import agglomerate_fast
 from redunda.errors import InvalidArgumentError
@@ -243,7 +243,7 @@ class TestPairwiseCondensed:
         # The twins merge first, at height 0.0.
         dendro, part = agglomerate_fast(X[:80], 40)
         assert [s.height for s in dendro.steps] == [0.0] * 40
-        assert sorted(map(sorted, part.clusters)) == [[i, i + 1] for i in range(0, 80, 2)]
+        assert sorted(map(sorted, clusters(part))) == [[i, i + 1] for i in range(0, 80, 2)]
 
     def test_lone_twins_with_signed_zero_in_column_0(self):
         # The only row pair sharing column 0 under ``==`` has 0.0 in one row
@@ -385,7 +385,7 @@ class TestOutsideGathers:
             self.walk(U, np.split(rs.permutation(n), cuts))  # member rows not ascending
 
     def test_member_rows_ascending_by_id_not_row(self):
-        # Partition.member_rows orders a cluster by sample id, so with ids
+        # A partition orders each cluster's rows by sample id, so with ids
         # that do not ascend in row order the rows come unsorted.
         rs = np.random.default_rng(27)
         n = 90

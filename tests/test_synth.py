@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import _oracles
+from conftest import clusters
+from redunda import metric, rng, synth
 from redunda.cluster import agglomerate_fast
 from redunda.errors import InvalidArgumentError, MarginError
 from redunda.store import EmbeddingDataset, canonical_bytes
@@ -22,7 +24,7 @@ SPEC_123 = dict(
 def recover(dataset, class_id, k):
     ids, X = dataset.class_arrays(class_id)
     _, part = agglomerate_fast(X, k, sample_ids=ids, class_id=class_id)
-    return set(part.clusters)
+    return set(clusters(part))
 
 
 class TestSpecValidation:
@@ -187,6 +189,45 @@ class TestGenerate:
             generate(spec)
 
 
+def scalar_anchors(stream, spec):
+    """The anchors drawn with every candidate compared to every anchor kept
+    by ``metric.cosine_dissimilarity``, as before the screen."""
+    anchors = []
+    for _ in range(spec.groups_per_class):
+        for _ in range(synth._ANCHOR_ATTEMPTS):
+            cand = stream.unit_vector(spec.dim)
+            if all(metric.cosine_dissimilarity(cand, a) > spec.between_margin for a in anchors):
+                anchors.append(cand)
+                break
+    return np.array(anchors)
+
+
+class TestAnchorScreen:
+    @pytest.mark.parametrize("dim", [2, 5, 32, 300])
+    def test_a_candidate_exactly_at_the_margin(self, dim):
+        # The second candidate's scalar dissimilarity to the first is the
+        # margin: it must be refused there and kept one ulp below, as the
+        # scalar path decides, whatever the screening product reads.
+        for seed in range(8):
+            stream = rng.class_stream(seed, 0, rng.DOMAIN_SYNTH)
+            first, second = stream.unit_vector(dim), stream.unit_vector(dim)
+            d = metric.cosine_dissimilarity(second, first)
+            for margin in (d, np.nextafter(d, 0.0)):
+                spec = PlantedSpec(classes=1, groups_per_class=2, dim=dim, within_spread=0.0,
+                                   between_margin=margin, seed=seed, sizes=(1, 1))
+                got = synth._draw_anchors(rng.class_stream(seed, 0, rng.DOMAIN_SYNTH), spec)
+                want = scalar_anchors(rng.class_stream(seed, 0, rng.DOMAIN_SYNTH), spec)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(got[1], second) == (margin < d)
+
+    def test_many_anchors_near_a_tight_margin(self):
+        spec = PlantedSpec(classes=1, groups_per_class=20, dim=8, within_spread=0.0,
+                           between_margin=0.6, seed=1, sizes=(1,) * 20)
+        got = synth._draw_anchors(rng.class_stream(1, 0, rng.DOMAIN_SYNTH), spec)
+        want = scalar_anchors(rng.class_stream(1, 0, rng.DOMAIN_SYNTH), spec)
+        assert got.tobytes() == want.tobytes()
+
+
 def _generated(classes):
     spec = PlantedSpec(
         classes=classes,
@@ -311,6 +352,8 @@ class TestCertificate:
         ds = EmbeddingDataset.from_arrays([4, 9, 2], [0, 1, 0], np.eye(3))
         with pytest.raises(InvalidArgumentError, match="outside the class"):
             measure_separation(ds, {0: [frozenset({4}), frozenset({2, 9})]})
+        with pytest.raises(InvalidArgumentError, match="outside the class"):
+            measure_separation(ds, {0: [frozenset({2, 10})]})  # above every id of the class
 
 
 class TestRecovery:
