@@ -5,12 +5,11 @@ single writer at the end.  It stages each file under a temporary name and
 moves the files into place only once all are written and the manifest
 re-validates; on any failure the staged files are removed, so an output
 directory keeps the run it held before and never holds a half-finished one.
-After a successful ``select`` or ``stats`` run, the artifacts a run of these
-commands can write but this one did not are removed, so the directory holds
-exactly one run; ``synth`` likewise removes the other format's dataset.  Exit
-status is 0 iff every artifact was written and the produced manifest
-re-validates against the dataset; every failure prints one
-``error_code: message`` line on stderr and exits 1.
+After a successful ``select`` run, the optional artifacts it did not write
+are removed, so the directory holds exactly one run; ``synth`` likewise
+removes the other format's dataset.  Exit status is 0 iff every artifact was
+written and the produced manifest re-validates against the dataset; every
+failure prints one ``error_code: message`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 from . import __version__, analysis, rng, selection, synth
 from .cluster import DEFAULT_MEMORY_CAP, format_dendrogram
 from .errors import ConfigError, RedundaError
-from .selection import ClassResult, SubsetManifest
+from .selection import ClassResult
 from .store import EmbeddingDataset, canonical_bytes, dataset_to_csv, load_dataset
 
 
@@ -41,9 +40,8 @@ def _one_line(exc: BaseException) -> str:
     return " ".join(str(exc).split()) or exc.__class__.__name__
 
 
-# Artifacts a subset run may leave out, as glob patterns under --out.
-# run_metadata.json is not listed: every run writes it.  The manifest files
-# are added for a stats run unless --out holds the manifest it reads.
+# Artifacts a select run may leave out, as glob patterns under --out.  The
+# manifest files and run_metadata.json are not listed: every run writes them.
 _OPTIONAL_ARTIFACTS = (
     "histogram.csv", "histogram.json", "histogram.txt",
     "dissimilarity.json", "dissimilarity.txt",
@@ -108,16 +106,15 @@ def _remove_stale(outdir: Path, patterns, written: set[str], keep: set[Path]) ->
     )
 
 
-def _metadata(command: str, ds: EmbeddingDataset | None, extra: dict) -> str:
+def _metadata(command: str, ds: EmbeddingDataset, extra: dict) -> str:
     doc = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": command,
         "version": __version__,
         "generator": {"name": rng.GENERATOR_NAME, "version": rng.GENERATOR_VERSION},
+        "source_digest": ds.digest(),
+        **extra,
     }
-    if ds is not None:
-        doc["source_digest"] = ds.digest()
-    doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -145,59 +142,6 @@ def _report_artifacts(args, results: dict[int, ClassResult]) -> list[tuple[str, 
     return artifacts
 
 
-def _finish(
-    args,
-    command: str,
-    ds: EmbeddingDataset,
-    manifest: SubsetManifest,
-    results: dict[int, ClassResult] | None,
-    artifacts: list[tuple[str, str | bytes]],
-    meta: dict,
-    reads: tuple[Path, ...] = (),
-) -> None:
-    """Add run_metadata.json, write every artifact, remove what an earlier run
-    left behind, and print the summary.  ``reads`` lists the files the run
-    read besides ``--input``; they are never removed.  A run that writes no
-    manifest removes the one an earlier run left, unless it read that one."""
-    sizes = ds.class_sizes()
-    classes = {
-        cid: {
-            "n": sizes[cid],
-            "k": len(ids),
-            "largest": int(results[cid].partition.sizes().max()) if results else None,
-        }
-        for cid, ids in sorted(manifest.retained.items())
-    }
-    meta = {"input": str(Path(args.input)), "fraction": manifest.retention_fraction,
-            "classes": {str(cid): c for cid, c in classes.items()}, **meta}
-    artifacts.append(("run_metadata.json", _metadata(command, ds, meta)))
-
-    def revalidate(staged: dict[str, Path]) -> None:
-        # Exit contract: the manifest file as written re-validates.
-        if "manifest.json" in staged:
-            reread = selection.read_manifest_json(staged["manifest.json"])
-            selection.validate_manifest(reread, ds)
-
-    out = Path(args.out)
-    _emit(out, artifacts, revalidate)
-    keep = {p.resolve() for p in (Path(args.input), *reads)}
-    own = (out / "manifest.json").resolve() in keep
-    stale = _OPTIONAL_ARTIFACTS + (() if own else ("manifest.json", "manifest.txt"))
-    _remove_stale(out, stale, {rel for rel, _ in artifacts}, keep)
-    for cid, c in classes.items():
-        largest = "" if c["largest"] is None else f" largest={c['largest']}"
-        print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
-    print(
-        f"total: classes={len(manifest.retained)} points={len(ds)} "
-        f"retained={manifest.total_retained()}"
-    )
-
-
-def _check_memory_cap(cap: int | None) -> None:
-    if cap is not None and cap < 0:
-        raise ConfigError(f"memory cap must be >= 0 bytes, got {cap}")
-
-
 def _cmd_select(args) -> int:
     if args.method == selection.METHOD_RANDOM and args.seed is None:
         raise ConfigError("method uniform-random requires --seed")
@@ -205,7 +149,8 @@ def _cmd_select(args) -> int:
         raise ConfigError("--seed only applies to method uniform-random")
     if not 0.0 < args.fraction <= 1.0:
         raise ConfigError(f"fraction must lie in (0, 1], got {args.fraction}")
-    _check_memory_cap(args.memory_cap)
+    if args.memory_cap is not None and args.memory_cap < 0:
+        raise ConfigError(f"memory cap must be >= 0 bytes, got {args.memory_cap}")
     ds = load_dataset(Path(args.input), args.format)
     results: dict[int, ClassResult] | None = None
     if args.method == selection.METHOD_CLUSTER:
@@ -222,31 +167,36 @@ def _cmd_select(args) -> int:
     ]
     if results is not None:
         artifacts += _report_artifacts(args, results)
-    _finish(args, "select", ds, manifest, results, artifacts,
-            {"method": args.method, "seed": args.seed})
+    sizes = ds.class_sizes()
+    classes = {
+        str(cid): {
+            "n": sizes[cid],
+            "k": len(ids),
+            "largest": int(results[cid].partition.sizes().max()) if results else None,
+        }
+        for cid, ids in sorted(manifest.retained.items())
+    }
+    meta = {"input": str(Path(args.input)), "fraction": manifest.retention_fraction,
+            "classes": classes, "method": args.method, "seed": args.seed}
+    artifacts.append(("run_metadata.json", _metadata("select", ds, meta)))
+
+    def revalidate(staged: dict[str, Path]) -> None:
+        # Exit contract: the manifest file as written re-validates.
+        selection.validate_manifest(selection.read_manifest_json(staged["manifest.json"]), ds)
+
+    out = Path(args.out)
+    _emit(out, artifacts, revalidate)
+    _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts},
+                  {Path(args.input).resolve()})
+    for cid, c in classes.items():
+        largest = "" if c["largest"] is None else f" largest={c['largest']}"
+        print(f"class {cid}: n={c['n']} k={c['k']}{largest}")
+    print(
+        f"total: classes={len(manifest.retained)} points={len(ds)} "
+        f"retained={manifest.total_retained()}"
+    )
     if results is None:
         print("note: cluster reports skipped (uniform-random subsets have no clusters)")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    """Re-run the clustering a manifest came from and emit only the reports."""
-    ds = load_dataset(Path(args.input), args.format)
-    manifest = selection.read_manifest_json(Path(args.manifest))
-    if manifest.method != selection.METHOD_CLUSTER:
-        raise ConfigError("stats requires a cluster-medoid manifest")
-    selection.validate_manifest(manifest, ds)  # also checks the fraction
-    _check_memory_cap(args.memory_cap)
-    recomputed, results = selection.build_cluster_subset(
-        ds, manifest.retention_fraction, memory_cap_bytes=args.memory_cap,
-        dissimilarity=args.dissimilarity, nearest_excluded=args.nearest_excluded,
-    )
-    if dict(recomputed.retained) != dict(manifest.retained):
-        raise ConfigError(
-            "manifest does not match recomputed clustering for this dataset"
-        )
-    _finish(args, "stats", ds, manifest, results, _report_artifacts(args, results),
-            {"manifest": str(args.manifest)}, reads=(Path(args.manifest),))
     return 0
 
 
@@ -320,44 +270,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_io(p, with_fraction=True):
-        p.add_argument("--input", required=True, help="dataset file")
-        p.add_argument("--format", choices=("binary", "csv"), default=None,
-                       help="dataset format (default: infer from suffix)")
-        if with_fraction:
-            p.add_argument("--fraction", type=float, required=True,
-                           help="retention fraction in (0, 1]")
-        p.add_argument("--out", required=True, help="output directory")
-
-    def add_cluster_knobs(p):
-        p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
-                       help="bytes of the condensed pairwise matrix allowed per "
-                            f"class that needs it (default {DEFAULT_MEMORY_CAP})")
-        p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
-                       help="emit cluster-size histogram")
-        p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,
-                       help="emit average-dissimilarity report")
-        p.add_argument("--nearest-excluded", action=argparse.BooleanOptionalAction,
-                       default=True, help="emit nearest-excluded-neighbor report")
-        p.add_argument("--dump-dendrograms", action="store_true",
-                       help="write per-class merge sequences")
-        p.add_argument("--class-mean", action="store_true",
-                       help="overall dissimilarity averages class means instead of clusters")
-
     p = sub.add_parser("select", help="build a subset manifest plus reports")
-    add_io(p)
+    p.add_argument("--input", required=True, help="dataset file")
+    p.add_argument("--format", choices=("binary", "csv"), default=None,
+                   help="dataset format (default: infer from suffix)")
+    p.add_argument("--fraction", type=float, required=True,
+                   help="retention fraction in (0, 1]")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--method", choices=(selection.METHOD_CLUSTER, selection.METHOD_RANDOM),
                    default=selection.METHOD_CLUSTER)
     p.add_argument("--seed", type=int, default=None,
                    help="required for (and only for) uniform-random")
-    add_cluster_knobs(p)
+    p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
+                   help="bytes of the condensed pairwise matrix allowed per "
+                        f"class that needs it (default {DEFAULT_MEMORY_CAP})")
+    p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
+                   help="emit cluster-size histogram")
+    p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,
+                   help="emit average-dissimilarity report")
+    p.add_argument("--nearest-excluded", action=argparse.BooleanOptionalAction,
+                   default=True, help="emit nearest-excluded-neighbor report")
+    p.add_argument("--dump-dendrograms", action="store_true",
+                   help="write per-class merge sequences")
+    p.add_argument("--class-mean", action="store_true",
+                   help="overall dissimilarity averages class means instead of clusters")
     p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("stats", help="reports for an existing manifest")
-    add_io(p, with_fraction=False)
-    p.add_argument("--manifest", required=True, help="manifest.json of a previous run")
-    add_cluster_knobs(p)
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("synth", help="generate a planted-group dataset")
     p.add_argument("--classes", type=int, required=True)

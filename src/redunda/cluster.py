@@ -107,14 +107,17 @@ class Partition:
 
     @classmethod
     def from_groups(cls, class_id: int, sample_ids, groups) -> Partition:
-        """The groups of sample ids given, in their order, over the class's
-        ``sample_ids`` (row order); a group may be empty and need not cover."""
+        """The disjoint groups of sample ids given, in their order, over the
+        class's ``sample_ids`` (row order); a group may be empty and need not
+        cover."""
         ids = np.asarray(sample_ids, dtype=np.int64)
         members = [sorted(g) for g in groups]
         row = {sid: r for r, sid in enumerate(ids.tolist())}
         if not all(sid in row for m in members for sid in m):
             raise InvalidArgumentError("partition names a sample_id outside the class")
         rows = np.array([row[sid] for m in members for sid in m], dtype=np.intp)
+        if len(np.unique(rows)) != len(rows):
+            raise InvalidArgumentError("partition names a sample_id twice")
         return cls(class_id, ids, rows, np.cumsum([0, *map(len, members)]))
 
     def sizes(self) -> np.ndarray:

@@ -478,40 +478,21 @@ class TestOneRunPerOut:
         )[0] == 0
         assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
 
-    def test_stats_keeps_the_manifest_it_reads(self, synth_dataset, tmp_path, capsys):
+    def test_input_in_out_is_kept(self, tmp_path, capsys):
+        # --input named like an optional artifact this run does not write.
         out = tmp_path / "D"
-        assert run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", out,
-        )[0] == 0
-        before = tree(out)
+        out.mkdir()
+        src = out / "histogram.csv"
+        src.write_text(
+            "".join(f"{i},0,{1.0 + i},{2.0 - i}\n" for i in range(4)), encoding="utf-8"
+        )
+        before = src.read_bytes()
         code, _, err = run(
-            capsys, "stats", "--input", synth_dataset, "--manifest",
-            out / "manifest.json", "--no-nearest-excluded", "--out", out,
+            capsys, "select", "--format", "csv", "--input", src, "--fraction", "0.5",
+            "--no-histogram", "--out", out,
         )
         assert code == 0, err
-        after = tree(out)
-        assert after["manifest.json"] == before["manifest.json"]
-        assert after["manifest.txt"] == before["manifest.txt"]
-        assert "pairs.json" not in after and "histogram.csv" in after
-
-    def test_stats_leaves_no_manifest_of_another_run(self, synth_dataset, tmp_path, capsys):
-        out, other = tmp_path / "D", tmp_path / "A"
-        for fraction, where in (("0.5", out), ("1.0", other)):
-            assert run(
-                capsys, "select", "--input", synth_dataset, "--fraction", fraction,
-                "--out", where,
-            )[0] == 0
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset, "--manifest",
-            other / "manifest.json", "--out", out,
-        )
-        assert code == 0, err
-        after = tree(out)
-        assert sorted(after) == sorted(set(SELECT_REPORTS) - {"manifest.json", "manifest.txt"})
-        assert json.loads(after["run_metadata.json"])["fraction"] == 1.0
-        assert after["histogram.csv"] == tree(other)["histogram.csv"]
-        assert sorted(tree(other)) == sorted(SELECT_REPORTS)
+        assert src.read_bytes() == before
 
     @pytest.mark.parametrize("method_args", [[], ["--method", "uniform-random", "--seed", "1"]],
                              ids=["cluster-medoid", "uniform-random"])
@@ -639,149 +620,6 @@ class TestBaselineCommand:
         manifest = read_manifest_json(a / "manifest.json")
         assert manifest.method == "uniform-random"
         assert manifest.seed == 11
-
-
-class TestStatsCommand:
-    def select_run(self, synth_dataset, tmp_path, capsys, outname="sel"):
-        out = tmp_path / outname
-        assert run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--out", out,
-        )[0] == 0
-        return out
-
-    def test_reports_match_select(self, synth_dataset, tmp_path, capsys):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        out = tmp_path / "stats"
-        code, stdout, err = run(
-            capsys, "stats", "--input", synth_dataset,
-            "--manifest", sel / "manifest.json", "--out", out,
-        )
-        assert code == 0, err
-        assert "total: classes=2 points=12 retained=6" in stdout
-        for rel in ("histogram.csv", "dissimilarity.json", "pairs.json"):
-            assert tree(out)[rel] == tree(sel)[rel]
-        assert "manifest.json" not in tree(out)  # stats never rewrites manifests
-
-    def test_rejects_random_manifest(self, synth_dataset, tmp_path, capsys):
-        base = tmp_path / "base"
-        assert run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
-            "--method", "uniform-random", "--seed", "1", "--out", base,
-        )[0] == 0
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset,
-            "--manifest", base / "manifest.json", "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert err.startswith("config_error: ")
-        assert "cluster-medoid" in err
-
-    def test_rejects_tampered_manifest(self, synth_dataset, tmp_path, capsys):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        doc = json.loads((sel / "manifest.json").read_text())
-        kept = set(doc["retained"]["0"])
-        swap_in = next(i for i in range(6) if i not in kept)
-        swap_out = doc["retained"]["0"][0]
-        doc["retained"]["0"] = sorted(kept - {swap_out} | {swap_in})
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(doc))
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset,
-            "--manifest", tampered, "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert err.startswith("config_error: ")
-        assert "does not match recomputed" in err
-
-    def test_rejects_wrong_dataset(self, synth_dataset, tmp_path, capsys):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        other = tmp_path / "other"
-        alt = list(SYNTH)
-        alt[alt.index("--seed") + 1] = "8"
-        assert run(capsys, *alt, "--out", other)[0] == 0
-        code, _, err = run(
-            capsys, "stats", "--input", other / "dataset.bin",
-            "--manifest", sel / "manifest.json", "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert err.startswith("validation_error: ")
-        assert "digest" in err
-
-
-    def test_rejects_retained_of_wrong_json_type(self, synth_dataset, tmp_path, capsys):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        doc = json.loads((sel / "manifest.json").read_text())
-        doc["retained"] = []
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset,
-            "--manifest", bad, "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
-
-    @pytest.mark.parametrize(
-        "value", ["Infinity", "[" * 100000 + "]" * 100000], ids=["infinite", "deep"]
-    )
-    def test_rejects_unrepresentable_manifest_values(
-        self, synth_dataset, tmp_path, capsys, value
-    ):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        text = (sel / "manifest.json").read_text().replace('"seed": null', f'"seed": {value}')
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset,
-            "--manifest", bad, "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert re.fullmatch(r"validation_error: [^\n]+\n", err)
-
-    # Each form read as a valid manifest before: class keys went through
-    # int(), the last of two equal keys won, seed through int() and fraction
-    # through float().
-    @pytest.mark.parametrize("old, new", [
-        ('"retained": {', '"retained": {"00": [0, 1, 2, 3, 4, 5], '),
-        ('"retained": {', '"retained": {"0": [0, 1, 2, 3, 4, 5], '),
-        ('"1": [', '"0_1": ['),
-        ('"1": [', '" 1": ['),
-        ('"method": ', '"method": "cluster-medoid", "method": '),
-        ('"seed": null', '"seed": 1.5'),
-        ('"seed": null', '"seed": "1"'),
-        ('"seed": null', '"seed": true'),
-        ('"fraction": 1.0', '"fraction": true'),
-        ('"fraction": 1.0', '"fraction": "1.0"'),
-    ], ids=["key-00", "repeated-class-key", "key-underscore", "key-space",
-            "repeated-top-key", "seed-float", "seed-string", "seed-bool",
-            "fraction-bool", "fraction-string"])
-    def test_rejects_non_canonical_manifest_forms(self, synth_dataset, tmp_path, capsys, old, new):
-        sel = tmp_path / "sel"
-        assert run(
-            capsys, "select", "--input", synth_dataset, "--fraction", "1", "--out", sel,
-        )[0] == 0
-        text = (sel / "manifest.json").read_text()
-        assert json.loads(text)["retained"]["0"] == [0, 1, 2, 3, 4, 5] and old in text
-        bad = tmp_path / "bad.json"
-        bad.write_text(text.replace(old, new, 1))
-        out = tmp_path / "s"
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset, "--manifest", bad, "--out", out,
-        )
-        assert code == 1
-        assert re.fullmatch(rf"validation_error: bad manifest file {re.escape(str(bad))}: [^\n]+\n", err)
-        assert not out.exists()
-
-    def test_rejects_fraction_out_of_range(self, synth_dataset, tmp_path, capsys):
-        sel = self.select_run(synth_dataset, tmp_path, capsys)
-        bad = tmp_path / "bad.json"
-        bad.write_text((sel / "manifest.json").read_text().replace('"fraction": 0.5', '"fraction": 1.5'))
-        code, _, err = run(
-            capsys, "stats", "--input", synth_dataset, "--manifest", bad, "--out", tmp_path / "s",
-        )
-        assert code == 1
-        assert err == "validation_error: fraction out of range: 1.5\n"
 
 
 class TestDendrogramDump:
@@ -939,8 +777,8 @@ class TestCliSurface:
     @pytest.mark.parametrize("argv", [
         ["baseline", "--fraction", "0.5", "--seed", "11"],
         ["select", "--fraction", "0.5", "--jobs", "2"],
-        ["stats", "--manifest", "{manifest}", "--jobs", "2"],
-    ], ids=["baseline", "select-jobs", "stats-jobs"])
+        ["stats", "--manifest", "{manifest}"],
+    ], ids=["baseline", "select-jobs", "stats"])
     def test_removed_knob_is_config_error(self, synth_dataset, tmp_path, capsys, argv):
         sel = tmp_path / "sel"
         assert run(
@@ -969,7 +807,7 @@ class TestCliSurface:
             a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        assert set(sub.choices) == {"select", "stats", "synth", "validate"}
+        assert set(sub.choices) == {"select", "synth", "validate"}
 
 
 class TestLibrarySurface:

@@ -107,6 +107,10 @@ class TestWorkedExamples:
         part = Partition.from_groups(0, np.array([3]), [{3}])
         assert (part.order.tolist(), part.starts.tolist()) == ([0], [0, 1])
 
+    def test_overlapping_groups_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="twice"):
+            Partition.from_groups(0, np.arange(4), [frozenset({0, 1}), frozenset({1, 2})])
+
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicates_merge_first_at_height_zero(self, engine):
         X = np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])

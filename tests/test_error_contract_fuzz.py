@@ -3,6 +3,8 @@
 Every run must either succeed (exit 0) or print exactly one
 ``error_code: message`` line on stderr and exit 1.  An exception escaping
 ``main`` would reach the user as a traceback, so the test fails on it.
+A mutated manifest file goes to the reader and validator that ``select``
+checks its own manifest with: it must validate or raise ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from hypothesis import strategies as st
 
 from conftest import stacked_dataset
 from redunda.cli import main
+from redunda.errors import ValidationError
+from redunda.selection import (
+    build_cluster_subset, manifest_to_json, read_manifest_json, validate_manifest,
+)
 from redunda.store import canonical_bytes, dataset_to_csv
 
 ERROR_LINE = re.compile(r"[a-z_]+: [^\n]*\n")
@@ -29,6 +35,7 @@ _rs = np.random.default_rng(5)
 DATASET = stacked_dataset({c: _rs.normal(size=(6, 3)) for c in (0, 1)})
 CSV_LINES = dataset_to_csv(DATASET).splitlines()
 BINARY = canonical_bytes(DATASET)
+MANIFEST = manifest_to_json(build_cluster_subset(DATASET, 0.5)[0])
 HEADER_SIZE = 24
 
 
@@ -95,26 +102,25 @@ def test_mutated_binary_header(edits, command):
     raw=st.none() | st.binary(max_size=12),
     at=st.integers(0, 1000),
 )
-def test_mutated_manifest_for_stats(key, value, drop, raw, at):
+def test_mutated_manifest_read_and_validated(key, value, drop, raw, at):
+    # select re-reads its staged manifest.json this way before it exits 0.
+    doc = json.loads(MANIFEST)
+    target = doc["retained"] if key == "0" else doc
+    if drop:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    text = json.dumps(doc).encode()
+    if raw is not None:  # splice arbitrary bytes into the document
+        at %= len(text) + 1
+        text = text[:at] + raw + text[at:]
     with fuzz_dir() as tmp:
-        tmp = Path(tmp)
-        src = tmp / "data.bin"
-        src.write_bytes(BINARY)
-        out = tmp / "sel"
-        assert main(["select", "--input", str(src), "--fraction", "0.5", "--out", str(out)]) == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        target = doc["retained"] if key == "0" else doc
-        if drop:
-            target.pop(key, None)
-        else:
-            target[key] = value
-        text = json.dumps(doc).encode()
-        if raw is not None:  # splice arbitrary bytes into the document
-            at %= len(text) + 1
-            text = text[:at] + raw + text[at:]
-        bad = tmp / "manifest.json"
+        bad = Path(tmp) / "manifest.json"
         bad.write_bytes(text)
-        run_cli("stats", "--input", src, "--manifest", bad, "--out", tmp / "stats")
+        try:
+            validate_manifest(read_manifest_json(bad), DATASET)
+        except ValidationError:
+            pass
 
 
 @FUZZ

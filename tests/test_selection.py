@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -418,6 +419,63 @@ class TestManifestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="retained"):
             read_manifest_json(path)
+
+
+class TestManifestFileRefusals:
+    """A manifest file is read and checked against its dataset; each of these
+    forms is refused with one ``ValidationError``."""
+
+    def written(self, tmp_path, fraction):
+        rs = np.random.default_rng(7)
+        ds = make_dataset({0: random_unit_rows(rs, 6, 3), 1: random_unit_rows(rs, 6, 3)})
+        text = manifest_to_json(build_cluster_subset(ds, fraction)[0])
+        return ds, text, tmp_path / "bad.json"
+
+    @staticmethod
+    def read_and_validate(path, ds):
+        validate_manifest(read_manifest_json(path), ds)
+
+    @pytest.mark.parametrize(
+        "value", ["Infinity", "[" * 100000 + "]" * 100000], ids=["infinite", "deep"]
+    )
+    def test_rejects_unrepresentable_manifest_values(self, tmp_path, value):
+        ds, text, bad = self.written(tmp_path, 0.5)
+        bad.write_text(text.replace('"seed": null', f'"seed": {value}'))
+        with pytest.raises(ValidationError) as exc:
+            self.read_and_validate(bad, ds)
+        assert re.fullmatch(r"[^\n]+", str(exc.value))
+
+    # Each form read as a valid manifest before: class keys went through
+    # int(), the last of two equal keys won, seed through int() and fraction
+    # through float().
+    @pytest.mark.parametrize("old, new", [
+        ('"retained": {', '"retained": {"00": [0, 1, 2, 3, 4, 5], '),
+        ('"retained": {', '"retained": {"0": [0, 1, 2, 3, 4, 5], '),
+        ('"1": [', '"0_1": ['),
+        ('"1": [', '" 1": ['),
+        ('"method": ', '"method": "cluster-medoid", "method": '),
+        ('"seed": null', '"seed": 1.5'),
+        ('"seed": null', '"seed": "1"'),
+        ('"seed": null', '"seed": true'),
+        ('"fraction": 1.0', '"fraction": true'),
+        ('"fraction": 1.0', '"fraction": "1.0"'),
+    ], ids=["key-00", "repeated-class-key", "key-underscore", "key-space",
+            "repeated-top-key", "seed-float", "seed-string", "seed-bool",
+            "fraction-bool", "fraction-string"])
+    def test_rejects_non_canonical_manifest_forms(self, tmp_path, old, new):
+        ds, text, bad = self.written(tmp_path, 1.0)
+        assert json.loads(text)["retained"]["0"] == [0, 1, 2, 3, 4, 5] and old in text
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(ValidationError) as exc:
+            self.read_and_validate(bad, ds)
+        assert re.fullmatch(rf"bad manifest file {re.escape(str(bad))}: [^\n]+", str(exc.value))
+
+    def test_rejects_fraction_out_of_range(self, tmp_path):
+        ds, text, bad = self.written(tmp_path, 0.5)
+        bad.write_text(text.replace('"fraction": 0.5', '"fraction": 1.5'))
+        with pytest.raises(ValidationError) as exc:
+            self.read_and_validate(bad, ds)
+        assert str(exc.value) == "fraction out of range: 1.5"
 
 
 class TestValidateManifest:

@@ -355,6 +355,13 @@ class TestCertificate:
         with pytest.raises(InvalidArgumentError, match="outside the class"):
             measure_separation(ds, {0: [frozenset({2, 10})]})  # above every id of the class
 
+    def test_overlapping_groups_rejected(self):
+        # Row 1 in both groups would be labelled by its last group only, and
+        # the certificate would claim a separation no partition has.
+        ds = EmbeddingDataset.from_arrays(range(4), [0] * 4, np.eye(4) + 0.1)
+        with pytest.raises(InvalidArgumentError, match="twice"):
+            measure_separation(ds, {0: [frozenset({0, 1}), frozenset({1, 2})]})
+
 
 class TestRecovery:
     def test_planted_recovery_across_seeds(self):
