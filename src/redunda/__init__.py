@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .cluster import (
     Dendrogram,
-    MergeStep,
     Partition,
     agglomerate_fast,
     cut_dendrogram,
@@ -56,7 +55,6 @@ __all__ = [
     "InvalidArgumentError",
     "MarginError",
     "MemoryCapError",
-    "MergeStep",
     "NearestExcludedPair",
     "Partition",
     "PlantedSpec",

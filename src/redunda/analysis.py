@@ -74,23 +74,18 @@ def _qualifying(partition: Partition, reps: Sequence[int]) -> list[tuple[int, np
 
 
 def avg_dissimilarity(
-    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray, *,
-    qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
+    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray
 ) -> ClassDissimilarity | None:
     """Average dissimilarity to the retained sample over clusters of size >= 2.
 
     ``reps`` holds each cluster's retained sample id, in partition order;
     ``X`` and ``U`` are the class's rows and unit rows, in the row order of
-    ``partition.sample_ids``.  ``qualifying`` (``_qualifying`` of those
-    arguments) and ``twins`` (``metric.twin_index(X)``) are computed when
-    omitted; a caller running both reports builds them once for the two.
-    Each cluster's other members are compared in one product over
-    ``U[others]``, copied here.  None when no cluster qualifies (the class is
-    left out, not 0).
+    ``partition.sample_ids``.  Each cluster's other members are compared in
+    one product over ``U[others]``, copied here.  None when no cluster
+    qualifies (the class is left out, not 0).
     """
-    if qualifying is None:
-        qualifying = _qualifying(partition, reps)
-    twins = metric.twin_index(X) if twins is None else twins
+    qualifying = _qualifying(partition, reps)
+    twins = metric.twin_index(X)
     cluster_means: list[float] = []
     for rep_row, rows in qualifying:
         others = rows[rows != rep_row]
@@ -125,8 +120,7 @@ def assemble_dissimilarity_report(
 
 
 def nearest_excluded(
-    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray, *,
-    qualifying: list[tuple[int, np.ndarray]] | None = None, twins: dict | None = None,
+    partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
 
@@ -138,12 +132,11 @@ def nearest_excluded(
     clusters in its own order and copies only the rows that move.  Only the
     outside twins and the tied minima are mapped between rows and positions.
     """
-    if qualifying is None:
-        qualifying = _qualifying(partition, reps)
+    qualifying = _qualifying(partition, reps)
     if len(partition.starts) < 3:
         return []
     ids = partition.sample_ids
-    twins = metric.twin_index(X) if twins is None else twins
+    twins = metric.twin_index(X)
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
     for i, members, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
         rep_row = qualifying[i][0]

@@ -1,15 +1,15 @@
 """Command-line driver: load -> per class (cluster -> medoids -> reports) -> emit.
 
-Every run computes all artifacts in memory first and writes them through a
-single writer at the end.  It stages each file under a temporary name and
-moves the files into place only once all are written and the manifest
-re-validates; on any failure the staged files are removed, so an output
+Every run computes all artifacts in memory first; ``select`` then validates
+its manifest, so a refused one writes nothing.  A single writer stages each
+file under a temporary name and moves the files into place only once all
+are written; on any failure the staged files are removed, so an output
 directory keeps the run it held before and never holds a half-finished one.
 After a successful ``select`` run, the optional artifacts it did not write
 are removed, so the directory holds exactly one run; ``synth`` likewise
-removes the other format's dataset.  Exit status is 0 iff every artifact was
-written and the produced manifest re-validates against the dataset; every
-failure prints one ``error_code: message`` line on stderr and exits 1.
+removes the other format's dataset.  Exit status is 0 iff the manifest
+validates and every artifact was written; every failure prints one
+``error_code: message`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ def _remove(paths, root: Path) -> None:
             pass
 
 
-def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]], check=None) -> None:
+def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]]) -> None:
     """Single writer: stage every artifact under a temporary name next to its
-    target, call ``check`` with the staged paths by artifact name, then move
-    each into place.  On any failure the staged files are removed; up to the
-    first move, that leaves what ``outdir`` held before as it was.  A target
-    that is a directory would fail its move, so it is refused before any."""
+    target, then move each into place.  On any failure the staged files are
+    removed; up to the first move, that leaves what ``outdir`` held before as
+    it was.  A target that is a directory would fail its move, so it is
+    refused before any."""
     outdir.mkdir(parents=True, exist_ok=True)
     staged: dict[str, Path] = {}
     try:
@@ -83,8 +83,6 @@ def _emit(outdir: Path, artifacts: list[tuple[str, str | bytes]], check=None) ->
                 tmp.write_bytes(payload)
             else:
                 tmp.write_text(payload, encoding="utf-8")
-        if check is not None:
-            check(staged)
         for rel, tmp in staged.items():
             os.replace(tmp, outdir / rel)
     except BaseException:
@@ -180,12 +178,10 @@ def _cmd_select(args) -> int:
             "classes": classes, "method": args.method, "seed": args.seed}
     artifacts.append(("run_metadata.json", _metadata("select", ds, meta)))
 
-    def revalidate(staged: dict[str, Path]) -> None:
-        # Exit contract: the manifest file as written re-validates.
-        selection.validate_manifest(selection.read_manifest_json(staged["manifest.json"]), ds)
-
+    # Exit contract: the manifest written validates against the dataset.
+    selection.validate_manifest(manifest, ds)
     out = Path(args.out)
-    _emit(out, artifacts, revalidate)
+    _emit(out, artifacts)
     _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts},
                   {Path(args.input).resolve()})
     for cid, c in classes.items():

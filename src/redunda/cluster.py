@@ -28,17 +28,13 @@ Only then is the condensed matrix built, O(n^2) memory, and the dense loop
 minimum, then O(n) per merge taken plus the stale heap entries it pops.
 
 The dendrogram keeps the merges in that key order as arrays, which the cut
-reads.  Its canonical steps, new clusters numbered n, n+1, ... as they form,
-are built only when read.  Children always come before their parents (a
-parent's height is >= each child's, and at equal heights its ref pair is
-lexicographically larger), so the steps are a valid bottom-up replay order.
+reads and the debug dump renumbers as it prints them.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -54,16 +50,6 @@ DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class
 _PAIRS_PER_POINT = 8
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    """One merge: clusters ``left`` and ``right`` join at ``height`` into ``new_id``."""
-
-    left: int
-    right: int
-    height: float
-    new_id: int
-
-
 def _same(self, other) -> bool:
     """``==`` for a record of ints and arrays: same type, every field equal."""
     return type(other) is type(self) and all(
@@ -75,9 +61,7 @@ def _same(self, other) -> bool:
 class Dendrogram:
     """Merges of one class in key order: merge i joins, at ``heights[i]``, the
     clusters whose smallest rows are ``pairs[i]`` (a < b); row r holds sample
-    ``sample_ids[r]``.  ``steps``, built on first read, renumbers the merges:
-    refs 0..n_points-1 are the rows, merge i makes ref n_points + i.
-    """
+    ``sample_ids[r]``."""
 
     class_id: int
     n_points: int
@@ -86,10 +70,6 @@ class Dendrogram:
     pairs: np.ndarray
 
     __eq__ = _same
-
-    @cached_property
-    def steps(self) -> tuple[MergeStep, ...]:
-        return _canonical_steps(self.n_points, self.heights, self.pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +121,6 @@ def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
 def _check_k(n: int, k: int) -> None:
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"k={k} outside valid range [1, {n}]")
-
-
-def _canonical_steps(n: int, heights: np.ndarray, pairs: np.ndarray) -> tuple[MergeStep, ...]:
-    """Renumber merges already in key order; refs in ``pairs`` are min-member ordinals."""
-    out = []
-    current: dict[int, int] = {}  # min-member ordinal -> current cluster ref
-    for new_id, height, (lo, hi) in zip(range(n, 2 * n), heights.tolist(), pairs.tolist()):
-        left, right = sorted((current.get(lo, lo), current.get(hi, hi)))
-        out.append(MergeStep(left, right, height, new_id))
-        current[lo] = new_id  # union keeps the smaller ordinal as its key
-        current.pop(hi, None)
-    return tuple(out)
 
 
 def _generic_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int, int]]:
@@ -352,8 +320,18 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
 
 
 def format_dendrogram(dendrogram: Dendrogram) -> str:
-    """Debug dump: one line per step, ``left right height new_id``."""
-    lines = [
-        f"{s.left} {s.right} {s.height:.17g} {s.new_id}" for s in dendrogram.steps
-    ]
+    """Debug dump: one line per merge, ``left right height new_id``, with the
+    merges renumbered as they are printed: refs 0..n_points-1 are the rows,
+    merge i makes ref n_points + i, and ``left < right``.  Children always
+    come before their parents (a parent's height is >= each child's, and at
+    equal heights its ref pair is lexicographically larger), so the lines are
+    a valid bottom-up replay order."""
+    n, lines = dendrogram.n_points, []
+    current: dict[int, int] = {}  # smallest row -> current cluster ref
+    heights, pairs = dendrogram.heights.tolist(), dendrogram.pairs.tolist()
+    for new_id, h, (lo, hi) in zip(range(n, 2 * n), heights, pairs):
+        left, right = sorted((current.get(lo, lo), current.get(hi, hi)))
+        lines.append(f"{left} {right} {h:.17g} {new_id}")
+        current[lo] = new_id  # union keeps the smaller row as its key
+        current.pop(hi, None)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -163,8 +162,7 @@ def _cluster_class(
 ) -> ClassResult:
     """Read, normalize and cluster one class once, then take every medoid in
     one ``select_representative`` pass and build the report entries asked for
-    from the same rows and unit rows, with one qualifying-cluster walk and
-    one twin index shared by both reports.  The rows stay in the dataset's
+    from the same rows and unit rows.  The rows stay in the dataset's
     precision, and ``U`` is their only float64 copy."""
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
@@ -174,12 +172,10 @@ def _cluster_class(
     )
     reps = select_representative(ids, X, U, part.order, part.starts)
     entry = pairs = None
-    if dissimilarity or nearest_excluded:
-        shared = dict(qualifying=analysis._qualifying(part, reps), twins=metric.twin_index(X))
     if dissimilarity:
-        entry = analysis.avg_dissimilarity(part, reps, X, U, **shared)
+        entry = analysis.avg_dissimilarity(part, reps, X, U)
     if nearest_excluded:
-        pairs = tuple(analysis.nearest_excluded(part, reps, X, U, **shared))
+        pairs = tuple(analysis.nearest_excluded(part, reps, X, U))
     return ClassResult(part, reps, dendro, entry, pairs)
 
 
@@ -278,35 +274,6 @@ def manifest_to_json(manifest: SubsetManifest) -> str:
         "retained": {str(cid): list(ids) for cid, ids in sorted(manifest.retained.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _unique_keys(pairs):
-    if len({k for k, _ in pairs}) != len(pairs):
-        raise ValueError("a JSON object repeats a key")
-    return dict(pairs)
-
-
-def read_manifest_json(path) -> SubsetManifest:
-    """Parse ``manifest_to_json`` output; refuse any other form (ValidationError)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-        raw, seed, fraction = doc["retained"], doc["seed"], doc["fraction"]
-        if not isinstance(raw, dict) or not all(
-            str(int(cid)) == cid and isinstance(ids, list) and all(type(s) is int for s in ids)
-            for cid, ids in raw.items()
-        ):
-            raise TypeError('"retained" must map decimal class ids to lists of integer sample ids')
-        if not (seed is None or type(seed) is int) or type(fraction) not in (int, float):
-            raise TypeError('"seed" must be an integer or null and "fraction" a number')
-        return SubsetManifest(
-            method=doc["method"],
-            retention_fraction=float(fraction),
-            seed=seed,
-            source_digest=str(doc["source_digest"]),
-            retained={int(cid): tuple(ids) for cid, ids in raw.items()},
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ValidationError(f"bad manifest file {path}: {exc}") from exc
 
 
 def manifest_to_text(manifest: SubsetManifest) -> str:

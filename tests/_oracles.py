@@ -9,19 +9,20 @@ package's form can be held to the same bits.  The definitional ones below it
 can be compared bit for bit, but recompute every cluster distance from its
 member points instead of updating it.  ``canonical_steps`` and ``replay_cut``
 keep the first form of the dendrogram's steps and of the cut: a replay of
-the steps over lists of members.
+the steps over lists of members; ``steps`` reads a dendrogram's merges in
+that form.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from redunda import metric
 from redunda.cluster import (
     Dendrogram,
-    MergeStep,
     Partition,
     _check_class,
     _check_k,
@@ -218,6 +219,16 @@ def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
     return dendro, Partition.from_groups(class_id, ids, clusters)
 
 
+@dataclass(frozen=True)
+class MergeStep:
+    """One merge: clusters ``left`` and ``right`` join at ``height`` into ``new_id``."""
+
+    left: int
+    right: int
+    height: float
+    new_id: int
+
+
 def canonical_steps(n: int, raw) -> tuple[MergeStep, ...]:
     """Merges ``(height, a, b)`` in key order, a < b their clusters' smallest
     ordinals, renumbered one at a time: refs 0..n-1 are the points, merge i
@@ -230,6 +241,12 @@ def canonical_steps(n: int, raw) -> tuple[MergeStep, ...]:
         current[lo] = n + i
         current.pop(hi, None)
     return tuple(out)
+
+
+def steps(dendro: Dendrogram) -> tuple[MergeStep, ...]:
+    """The dendrogram's merges as canonical steps."""
+    heights, (lo, hi) = dendro.heights.tolist(), dendro.pairs.T.tolist()
+    return canonical_steps(dendro.n_points, zip(heights, lo, hi))
 
 
 def replay_cut(steps, sample_ids, k: int) -> tuple[frozenset[int], ...]:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import clusters, random_unit_rows, with_duplicates
-from redunda import analysis, metric
+from redunda import metric
 from redunda.analysis import NearestExcludedPair, avg_dissimilarity, nearest_excluded
 from redunda.metric import unit_rows
 from redunda.selection import build_cluster_subset
@@ -97,10 +97,7 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
             assert 0.0 in means  # the injected duplicates collapsed into some cluster
 
 
-def test_both_reports_share_one_qualifying_walk_and_twin_index():
-    # The clustering keys its twins once per class (the pairwise matrix's
-    # duplicate cells); the two reports together add one more twin index and
-    # one qualifying walk per class, and print what each report alone prints.
+def test_each_report_alone_prints_what_both_print():
     rs = np.random.default_rng(5)
     sizes = {0: 120, 4: 80, 9: 60}
     X = np.vstack([with_duplicates(rs, random_unit_rows(rs, n, 8), n // 5) for n in sizes.values()])
@@ -108,16 +105,10 @@ def test_both_reports_share_one_qualifying_walk_and_twin_index():
     ds = EmbeddingDataset.from_arrays(np.arange(len(X)), cids, X)
 
     def run(**reports):
-        with mock.patch.object(metric, "twin_index", wraps=metric.twin_index) as twins, \
-                mock.patch.object(analysis, "_qualifying", wraps=analysis._qualifying) as walks:
-            _, results = build_cluster_subset(ds, 0.7, **reports)
-        return twins.call_count, walks.call_count, results
+        return build_cluster_subset(ds, 0.7, **reports)[1].values()
 
-    bare, none, _ = run()
-    assert none == 0
-    twins, walks, both = run(dissimilarity=True, nearest_excluded=True)
-    assert (twins - bare, walks) == (len(sizes), len(sizes))
-    _, _, alone = run(dissimilarity=True)
-    assert [r.dissimilarity for r in both.values()] == [r.dissimilarity for r in alone.values()]
-    _, _, alone = run(nearest_excluded=True)
-    assert [r.pairs for r in both.values()] == [r.pairs for r in alone.values()]
+    both = run(dissimilarity=True, nearest_excluded=True)
+    alone = run(dissimilarity=True)
+    assert [r.dissimilarity for r in both] == [r.dissimilarity for r in alone]
+    alone = run(nearest_excluded=True)
+    assert [r.pairs for r in both] == [r.pairs for r in alone]

@@ -19,7 +19,6 @@ from conftest import pipe_serving, stacked_dataset
 import _oracles
 from redunda import cluster, selection
 from redunda.cli import build_parser, main
-from redunda.selection import read_manifest_json
 from redunda.store import (
     FLAG_EXPLICIT_IDS, FORMAT_VERSION, MAGIC, EmbeddingDataset, canonical_bytes, load_dataset,
 )
@@ -179,9 +178,9 @@ class TestSelectCommand:
         assert "class 0: n=6 k=3 largest=3" in stdout
         assert "class 1: n=6 k=3 largest=3" in stdout
         assert "total: classes=2 points=12 retained=6" in stdout
-        manifest = read_manifest_json(out / "manifest.json")
-        assert manifest.method == "cluster-medoid"
-        assert manifest.total_retained() == 6
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["method"] == "cluster-medoid"
+        assert sum(map(len, manifest["retained"].values())) == 6
 
     def test_recovers_planted_groups(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -243,7 +242,7 @@ class TestSelectCommand:
         assert code == 0
         assert "note: cluster reports skipped" in stdout
         assert sorted(tree(out)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
-        assert read_manifest_json(out / "manifest.json").seed == 3
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
     def test_csv_input_by_suffix(self, tmp_path, capsys):
         gen = tmp_path / "gen"
@@ -467,7 +466,7 @@ class TestOneRunPerOut:
             "pairs.json", "pairs.txt", "run_metadata.json",
         ]
         assert not (out / "dendrograms").exists()
-        assert read_manifest_json(out / "manifest.json").retention_fraction == 0.34
+        assert json.loads((out / "manifest.json").read_text())["fraction"] == 0.34
 
     def test_baseline_after_select_keeps_one_run(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "D"
@@ -499,20 +498,33 @@ class TestOneRunPerOut:
     def test_select_checks_its_manifest_once(
         self, synth_dataset, tmp_path, capsys, monkeypatch, method_args
     ):
-        orig, checked = selection.validate_manifest, []
+        # One check, of the manifest the build returned, before --out exists;
+        # manifest.json then holds that manifest's JSON.
+        out = tmp_path / "D"
+        orig, checked, built = selection.validate_manifest, [], []
 
         def counting(manifest, ds):
-            checked.append(manifest)
+            checked.append((manifest, out.exists()))
             return orig(manifest, ds)
 
+        def recording(build):
+            def wrapped(*args, **kwargs):
+                built.append(result := build(*args, **kwargs))
+                return result
+            return wrapped
+
         monkeypatch.setattr(selection, "validate_manifest", counting)
-        out = tmp_path / "D"
+        for name in ("build_cluster_subset", "build_random_subset"):
+            monkeypatch.setattr(selection, name, recording(getattr(selection, name)))
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.5", *method_args,
             "--out", out,
         )
         assert code == 0, err
-        assert checked == [read_manifest_json(out / "manifest.json")]
+        (result,) = built
+        manifest = result[0] if isinstance(result, tuple) else result
+        assert len(checked) == 1 and checked[0][0] is manifest and checked[0][1] is False
+        assert (out / "manifest.json").read_text() == selection.manifest_to_json(manifest)
 
     def test_failed_revalidation_removes_what_was_written(
         self, synth_dataset, tmp_path, capsys, monkeypatch
@@ -522,11 +534,11 @@ class TestOneRunPerOut:
         (out / "notes.txt").write_text("user file\n")
         calls = []
 
-        def reread_fails(manifest, ds):  # select's one check: the manifest as written
+        def check_fails(manifest, ds):  # select's one check, before anything is written
             calls.append(manifest)
             raise selection.ValidationError("manifest on disk is corrupt")
 
-        monkeypatch.setattr(selection, "validate_manifest", reread_fails)
+        monkeypatch.setattr(selection, "validate_manifest", check_fails)
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.5",
             "--out", out,
@@ -548,11 +560,11 @@ class TestOneRunPerOut:
         assert "dendrograms/class_0.txt" in before
         calls = []
 
-        def reread_fails(manifest, ds):  # select's one check: the manifest as written
+        def check_fails(manifest, ds):  # select's one check, before anything is written
             calls.append(manifest)
             raise selection.ValidationError("manifest on disk is corrupt")
 
-        monkeypatch.setattr(selection, "validate_manifest", reread_fails)
+        monkeypatch.setattr(selection, "validate_manifest", check_fails)
         code, _, err = run(
             capsys, "select", "--input", synth_dataset, "--fraction", "0.34",
             "--no-histogram", "--out", out,
@@ -617,9 +629,9 @@ class TestBaselineCommand:
         assert sorted(tree(a)) == ["manifest.json", "manifest.txt", "run_metadata.json"]
         assert run(capsys, *args, "--out", b)[0] == 0
         assert tree(a)["manifest.json"] == tree(b)["manifest.json"]
-        manifest = read_manifest_json(a / "manifest.json")
-        assert manifest.method == "uniform-random"
-        assert manifest.seed == 11
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["method"] == "uniform-random"
+        assert manifest["seed"] == 11
 
 
 class TestDendrogramDump:
@@ -669,29 +681,18 @@ class TestDendrogramDump:
 
     def test_select_builds_steps_only_for_a_dump(self, tmp_path, capsys, monkeypatch):
         # The cut, the medoids and every report read the partition's arrays:
-        # no canonical step and no MergeStep is built unless dendrograms are
-        # dumped, and no module ``select`` runs builds a frozenset.
+        # the merges are renumbered only when dendrograms are dumped, once per
+        # class, and no module ``select`` runs builds a frozenset.
         data, _ = self.twins_input(tmp_path)
-        built, results = [], []
-        steps, step = cluster._canonical_steps, cluster.MergeStep
-        build = selection.build_cluster_subset
-        monkeypatch.setattr(cluster, "_canonical_steps",
-                            lambda *a: built.append("steps") or steps(*a))
-        monkeypatch.setattr(cluster, "MergeStep", lambda *a: built.append("step") or step(*a))
-        monkeypatch.setattr(selection, "build_cluster_subset",
-                            lambda *a, **kw: results.append(build(*a, **kw)) or results[-1])
+        formatted = []
+        fmt = redunda.cli.format_dendrogram
+        monkeypatch.setattr(redunda.cli, "format_dendrogram",
+                            lambda d: formatted.append(d.class_id) or fmt(d))
         for dump in ((), ("--dump-dendrograms",)):
-            built.clear()
-            results.clear()
+            formatted.clear()
             assert run(capsys, "select", "--input", data, "--fraction", "0.7",
                        *dump, "--out", tmp_path / "run")[0] == 0
-            (_, by_class), = results
-            lazy = ["steps" in vars(r.dendrogram) for r in by_class.values()]
-            if dump:
-                assert built.count("steps") == 2 and built.count("step") == 2 * (60 - 42)
-                assert lazy == [True, True]
-            else:
-                assert built == [] and lazy == [False, False]
+            assert formatted == ([0, 1] if dump else [])
         for module in (redunda.cli, redunda.analysis, cluster, redunda.metric, selection,
                        redunda.store):
             assert "frozenset(" not in inspect.getsource(module), module.__name__
@@ -817,7 +818,7 @@ class TestLibrarySurface:
         assert redunda.__all__ == [
             "ClassResult", "ConfigError", "DegenerateClusterError", "Dendrogram",
             "DissimilarityReport", "EmbeddingDataset", "FormatError",
-            "InvalidArgumentError", "MarginError", "MemoryCapError", "MergeStep",
+            "InvalidArgumentError", "MarginError", "MemoryCapError",
             "NearestExcludedPair", "Partition", "PlantedSpec", "RedundaError",
             "SeparationCertificate", "SizeHistogram", "SubsetManifest",
             "UnknownClassError", "ValidationError", "__version__",

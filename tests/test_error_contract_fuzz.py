@@ -3,15 +3,12 @@
 Every run must either succeed (exit 0) or print exactly one
 ``error_code: message`` line on stderr and exit 1.  An exception escaping
 ``main`` would reach the user as a traceback, so the test fails on it.
-A mutated manifest file goes to the reader and validator that ``select``
-checks its own manifest with: it must validate or raise ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
 import re
 import tempfile
 from pathlib import Path
@@ -22,10 +19,6 @@ from hypothesis import strategies as st
 
 from conftest import stacked_dataset
 from redunda.cli import main
-from redunda.errors import ValidationError
-from redunda.selection import (
-    build_cluster_subset, manifest_to_json, read_manifest_json, validate_manifest,
-)
 from redunda.store import canonical_bytes, dataset_to_csv
 
 ERROR_LINE = re.compile(r"[a-z_]+: [^\n]*\n")
@@ -35,7 +28,6 @@ _rs = np.random.default_rng(5)
 DATASET = stacked_dataset({c: _rs.normal(size=(6, 3)) for c in (0, 1)})
 CSV_LINES = dataset_to_csv(DATASET).splitlines()
 BINARY = canonical_bytes(DATASET)
-MANIFEST = manifest_to_json(build_cluster_subset(DATASET, 0.5)[0])
 HEADER_SIZE = 24
 
 
@@ -54,17 +46,6 @@ def run_cli(*argv) -> None:
 def fuzz_dir():
     return tempfile.TemporaryDirectory(prefix="redunda-fuzz-")
 
-
-json_scalars = (
-    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
-    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
-)
-json_values = json_scalars | st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 
 csv_fields = (
     st.integers(-(2**70), 2**70).map(str)
@@ -92,35 +73,6 @@ def test_mutated_binary_header(edits, command):
             run_cli("validate", "--input", src)
         else:
             run_cli("select", "--input", src, "--fraction", "0.5", "--out", Path(tmp) / "o")
-
-
-@FUZZ
-@given(
-    key=st.sampled_from(["method", "fraction", "seed", "source_digest", "retained", "0"]),
-    value=json_values,
-    drop=st.booleans(),
-    raw=st.none() | st.binary(max_size=12),
-    at=st.integers(0, 1000),
-)
-def test_mutated_manifest_read_and_validated(key, value, drop, raw, at):
-    # select re-reads its staged manifest.json this way before it exits 0.
-    doc = json.loads(MANIFEST)
-    target = doc["retained"] if key == "0" else doc
-    if drop:
-        target.pop(key, None)
-    else:
-        target[key] = value
-    text = json.dumps(doc).encode()
-    if raw is not None:  # splice arbitrary bytes into the document
-        at %= len(text) + 1
-        text = text[:at] + raw + text[at:]
-    with fuzz_dir() as tmp:
-        bad = Path(tmp) / "manifest.json"
-        bad.write_bytes(text)
-        try:
-            validate_manifest(read_manifest_json(bad), DATASET)
-        except ValidationError:
-            pass
 
 
 @FUZZ
