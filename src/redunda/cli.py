@@ -180,10 +180,13 @@ def _cmd_select(args) -> int:
 
     # Exit contract: the manifest written validates against the dataset.
     selection.validate_manifest(manifest, ds)
-    out = Path(args.out)
+    out, src = Path(args.out), Path(args.input).resolve()
+    for rel, _ in artifacts:  # the input is never overwritten, nor staged over
+        at = (out / rel).parent.resolve() / (out / rel).name
+        if src in (at, at.with_name(f".{at.name}.partial")):
+            raise ConfigError(f"--input {args.input} is {rel}, which this run writes")
     _emit(out, artifacts)
-    _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts},
-                  {Path(args.input).resolve()})
+    _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, {src})
     for cid, c in classes.items():
         largest = "" if c["largest"] is None else f" largest={c['largest']}"
         print(f"class {cid}: n={c['n']} k={c['k']}{largest}")

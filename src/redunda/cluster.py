@@ -64,7 +64,6 @@ class Dendrogram:
     ``sample_ids[r]``."""
 
     class_id: int
-    n_points: int
     sample_ids: np.ndarray
     heights: np.ndarray
     pairs: np.ndarray
@@ -90,7 +89,7 @@ class Partition:
         """The disjoint groups of sample ids given, in their order, over the
         class's ``sample_ids`` (row order); a group may be empty and need not
         cover."""
-        ids = np.asarray(sample_ids, dtype=np.int64)
+        ids = metric.as_ids(sample_ids, InvalidArgumentError, "sample_ids[{}]")
         members = [sorted(g) for g in groups]
         row = {sid: r for r, sid in enumerate(ids.tolist())}
         if not all(sid in row for m in members for sid in m):
@@ -110,7 +109,8 @@ def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
     X = metric.as_rows(X)
     if X.ndim != 2 or len(X) == 0:
         raise InvalidArgumentError("need a non-empty 2-d array of row vectors")
-    ids = np.arange(len(X)) if sample_ids is None else np.asarray(sample_ids, dtype=np.int64)
+    ids = np.arange(len(X)) if sample_ids is None else sample_ids
+    ids = metric.as_ids(ids, InvalidArgumentError, "sample_ids[{}]")
     if ids.shape != (len(X),) or len(np.unique(ids)) != len(ids):
         raise InvalidArgumentError("need one distinct sample_id per row")
     if fault := metric.first_without_direction(X):
@@ -118,9 +118,9 @@ def _check_class(X, sample_ids) -> tuple[np.ndarray, np.ndarray]:
     return ids, X
 
 
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"k={k} outside valid range [1, {n}]")
+def _check_k(n: int, k, lo: int = 1) -> None:
+    if not (isinstance(k, (int, np.integer)) and lo <= k <= n):
+        raise InvalidArgumentError(f"k must be an integer in [{lo}, {n}], got {k}")
 
 
 def _generic_merges(D: np.ndarray, n: int, merges: int) -> list[tuple[float, int, int]]:
@@ -292,7 +292,7 @@ def agglomerate_fast(
                 raise MemoryCapError(f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}")
             raw = _generic_merges(metric.pairwise_condensed(X, U), n, n - k)
     raw = np.fromiter(chain.from_iterable(raw), np.float64, 3 * len(raw)).reshape(-1, 3)
-    dendro = Dendrogram(class_id, n, ids, raw[:, 0], raw[:, 1:].astype(np.int64))
+    dendro = Dendrogram(class_id, ids, raw[:, 0], raw[:, 1:].astype(np.int64))
     return dendro, cut_dendrogram(dendro, k)
 
 
@@ -300,12 +300,8 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     """The partition after the first n - k merges.  Merge (a, b) points row b
     at row a < b, so pointer jumping takes every row to its cluster's smallest
     row; one sort by (the cluster's smallest sample id, sample id) groups them."""
-    n = dendrogram.n_points
-    lo = n - len(dendrogram.heights)
-    if not lo <= k <= n:
-        raise InvalidArgumentError(
-            f"k={k} outside achievable range [{lo}, {n}] for this dendrogram"
-        )
+    n = len(dendrogram.sample_ids)
+    _check_k(n, k, n - len(dendrogram.heights))
     ids, (a, b) = dendrogram.sample_ids, dendrogram.pairs[: n - k].T
     root = np.arange(n)
     root[b] = a
@@ -321,12 +317,12 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
 
 def format_dendrogram(dendrogram: Dendrogram) -> str:
     """Debug dump: one line per merge, ``left right height new_id``, with the
-    merges renumbered as they are printed: refs 0..n_points-1 are the rows,
-    merge i makes ref n_points + i, and ``left < right``.  Children always
+    merges renumbered as they are printed: refs 0..n-1 are the n rows,
+    merge i makes ref n + i, and ``left < right``.  Children always
     come before their parents (a parent's height is >= each child's, and at
     equal heights its ref pair is lexicographically larger), so the lines are
     a valid bottom-up replay order."""
-    n, lines = dendrogram.n_points, []
+    n, lines = len(dendrogram.sample_ids), []
     current: dict[int, int] = {}  # smallest row -> current cluster ref
     heights, pairs = dendrogram.heights.tolist(), dendrogram.pairs.tolist()
     for new_id, h, (lo, hi) in zip(range(n, 2 * n), heights, pairs):

@@ -38,6 +38,20 @@ def as_rows(X) -> np.ndarray:
     return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
 
 
+def as_ids(ids, error: type[Exception], where: str) -> np.ndarray:
+    """``ids`` as an int64 array of their shape (``ids`` itself if it is one).  An id
+    is an integer int64 can hold; else ``error`` names ``where.format(position)``
+    of the first fraction, NaN or infinity, or else of the first id out of range."""
+    a = np.asarray(ids)
+    if a.dtype.kind not in "biu":
+        a = np.asarray(ids, dtype=object)  # each id as given, so no int is rounded to a float
+        if (bad := np.flatnonzero([not isinstance(v, int) and float(v) % 1 != 0 for v in a.flat])).size:
+            raise error(f"{where.format(int(bad[0]))} is not an integer")
+    if (bad := np.flatnonzero((a < -(1 << 63)) | (a >= 1 << 63))).size:
+        raise error(f"{where.format(int(bad[0]))} exceeds supported range")
+    return a.astype(np.int64, copy=False)
+
+
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Float64 norms of the rows of the 2-d ``X``, widened ``_NORM_ELEMS``
     elements at a time, so a float32 ``X`` is never copied whole (and a row

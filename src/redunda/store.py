@@ -4,8 +4,8 @@ Vectors are kept in the precision they come in: float32 rows stay float32 (a
 binary file's as a view of the body that was read), and CSV text and any other
 input become float64.  Widening float32 to float64 is exact, so every reader
 widens only the rows it uses, before any arithmetic on them, and all
-arithmetic is float64 (``metric.as_rows``).  A dataset is immutable after
-construction: it copies its ids and marks its vectors read-only (``from_arrays``).
+arithmetic is float64 (``metric.as_rows``).  The constructor is the one way to
+build a dataset: it validates, copies the ids and marks the vectors read-only.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, UnknownClassError, ValidationError
-from .metric import as_rows, first_without_direction
+from .metric import as_ids, as_rows, first_without_direction
 
 MAGIC = b"REDE"
 FORMAT_VERSION = 1
@@ -27,32 +26,20 @@ FLAG_EXPLICIT_IDS = 0x1
 
 _HEADER = struct.Struct("<4sIIQI")
 _MAX_CLASS_ID = 0xFFFFFFFF
-# sample_ids are u64 on disk but kept as int64 internally; the top half of
-# the u64 range is rejected rather than silently wrapped.
-_MAX_SAMPLE_ID = (1 << 63) - 1
+_MAX_SAMPLE_ID = (1 << 63) - 1  # ids are int64 in memory (``metric.as_ids``)
 _READ_STEP = 1 << 26  # bytes of a binary body read into memory per step
 
 
-@dataclass
 class EmbeddingDataset:
     """Immutable collection of labeled embeddings with a stable file order."""
 
-    dimension: int
-    sample_ids: np.ndarray  # int64, file order
-    class_ids: np.ndarray  # int64, file order
-    vectors: np.ndarray  # float32 or float64 (``metric.as_rows``), (n, dimension), file order
-    source_digest: str | None = None
-    _class_rows: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    _digest_cache: str | None = field(repr=False, default=None)
-
-    @classmethod
-    def from_arrays(cls, sample_ids, class_ids, vectors, source_digest: str | None = None
-                    ) -> "EmbeddingDataset":
+    def __init__(self, sample_ids, class_ids, vectors, source_digest: str | None = None):
         """Validate raw arrays and assemble a dataset.
 
-        Raises ValidationError on the first offending record: a vector with
-        no direction (``metric.first_without_direction``, on float64 norms),
-        bad or repeated ids.  Copies the ids.  ``vectors`` (``metric.as_rows``) is too large
+        Raises ValidationError on the first offending record: an id that is not an
+        integer int64 can hold (``metric.as_ids``; 2.0 is read as 2), a vector with no
+        direction (``metric.first_without_direction``, on float64 norms), bad or
+        repeated ids.  Copies the ids.  ``vectors`` (``metric.as_rows``) is too large
         to copy: it is marked read-only, the caller's own array included, so no later write
         by the caller can change a dataset whose digest may already be cached.
         """
@@ -62,8 +49,8 @@ class EmbeddingDataset:
         n, dim = vec.shape
         if n > 0 and dim < 1:
             raise ValidationError("dimension must be at least 1")
-        sids = np.array(sample_ids, dtype=np.int64).reshape(-1)
-        cids = np.array(class_ids, dtype=np.int64).reshape(-1)
+        sids = np.array(as_ids(sample_ids, ValidationError, "record {}: sample_id")).reshape(-1)
+        cids = np.array(as_ids(class_ids, ValidationError, "record {}: class_id")).reshape(-1)
         if len(sids) != n or len(cids) != n:
             raise ValidationError(
                 f"length mismatch: {n} vectors, {len(sids)} ids, {len(cids)} classes"
@@ -90,7 +77,7 @@ class EmbeddingDataset:
 
         order = np.argsort(cids, kind="stable")
         present, starts = np.unique(cids[order], return_index=True)
-        class_rows = dict(zip(present.tolist(), np.split(order, starts[1:])))
+        self._class_rows = dict(zip(present.tolist(), np.split(order, starts[1:])))
 
         if vec.strides[-1] != vec.itemsize:
             # Rows are read in place as vectors, and BLAS can round a
@@ -98,7 +85,13 @@ class EmbeddingDataset:
             vec = np.ascontiguousarray(vec)
         for arr in (sids, cids, vec):
             arr.flags.writeable = False
-        return cls(dim, sids, cids, vec, source_digest, class_rows)
+        # int64, int64 and float32 or float64 (``metric.as_rows``), in file order
+        self.sample_ids, self.class_ids, self.vectors = sids, cids, vec
+        self.source_digest, self._digest_cache = source_digest, None
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -199,17 +192,8 @@ def _load_binary(path: Path) -> EmbeddingDataset:
     digest = hashlib.sha256(head)
     digest.update(raw[:size])
     body = np.frombuffer(raw, dtype=record, count=count)
-    if explicit:
-        raw_ids = body["sid"]
-        if (raw_ids > _MAX_SAMPLE_ID).any():
-            bad = int(np.flatnonzero(raw_ids > _MAX_SAMPLE_ID)[0])
-            raise ValidationError(f"record {bad}: sample_id exceeds supported range")
-        sids = raw_ids.astype(np.int64)
-    else:
-        sids = np.arange(count, dtype=np.int64)
-    return EmbeddingDataset.from_arrays(
-        sids, body["cid"].astype(np.int64), body["vec"], source_digest=digest.hexdigest()
-    )
+    sids = body["sid"] if explicit else np.arange(count, dtype=np.int64)
+    return EmbeddingDataset(sids, body["cid"], body["vec"], source_digest=digest.hexdigest())
 
 
 def _load_csv(path: Path) -> EmbeddingDataset:
@@ -257,7 +241,7 @@ def _load_csv(path: Path) -> EmbeddingDataset:
             cids.append(cid)
             rows.append(vec)
     vectors = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, dim or 1))
-    return EmbeddingDataset.from_arrays(sids, cids, vectors, source_digest=digest)
+    return EmbeddingDataset(sids, cids, vectors, source_digest=digest)
 
 
 def load_dataset(path, fmt: str | None = None) -> EmbeddingDataset:

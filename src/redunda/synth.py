@@ -177,7 +177,7 @@ def generate(
         truth[cid] = groups
     # Rounded to float32 as dataset.bin stores them, so the certificate below
     # holds for the values every output format carries.
-    dataset = EmbeddingDataset.from_arrays(sids, cids, np.asarray(rows, dtype=np.float32))
+    dataset = EmbeddingDataset(sids, cids, np.asarray(rows, dtype=np.float32))
 
     cert = measure_separation(dataset, truth)
     if cert.max_within is not None:

@@ -211,7 +211,7 @@ def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
                 S[x, i] = d
 
     merges = np.array(raw, dtype=np.float64).reshape(-1, 3)
-    dendro = Dendrogram(class_id, n, ids, merges[:, 0], merges[:, 1:].astype(np.int64))
+    dendro = Dendrogram(class_id, ids, merges[:, 0], merges[:, 1:].astype(np.int64))
     clusters = sorted(
         (frozenset(int(ids[m]) for m in lst) for lst in members if lst is not None),
         key=min,
@@ -246,7 +246,7 @@ def canonical_steps(n: int, raw) -> tuple[MergeStep, ...]:
 def steps(dendro: Dendrogram) -> tuple[MergeStep, ...]:
     """The dendrogram's merges as canonical steps."""
     heights, (lo, hi) = dendro.heights.tolist(), dendro.pairs.T.tolist()
-    return canonical_steps(dendro.n_points, zip(heights, lo, hi))
+    return canonical_steps(len(dendro.sample_ids), zip(heights, lo, hi))
 
 
 def replay_cut(steps, sample_ids, k: int) -> tuple[frozenset[int], ...]:

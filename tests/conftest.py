@@ -14,7 +14,7 @@ from redunda.store import EmbeddingDataset
 def tiny_dataset() -> EmbeddingDataset:
     """3 records, 2 classes, dim 2 — the smallest interesting dataset."""
     vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    return EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 1], vectors)
+    return EmbeddingDataset([0, 1, 2], [0, 0, 1], vectors)
 
 
 # Rows with no direction, and the reason ``metric.first_without_direction``
@@ -60,7 +60,7 @@ def stacked_dataset(class_arrays: dict, start_id: int = 0) -> EmbeddingDataset:
             cids.append(cid)
             rows.append(row)
             nxt += 1
-    return EmbeddingDataset.from_arrays(
+    return EmbeddingDataset(
         np.array(sids, dtype=np.int64),
         np.array(cids, dtype=np.int64),
         np.array(rows, dtype=np.float64),

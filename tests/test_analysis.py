@@ -259,7 +259,7 @@ class TestNearestExcluded:
             for group in (c * n + rs.permutation(n)[:16]).reshape(4, 4):
                 X[group] = X[group[0]]
                 X[group[1::2], 3] = -0.0
-        ds = EmbeddingDataset.from_arrays(
+        ds = EmbeddingDataset(
             rs.permutation(10 * n * classes)[: n * classes], np.repeat(range(classes), n), X
         )
         _, results = build_cluster_subset(ds, 0.9)

@@ -46,7 +46,7 @@ def traced_select(tmp_path, fraction, *flags):
     """Spans of one ``select`` on a two-class dataset, and its point count."""
     rs = np.random.default_rng(5)
     X = with_duplicates(rs, rs.normal(size=(120, 8)), 20)
-    ds = EmbeddingDataset.from_arrays(np.arange(120), np.repeat([0, 1], [70, 50]), X)
+    ds = EmbeddingDataset(np.arange(120), np.repeat([0, 1], [70, 50]), X)
     data = tmp_path / "d.bin"
     data.write_bytes(canonical_bytes(ds))
     tracer = load_spans().Tracer()

@@ -79,7 +79,7 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
         order = rs.permutation(len(X))
         X, cids = X[order], cids[order]
         sids = rs.permutation(10 * len(X))[: len(X)]
-    ds = EmbeddingDataset.from_arrays(sids, cids, X)
+    ds = EmbeddingDataset(sids, cids, X)
 
     with mock.patch.object(metric, "pairwise_condensed", wraps=metric.pairwise_condensed) as dense:
         _, results = build_cluster_subset(ds, fraction, dissimilarity=True, nearest_excluded=True)
@@ -102,7 +102,7 @@ def test_each_report_alone_prints_what_both_print():
     sizes = {0: 120, 4: 80, 9: 60}
     X = np.vstack([with_duplicates(rs, random_unit_rows(rs, n, 8), n // 5) for n in sizes.values()])
     cids = np.repeat(list(sizes), list(sizes.values()))
-    ds = EmbeddingDataset.from_arrays(np.arange(len(X)), cids, X)
+    ds = EmbeddingDataset(np.arange(len(X)), cids, X)
 
     def run(**reports):
         return build_cluster_subset(ds, 0.7, **reports)[1].values()

@@ -20,7 +20,8 @@ import _oracles
 from redunda import cluster, selection
 from redunda.cli import build_parser, main
 from redunda.store import (
-    FLAG_EXPLICIT_IDS, FORMAT_VERSION, MAGIC, EmbeddingDataset, canonical_bytes, load_dataset,
+    FLAG_EXPLICIT_IDS, FORMAT_VERSION, MAGIC, EmbeddingDataset, canonical_bytes, dataset_to_csv,
+    load_dataset,
 )
 from redunda.synth import measure_separation
 
@@ -435,7 +436,7 @@ class TestAllOrNothing:
     ], ids=["cluster-medoid", "uniform-random"])
     def test_empty_dataset_is_refused_by_both_methods(self, tmp_path, capsys, method_args):
         src = tmp_path / "empty.bin"
-        src.write_bytes(canonical_bytes(EmbeddingDataset.from_arrays([], [], np.empty((0, 4)))))
+        src.write_bytes(canonical_bytes(EmbeddingDataset([], [], np.empty((0, 4)))))
         out = tmp_path / "r"
         out.mkdir()
         (out / "notes.txt").write_text("user file\n")
@@ -492,6 +493,29 @@ class TestOneRunPerOut:
         )
         assert code == 0, err
         assert src.read_bytes() == before
+
+    @pytest.mark.parametrize("name, fmt, written", [
+        ("histogram.csv", "csv", "histogram.csv"),
+        ("manifest.json", "binary", "manifest.json"),
+        (".run_metadata.json.partial", "binary", "run_metadata.json"),  # its staged file
+    ])
+    def test_input_this_run_writes_is_refused(
+        self, synth_dataset, tmp_path, capsys, name, fmt, written
+    ):
+        out = tmp_path / "D"
+        out.mkdir()
+        src = out / name
+        if fmt == "csv":
+            src.write_text(dataset_to_csv(load_dataset(synth_dataset)), encoding="utf-8")
+        else:
+            src.write_bytes(synth_dataset.read_bytes())
+        before = (tree(out), sorted(out.rglob("*")))
+        code, stdout, err = run(
+            capsys, "select", "--format", fmt, "--input", src, "--fraction", "0.5", "--out", out,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"config_error: --input {src} is {written}, which this run writes\n"
+        assert (tree(out), sorted(out.rglob("*"))) == before
 
     @pytest.mark.parametrize("method_args", [[], ["--method", "uniform-random", "--seed", "1"]],
                              ids=["cluster-medoid", "uniform-random"])
@@ -659,7 +683,7 @@ class TestDendrogramDump:
         rs = np.random.default_rng(8)
         X = rs.normal(size=(120, 5))
         X[rs.integers(0, 120, 40)] = X[rs.integers(0, 120, 40)]
-        ds = EmbeddingDataset.from_arrays(np.arange(120), np.repeat([0, 1], 60), X)
+        ds = EmbeddingDataset(np.arange(120), np.repeat([0, 1], 60), X)
         path = tmp_path / "twins.bin"
         path.write_bytes(canonical_bytes(ds))
         return path, load_dataset(path)

@@ -72,6 +72,26 @@ class TestWorkedExamples:
             with pytest.raises(InvalidArgumentError):
                 engine(THREE, k)
 
+    def test_k_must_be_an_integer(self):
+        dendro, part = agglomerate_fast(THREE, np.int64(2))
+        assert cut_dendrogram(dendro, np.int32(2)) == part
+        for k in (2.5, 2.0):
+            with pytest.raises(InvalidArgumentError, match=r"^k must be an integer in .*\[1, 3\]"):
+                agglomerate_fast(THREE, k)
+            with pytest.raises(InvalidArgumentError, match=r"^k must be an integer in .*\[2, 3\]"):
+                cut_dendrogram(dendro, k)
+
+    def test_ids_are_integers_int64_holds(self):
+        # A fraction is refused, not truncated to the id below it.
+        with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[0\] is not an integer$"):
+            agglomerate_fast(THREE, 2, sample_ids=[0.5, 1.5, 2.5])
+        with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[0\] is not an integer$"):
+            Partition.from_groups(0, [0.5, 1.0], [[1.0]])
+        with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[2\] exceeds supported range$"):
+            agglomerate_fast(THREE, 2, sample_ids=[0, 1, 2**63])
+        _, part = agglomerate_fast(THREE, 2, sample_ids=np.array([4.0, 2.0, 9.0]))
+        assert part.sample_ids.tolist() == [4, 2, 9] and part.sample_ids.dtype == np.int64
+
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicate_ids_rejected(self, engine):
         with pytest.raises(InvalidArgumentError):
@@ -124,7 +144,7 @@ def assert_replayed(dendro, k, part):
     every row in one cluster."""
     steps = _oracles.steps(dendro)
     assert clusters(part) == _oracles.replay_cut(steps, dendro.sample_ids, k)
-    assert sorted(part.order.tolist()) == list(range(dendro.n_points))
+    assert sorted(part.order.tolist()) == list(range(len(dendro.sample_ids)))
     ids = part.sample_ids[part.order]
     assert all((np.diff(ids[a:b]) > 0).all() for a, b in zip(part.starts, part.starts[1:]))
 
@@ -513,7 +533,7 @@ class TestDendrogram:
 
     def test_forest_validity(self):
         dendro, _ = self.full()
-        n = dendro.n_points
+        n = len(dendro.sample_ids)
         used = []
         for i, step in enumerate(_oracles.steps(dendro)):
             assert step.new_id == n + i  # creation order numbering
@@ -599,14 +619,14 @@ class TestCut:
     def test_interleaved_class_file(self, fraction):
         rs = np.random.default_rng(14)
         X = with_duplicates(rs, random_unit_rows(rs, 300, 6), 60)
-        ds = EmbeddingDataset.from_arrays(
+        ds = EmbeddingDataset(
             rs.permutation(5000)[:300], rs.integers(0, 3, size=300), X
         )
         _, results = build_cluster_subset(ds, fraction)
         for cid, res in results.items():
             dendro = res.dendrogram
             assert dendro.sample_ids.tolist() == ds.class_arrays(cid)[0].tolist()
-            assert_replayed(dendro, dendro.n_points - len(dendro.heights), res.partition)
+            assert_replayed(dendro, len(dendro.sample_ids) - len(dendro.heights), res.partition)
 
 
 class TestDeterminism:

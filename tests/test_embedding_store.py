@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import NO_DIRECTION, pipe_serving
 from redunda.errors import (
@@ -25,9 +29,13 @@ from redunda.store import (
 )
 
 
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)  # as the CLI fuzz tests
+ID = st.integers(-(2**70), 2**70) | st.floats(allow_nan=True, allow_infinity=True)
+
+
 def small_dataset() -> EmbeddingDataset:
     vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    return EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 1], vectors)
+    return EmbeddingDataset([0, 1, 2], [0, 0, 1], vectors)
 
 
 def pack_binary(n, dim, records, flags=0, version=FORMAT_VERSION, magic=MAGIC) -> bytes:
@@ -59,7 +67,7 @@ class TestFromArrays:
 
     def test_interleaved_classes_keep_file_order(self):
         vectors = np.arange(10.0).reshape(5, 2) + 1.0
-        ds = EmbeddingDataset.from_arrays([9, 4, 7, 1, 3], [1, 0, 1, 0, 1], vectors)
+        ds = EmbeddingDataset([9, 4, 7, 1, 3], [1, 0, 1, 0, 1], vectors)
         ids, X = ds.class_arrays(1)
         assert ids.tolist() == [9, 7, 3]
         assert np.array_equal(X, vectors[[0, 2, 4]])
@@ -77,18 +85,18 @@ class TestFromArrays:
 
     def test_float32_vectors_kept_as_given(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [3e20, 1.0]], dtype=np.float32)
-        ds = EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 1], vectors)
+        ds = EmbeddingDataset([0, 1, 2], [0, 0, 1], vectors)
         assert ds.vectors is vectors and not vectors.flags.writeable
-        ints = EmbeddingDataset.from_arrays([0, 1], [0, 0], np.eye(2, dtype=np.int64))
+        ints = EmbeddingDataset([0, 1], [0, 0], np.eye(2, dtype=np.int64))
         assert ints.vectors.dtype == np.float64
         # Each row is contiguous, as the kernels read a float64 row in place.
-        columns = EmbeddingDataset.from_arrays([0, 1], [0, 0], np.asfortranarray(np.eye(2) + 1))
+        columns = EmbeddingDataset([0, 1], [0, 0], np.asfortranarray(np.eye(2) + 1))
         assert columns.vectors.flags.c_contiguous
 
     def test_ids_are_copied(self):
         # A later write by the caller must not reach a validated dataset.
         sids, cids = np.arange(3), np.array([0, 0, 1])
-        ds = EmbeddingDataset.from_arrays(sids, cids, np.eye(3))
+        ds = EmbeddingDataset(sids, cids, np.eye(3))
         sids[1], cids[0] = 0, 1
         assert ds.sample_ids.tolist() == [0, 1, 2] and ds.class_ids.tolist() == [0, 0, 1]
         assert not ds.sample_ids.flags.writeable and not ds.class_ids.flags.writeable
@@ -96,49 +104,97 @@ class TestFromArrays:
     def test_non_finite_reports_record_index(self):
         vectors = np.array([[1.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValidationError, match="record 1"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
+            EmbeddingDataset([0, 1], [0, 0], vectors)
         # finite components whose norm overflows
         vectors = np.array([[1.0, 0.0], [1e200, 1.0]])
         with pytest.raises(ValidationError, match="record 1: vector norm overflows"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
+            EmbeddingDataset([0, 1], [0, 0], vectors)
         for row, reason in NO_DIRECTION:
             vectors = np.array([[1.0, 0.0], [0.0, 1.0], row])
             with pytest.raises(ValidationError, match=f"^record 2: {reason}$"):
-                EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 0], vectors)
+                EmbeddingDataset([0, 1, 2], [0, 0, 0], vectors)
         # Each reason is tried over all records before the next.
         vectors = np.array([[1e200, 1e200], [0.0, 0.0], [1.0, np.inf]])
         with pytest.raises(ValidationError, match="^record 2: non-finite vector component$"):
-            EmbeddingDataset.from_arrays([0, 1, 2], [0, 0, 0], vectors)
+            EmbeddingDataset([0, 1, 2], [0, 0, 0], vectors)
         with pytest.raises(ValidationError, match="^record 1: vector norm below 1e-30$"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors[:2])
+            EmbeddingDataset([0, 1], [0, 0], vectors[:2])
 
     def test_zero_vector_rejected(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="record 1"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], vectors)
+            EmbeddingDataset([0, 1], [0, 0], vectors)
 
     def test_duplicate_sample_id_rejected(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="duplicate sample_id 7"):
-            EmbeddingDataset.from_arrays([7, 7], [0, 0], vectors)
+            EmbeddingDataset([7, 7], [0, 0], vectors)
         # the first record that repeats an earlier id is the one reported
         with pytest.raises(ValidationError, match="record 3: duplicate sample_id 5"):
-            EmbeddingDataset.from_arrays([5, 8, 2, 5, 8], [0] * 5, np.ones((5, 2)))
+            EmbeddingDataset([5, 8, 2, 5, 8], [0] * 5, np.ones((5, 2)))
 
     def test_negative_id_and_wide_class_rejected(self):
         vectors = np.array([[1.0, 0.0]])
         with pytest.raises(ValidationError):
-            EmbeddingDataset.from_arrays([-1], [0], vectors)
+            EmbeddingDataset([-1], [0], vectors)
         with pytest.raises(ValidationError):
-            EmbeddingDataset.from_arrays([0], [1 << 32], vectors)
+            EmbeddingDataset([0], [1 << 32], vectors)
 
     def test_shape_errors(self):
         with pytest.raises(ValidationError, match="2-d array, got ndim=1"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], [1.0, 0.0])
+            EmbeddingDataset([0, 1], [0, 0], [1.0, 0.0])
         with pytest.raises(ValidationError, match="dimension must be at least 1"):
-            EmbeddingDataset.from_arrays([0, 1], [0, 0], np.empty((2, 0)))
+            EmbeddingDataset([0, 1], [0, 0], np.empty((2, 0)))
         with pytest.raises(ValidationError, match="length mismatch: 2 vectors, 1 ids, 2 classes"):
-            EmbeddingDataset.from_arrays([0], [0, 0], np.eye(2))
+            EmbeddingDataset([0], [0, 0], np.eye(2))
+
+
+class TestIdRule:
+    def test_constructor_indexes_classes_and_checks_rows(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        ds = EmbeddingDataset([0, 1, 2], [0, 0, 1], X)
+        assert ds.classes() == [0, 1] and ds.class_sizes() == {0: 2, 1: 1}
+        assert ds.class_arrays(1)[0].tolist() == [2] and ds.dimension == 2
+        assert not hasattr(EmbeddingDataset, "from_arrays")
+        with pytest.raises(ValidationError, match="^record 1: non-finite vector component$"):
+            EmbeddingDataset([0, 1, 2], [0, 0, 1], [[1.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("sids, cids, message", [
+        ([0.5, 1], [0, 0], "record 0: sample_id is not an integer"),
+        ([0, 1], [0, 0.9], "record 1: class_id is not an integer"),
+        ([0, math.nan], [0, 0], "record 1: sample_id is not an integer"),
+        ([0, 1], [math.nan, 0], "record 0: class_id is not an integer"),
+        ([0, math.inf], [0, 0], "record 1: sample_id is not an integer"),
+        ([0, 1], [0, -math.inf], "record 1: class_id is not an integer"),
+        ([np.float64(math.inf), 1], [0, 0], "record 0: sample_id is not an integer"),
+        ([0, 2**63], [0, 0], "record 1: sample_id exceeds supported range"),
+        ([2**64, 1], [0, 0], "record 0: sample_id exceeds supported range"),
+        ([0, np.uint64(2**63)], [0, 0], "record 1: sample_id exceeds supported range"),
+        ([0, 1], [0, 2**64], "record 1: class_id exceeds supported range"),
+        # each reason is tried over all records before the next
+        ([2**64, 0.5], [0, 0], "record 1: sample_id is not an integer"),
+    ])
+    def test_refused_id_names_its_record(self, sids, cids, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EmbeddingDataset(sids, cids, np.eye(2))
+
+    def test_integral_float_and_unsigned_ids_accepted(self):
+        ds = EmbeddingDataset([0.0, 1.0], np.array([7, 2**32 - 1], dtype=np.uint64), np.eye(2))
+        assert ds.sample_ids.tolist() == [0, 1] and ds.class_ids.tolist() == [7, 2**32 - 1]
+        top = EmbeddingDataset(np.array([2**63 - 1], dtype=np.uint64), np.zeros(1), [[1.0]])
+        assert top.sample_ids.tolist() == [2**63 - 1]
+        assert top.sample_ids.dtype == top.class_ids.dtype == np.int64
+
+    @FUZZ
+    @given(st.lists(ID, min_size=1, max_size=4), st.booleans())
+    @example([2**62 + 1, 1.0], False)  # an int beside a float is not rounded to a float
+    def test_ids_are_refused_or_kept_exactly(self, ids, as_class):
+        n = len(ids)
+        try:
+            ds = EmbeddingDataset(*((range(n), ids) if as_class else (ids, np.zeros(n))), np.eye(n))
+        except ValidationError:
+            return
+        assert (ds.class_ids if as_class else ds.sample_ids).tolist() == ids
 
 
 class TestBinaryFormat:
@@ -162,7 +218,7 @@ class TestBinaryFormat:
 
     def test_explicit_ids_survive(self, tmp_path):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ds = EmbeddingDataset.from_arrays([10, 5], [1, 1], vectors)
+        ds = EmbeddingDataset([10, 5], [1, 1], vectors)
         path = tmp_path / "e.bin"
         path.write_bytes(canonical_bytes(ds))
         raw = path.read_bytes()
@@ -379,14 +435,11 @@ class TestCsvFormat:
             load_dataset(tmp_path / "d.bin", "parquet")
 
     def test_exact_text_from_arrays(self):
-        # Built without from_arrays: the 1e300 row's norm overflows, which
-        # loading rejects but the encoder must still print exactly.
+        # Signed zero, a subnormal and a large exponent print exactly.
         big = (1 << 63) - 1
-        ds = EmbeddingDataset(
-            2, np.array([big, 3]), np.array([4, 0]), np.array([[-0.0, 5e-324], [0.1, 1e300]])
-        )
+        ds = EmbeddingDataset([big, 3], [4, 0], [[-0.0, 5e-324, 1.0], [0.1, 1e150, 0.0]])
         assert dataset_to_csv(ds) == (
-            "sample_id,class_id,v1,v2\n"
-            f"{big},4,-0.0,5e-324\n"
-            "3,0,0.1,1e+300\n"
+            "sample_id,class_id,v1,v2,v3\n"
+            f"{big},4,-0.0,5e-324,1.0\n"
+            "3,0,0.1,1e+150,0.0\n"
         )

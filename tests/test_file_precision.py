@@ -65,9 +65,9 @@ def artifacts(out) -> dict[str, bytes]:
 def test_binary_rows_write_the_artifacts_of_their_widened_rows(tmp_path, fraction, dense):
     X, cids = float32_rows()
     data = tmp_path / "d.bin"
-    data.write_bytes(canonical_bytes(EmbeddingDataset.from_arrays(np.arange(90), cids, X)))
+    data.write_bytes(canonical_bytes(EmbeddingDataset(np.arange(90), cids, X)))
     ds = load_dataset(data)
-    wide = EmbeddingDataset.from_arrays(
+    wide = EmbeddingDataset(
         ds.sample_ids, ds.class_ids, ds.vectors.astype(np.float64), source_digest=ds.digest()
     )
     assert ds.vectors.dtype == np.float32 and wide.vectors.dtype == np.float64
@@ -91,7 +91,7 @@ def test_binary_load_allocates_no_float64_copy_of_its_rows(tmp_path):
     n, d = 4000, 128
     X = np.random.default_rng(3).normal(size=(n, d)).astype(np.float32)
     data = tmp_path / "d.bin"
-    data.write_bytes(canonical_bytes(EmbeddingDataset.from_arrays(np.arange(n), np.zeros(n), X)))
+    data.write_bytes(canonical_bytes(EmbeddingDataset(np.arange(n), np.zeros(n), X)))
     tracemalloc.start()
     try:
         ds = load_dataset(data)
@@ -114,7 +114,7 @@ def test_clustering_a_binary_class_holds_one_float64_copy_of_it(tmp_path):
     n, d = 400, 2048
     X = np.random.default_rng(8).normal(size=(n, d)).astype(np.float32)
     data = tmp_path / "d.bin"
-    data.write_bytes(canonical_bytes(EmbeddingDataset.from_arrays(np.arange(n), np.zeros(n), X)))
+    data.write_bytes(canonical_bytes(EmbeddingDataset(np.arange(n), np.zeros(n), X)))
     ds = load_dataset(data)
     blocks = []
     gram_blocks = metric._gram_blocks

@@ -295,7 +295,7 @@ class TestBuildClusterSubset:
             n = ds.class_sizes()[cid]
             d = res.dendrogram
             assert d.class_id == cid
-            assert d.n_points == n
+            assert len(d.sample_ids) == n
             assert len(_oracles.steps(d)) == n - per_class_k(n, 0.5)
 
     def test_scale_invariance_of_groups(self):

@@ -255,7 +255,7 @@ def _explicit_ids(spread):
     rows = [near(0), near(1), near(0), near(2), near(1), near(0), near(3), near(3)]
     ids = [50, 7, 93, 12, 61, 30, 40, 41]
     classes = [0, 0, 0, 0, 0, 0, 1, 1]
-    ds = EmbeddingDataset.from_arrays(ids, classes, np.array(rows))
+    ds = EmbeddingDataset(ids, classes, np.array(rows))
     truth = {
         0: [frozenset({50, 93, 30}), frozenset({7, 61}), frozenset({12})],
         1: [frozenset({40}), frozenset({41})],
@@ -349,7 +349,7 @@ class TestCertificate:
             assert cert.max_within == 0.0
 
     def test_id_outside_class_rejected(self):
-        ds = EmbeddingDataset.from_arrays([4, 9, 2], [0, 1, 0], np.eye(3))
+        ds = EmbeddingDataset([4, 9, 2], [0, 1, 0], np.eye(3))
         with pytest.raises(InvalidArgumentError, match="outside the class"):
             measure_separation(ds, {0: [frozenset({4}), frozenset({2, 9})]})
         with pytest.raises(InvalidArgumentError, match="outside the class"):
@@ -358,7 +358,7 @@ class TestCertificate:
     def test_overlapping_groups_rejected(self):
         # Row 1 in both groups would be labelled by its last group only, and
         # the certificate would claim a separation no partition has.
-        ds = EmbeddingDataset.from_arrays(range(4), [0] * 4, np.eye(4) + 0.1)
+        ds = EmbeddingDataset(range(4), [0] * 4, np.eye(4) + 0.1)
         with pytest.raises(InvalidArgumentError, match="twice"):
             measure_separation(ds, {0: [frozenset({0, 1}), frozenset({1, 2})]})
 
