@@ -3,6 +3,7 @@ sample, and nearest excluded neighbors."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -55,10 +56,12 @@ def size_histogram(partition: Partition) -> SizeHistogram:
     return SizeHistogram(partition.class_id, dict(zip(sizes.tolist(), counts.tolist())))
 
 
-def _qualifying(partition: Partition, reps: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+def _qualifying(partition: Partition, reps: Sequence[int], X, U) -> list[tuple[int, np.ndarray]]:
     """``(rep row, member rows)`` of each cluster of size >= 2, in partition
-    order; member rows ascend by sample id.  Refuses a ``reps`` that does not
-    name one member of each cluster."""
+    order; member rows ascend by sample id.  Refuses a ``U`` not shaped as
+    ``X``, and a ``reps`` that does not name one member of each cluster."""
+    if np.shape(U) != np.shape(X):
+        raise InvalidArgumentError(f"unit rows {np.shape(U)} do not match rows {np.shape(X)}")
     sizes, order, s = partition.sizes(), partition.order, partition.starts
     if len(reps) != len(sizes):
         raise InvalidArgumentError(f"{len(reps)} representatives for {len(sizes)} clusters")
@@ -84,7 +87,7 @@ def avg_dissimilarity(
     one product over ``U[others]``, copied here.  None when no cluster
     qualifies (the class is left out, not 0).
     """
-    qualifying = _qualifying(partition, reps)
+    qualifying = _qualifying(partition, reps, X, U)
     twins = metric.twin_index(X)
     cluster_means: list[float] = []
     for rep_row, rows in qualifying:
@@ -124,30 +127,31 @@ def nearest_excluded(
 ) -> list[NearestExcludedPair]:
     """Closest same-class point outside each size->=2 cluster's representative.
 
-    Arguments as for ``avg_dissimilarity``.  Single-cluster classes have no
-    outside points and yield an empty list.  Ties break toward the smallest
-    neighbor sample_id.  Pairs come in partition order.  Each cluster's
-    outside rows are compared in one product over ``U[outside]``, the view
-    ``metric.outside_gathers`` yields from one buffer per class; it visits the
-    clusters in its own order and copies only the rows that move.  Only the
-    outside twins and the tied minima are mapped between rows and positions.
+    Arguments as for ``avg_dissimilarity``, but ``U`` must be as ``unit_rows``
+    returns it (C-contiguous, writable, its own): ``metric.outside_gathers``
+    lays each cluster's outside rows out in ``U`` itself for one product, and
+    puts ``U`` back.  Single-cluster classes yield an empty list.  Ties break
+    toward the smallest neighbor sample_id.  Pairs come in partition order.
     """
-    qualifying = _qualifying(partition, reps)
+    if not (U.flags.c_contiguous and U.flags.writeable) or np.may_share_memory(U, X):
+        raise InvalidArgumentError("unit rows must be a C-contiguous, writable array of their own")
+    qualifying = _qualifying(partition, reps, X, U)
     if len(partition.starts) < 3:
         return []
     ids = partition.sample_ids
     twins = metric.twin_index(X)
     out: list[NearestExcludedPair | None] = [None] * len(qualifying)
-    for i, members, V in metric.outside_gathers(U, [rows for _, rows in qualifying]):
-        rep_row = qualifying[i][0]
-        at = ()
-        if rep_row in twins:
-            tw = twins[rep_row][~np.isin(twins[rep_row], members)]
-            at = tw - np.searchsorted(members, tw)
-        d = metric.one_to_many(X[rep_row], V, at)
-        best = np.flatnonzero(d == d.min())
-        rows = best + np.searchsorted(members - np.arange(len(members)), best, "right")
-        out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[rows].min()), float(d[best[0]]))
+    with contextlib.closing(metric.outside_gathers(U, [rows for _, rows in qualifying])) as walk:
+        for i, members, V in walk:
+            rep_row = qualifying[i][0]
+            at = ()
+            if rep_row in twins:
+                tw = twins[rep_row][~np.isin(twins[rep_row], members)]
+                at = tw - np.searchsorted(members, tw)
+            d = metric.one_to_many(X[rep_row], V, at)
+            best = np.flatnonzero(d == d.min())
+            rows = best + np.searchsorted(members - np.arange(len(members)), best, "right")
+            out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[rows].min()), float(d[best[0]]))
     return out
 
 

@@ -116,6 +116,17 @@ def _metadata(command: str, ds: EmbeddingDataset, extra: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _written(args, classes) -> list[str]:
+    """The files a ``select`` run writes, named before any class is clustered."""
+    names = ["manifest.json", "manifest.txt", "run_metadata.json"]
+    if args.method == selection.METHOD_CLUSTER:
+        names += ["histogram.csv", "histogram.json", "histogram.txt"] if args.histogram else []
+        names += ["dissimilarity.json", "dissimilarity.txt"] if args.dissimilarity else []
+        names += ["pairs.json", "pairs.txt"] if args.nearest_excluded else []
+        names += [f"dendrograms/class_{c}.txt" for c in classes] if args.dump_dendrograms else []
+    return names
+
+
 def _report_artifacts(args, results: dict[int, ClassResult]) -> list[tuple[str, str | bytes]]:
     artifacts: list[tuple[str, str | bytes]] = []
     if args.histogram:
@@ -150,6 +161,11 @@ def _cmd_select(args) -> int:
     if args.memory_cap is not None and args.memory_cap < 0:
         raise ConfigError(f"memory cap must be >= 0 bytes, got {args.memory_cap}")
     ds = load_dataset(Path(args.input), args.format)
+    out, src = Path(args.out), Path(args.input).resolve()
+    for rel in _written(args, ds.classes()):  # the input is never overwritten, nor staged over
+        at = (out / rel).parent.resolve() / (out / rel).name
+        if src in (at, at.with_name(f".{at.name}.partial")):
+            raise ConfigError(f"--input {args.input} is {rel}, which this run writes")
     results: dict[int, ClassResult] | None = None
     if args.method == selection.METHOD_CLUSTER:
         manifest, results = selection.build_cluster_subset(
@@ -180,11 +196,6 @@ def _cmd_select(args) -> int:
 
     # Exit contract: the manifest written validates against the dataset.
     selection.validate_manifest(manifest, ds)
-    out, src = Path(args.out), Path(args.input).resolve()
-    for rel, _ in artifacts:  # the input is never overwritten, nor staged over
-        at = (out / rel).parent.resolve() / (out / rel).name
-        if src in (at, at.with_name(f".{at.name}.partial")):
-            raise ConfigError(f"--input {args.input} is {rel}, which this run writes")
     _emit(out, artifacts)
     _remove_stale(out, _OPTIONAL_ARTIFACTS, {rel for rel, _ in artifacts}, {src})
     for cid, c in classes.items():

@@ -7,7 +7,6 @@ near-identical or near-opposite directions.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import mmap
@@ -158,40 +157,52 @@ def _gather_order(clusters, n: int) -> list[int]:
     return sorted(range(len(clusters)), key=key)
 
 
-def _copy_rows(buf: np.ndarray, U: np.ndarray, a: int, b: int, k: int) -> None:
-    """``buf[a:b] = U[a + k : b + k]``, the one copy ``outside_gathers`` makes."""
-    buf[a:b] = U[a + k : b + k]
+def _move_rows(flat: np.ndarray, d: int, src: int, dst: int, count: int) -> None:
+    """Rows ``src:src+count`` of the flat ``U`` to ``dst:``, in place even where they overlap."""
+    flat[dst * d : (dst + count) * d] = flat[src * d : (src + count) * d]
+
+
+def _rearrange(U: np.ndarray, old: list[int], new: list[int]) -> list[int]:
+    """Lay ``U`` out for the ascending member rows ``new`` instead of ``old``
+    (the outside rows ascending, then the members; ``[]``: ``U``'s own order)
+    and return ``new``.  The members are parked in a copy.  A run of rows in
+    neither, from row a, moves from ``a - #{old < a}`` to ``a - #{new < a}``,
+    so sources and destinations ascend alike.  A downward run, moved in
+    ascending order, lands below every later source, and above the source of
+    every earlier upward run, which lies below that run's destination.  An
+    upward run, moved in descending order, lands above every unmoved source."""
+    n, d = U.shape
+    runs, src, dst = [], [], []
+    i = j = a = 0
+    for u in sorted(set(old).union(new)) + [n]:
+        if a < u and i != j:
+            runs.append((a - i, a - j, u - a))
+        if u < n:
+            in_old, in_new = i < len(old) and old[i] == u, j < len(new) and new[j] == u
+            src.append(n - len(old) + i if in_old else u - i)
+            dst.append(n - len(new) + j if in_new else u - j)
+            i, j, a = i + in_old, j + in_new, u + 1
+    parked, flat = U.take(src, axis=0), U.reshape(-1)  # a 2-d move would copy the rows
+    for s, t, c in [r for r in runs if r[1] < r[0]] + [r for r in runs[::-1] if r[1] > r[0]]:
+        _move_rows(flat, d, s, t, c)
+    U[dst] = parked
+    return new
 
 
 def outside_gathers(U: np.ndarray, clusters):
-    """Yield ``(i, members, V)`` for every ``clusters[i]`` (arrays of row
-    positions of ``U``, in any order): ``members``, those rows ascending, and
-    ``V``, the first ``n - len(members)`` rows of one buffer, holding
-    ``U[outside]`` with the values and C-contiguous layout of that copy.
-
-    With ``steps = members - arange(len(members))``, position p of ``V``
-    holds row ``p + #{steps <= p}``, so between two steps it holds one slice
-    of ``U``.  ``V`` is valid until the next item.  Clusters come in
-    ``_gather_order``, grouped by size.  Between two clusters of one size only
-    the ranges where that count changed are copied again; when the size
-    changes, every position from the lower of the two first members on.
-    """
-    n = len(U)
-    buf = np.empty((n - min(map(len, clusters), default=n), U.shape[1]), dtype=U.dtype)
+    """Yield ``(i, members, V)`` for every ``clusters[i]`` (row positions of ``U``,
+    in any order), in ``_gather_order``: ``members`` ascending, and ``V = U[:n -
+    len(members)]`` holding ``U[outside]`` with the values and C-contiguous layout
+    of that copy.  ``U`` (C-contiguous, writable) is rearranged in place, so ``V``
+    is valid until the next item, and put back when the walk ends, is closed or raises."""
     prev: list[int] = []
-    for i in _gather_order(clusters, n):
-        members = np.sort(clusters[i])
-        steps = [c - j for j, c in enumerate(members.tolist())]
-        same = len(prev) == len(steps)
-        lo = min(prev[0], steps[0]) if prev else 0
-        starts = sorted(prev + steps) if same else [lo] + [p for p in steps if p > lo]
-        m = n - len(steps)
-        for a, b in zip(starts, starts[1:] + [m]):
-            k = bisect.bisect_right(steps, a)
-            if a < b and not (same and k == bisect.bisect_right(prev, a)):
-                _copy_rows(buf, U, a, b, k)
-        prev = steps
-        yield i, members, buf[:m]
+    try:
+        for i in _gather_order(clusters, len(U)):
+            members = np.sort(clusters[i])
+            prev = _rearrange(U, prev, members.tolist())
+            yield i, members, U[: len(U) - len(prev)]
+    finally:
+        _rearrange(U, prev, [])
 
 
 def condensed_offsets(n: int) -> np.ndarray:

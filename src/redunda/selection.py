@@ -55,11 +55,9 @@ class ClassResult:
     pairs: tuple[analysis.NearestExcludedPair, ...] | None
 
 
-# Elements per gathered array in ``select_representative``'s pass: a size
-# group is read in chunks of this many, or one cluster when s * d is larger,
-# so its gathers stay small enough to be reused by the heap.  Without chunks
-# the freed gathers sat under the later ``nearest_excluded`` buffer and raised
-# the peak RSS of a 1300 x 2048 class at fraction 0.9 from 93 to 100 MB.
+# Elements per gathered array in ``select_representative``'s pass, which reads
+# a size group in chunks of this many, or one cluster when s * d is larger.  One
+# group can hold most of a class, so one gather of it could take as much as X and U.
 _CHUNK_ELEMS = 1 << 16
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from conftest import clusters, random_unit_rows
+from redunda import metric
 from redunda.analysis import (
     ClassDissimilarity,
     NearestExcludedPair,
@@ -228,13 +229,16 @@ class TestNearestExcluded:
             for p, (_, _, d) in zip(got, expect):
                 assert p.dissimilarity == pytest.approx(d, abs=1e-12)
 
-    def test_peak_allocation_is_one_gather_buffer(self):
+    def test_peak_allocation_is_parked_rows_and_products(self):
         # A 1300 x 2048 class at fraction 0.9: 130 pairs, the rest singletons.
-        # The gathers fill one (n, d) buffer in place; a slice assignment from
-        # ``U[idx]`` would allocate a second copy of the rows it moves.
+        # The outside rows are laid out in U itself, by 1-d moves that need no
+        # temporary; what is allocated is each pair's two parked rows and the
+        # products' outputs, far below a second U-sized buffer.  A 2-d slice
+        # assignment would allocate a copy of the rows it moves.
         n, d = 1300, 2048
         X = random_unit_rows(np.random.default_rng(31), n, d)
         U = unit_rows(X)
+        U0 = U.copy()
         p = part(0, *({2 * i, 2 * i + 1} for i in range(130)), *({i} for i in range(260, n)))
         reps = tuple(min(c) for c in clusters(p))
         tracemalloc.start()
@@ -244,7 +248,29 @@ class TestNearestExcluded:
         finally:
             tracemalloc.stop()
         assert len(pairs) == 130
-        assert peak <= 1.1 * n * d * 8
+        assert peak <= 0.05 * n * d * 8
+        assert np.array_equal(U.view(np.int64), U0.view(np.int64))
+
+    def test_unit_rows_put_back_on_an_error(self, monkeypatch):
+        rs = np.random.default_rng(33)
+        X = random_unit_rows(rs, 30, 4)
+        U = unit_rows(X)
+        U0 = U.copy()
+        p = part(0, *({3 * i, 3 * i + 1, 3 * i + 2} for i in range(10)))
+        calls, one_to_many = [], metric.one_to_many
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise ZeroDivisionError
+            return one_to_many(*args)
+
+        monkeypatch.setattr(metric, "one_to_many", failing)
+        # ``err`` keeps the traceback, and so the walk, alive, as a caller
+        # that chains the error does: U must be back all the same.
+        with pytest.raises(ZeroDivisionError) as err:
+            nearest_excluded(p, tuple(3 * i for i in range(10)), X, U)
+        assert err.traceback and np.array_equal(U.view(np.int64), U0.view(np.int64))
 
     def test_exact_twin_outside_the_cluster(self):
         # Each class holds four groups of four rows equal under ``==`` (some
@@ -328,6 +354,37 @@ class TestNearestExcluded:
         rows, pairs = self.cut_one_merge(X, ids)
         outside = [r for r in range(3, 7) if r not in rows]
         assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(min(ids[outside]), 0.0)]
+
+
+class TestUnitRowsRefused:
+    """Both reports refuse a ``U`` that cannot be the class's unit rows, and
+    ``nearest_excluded``, which rearranges ``U`` in place, one it cannot
+    rearrange: before any row is read or moved."""
+
+    @staticmethod
+    def case():
+        X = random_unit_rows(np.random.default_rng(34), 6, 3)
+        return part(0, {0, 1}, {2, 3}, {4}, {5}), (0, 2, 4, 5), X
+
+    @pytest.mark.parametrize("report", [avg_dissimilarity, nearest_excluded])
+    @pytest.mark.parametrize("shape", [(5, 3), (7, 3), (6, 4)])
+    def test_rows_of_another_shape(self, report, shape):
+        p, reps, X = self.case()
+        U = unit_rows(random_unit_rows(np.random.default_rng(35), *shape))
+        with pytest.raises(InvalidArgumentError) as err:
+            report(p, reps, X, U)
+        assert str(err.value) == f"unit rows {shape} do not match rows (6, 3)"
+
+    def test_nearest_excluded_needs_an_array_of_its_own(self):
+        p, reps, X = self.case()
+        read_only = unit_rows(X)
+        read_only.flags.writeable = False
+        for bad in (read_only, np.asfortranarray(unit_rows(X)), unit_rows(X)[::-1], X):
+            before = bad.copy()
+            with pytest.raises(InvalidArgumentError, match="C-contiguous, writable array"):
+                nearest_excluded(p, reps, X, bad)
+            assert np.array_equal(bad, before)
+        assert len(nearest_excluded(p, reps, X, unit_rows(X))) == 2
 
 
 class TestEmitters:

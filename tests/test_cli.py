@@ -17,7 +17,7 @@ import pytest
 import redunda
 from conftest import pipe_serving, stacked_dataset
 import _oracles
-from redunda import cluster, selection
+from redunda import cli, cluster, selection
 from redunda.cli import build_parser, main
 from redunda.store import (
     FLAG_EXPLICIT_IDS, FORMAT_VERSION, MAGIC, EmbeddingDataset, canonical_bytes, dataset_to_csv,
@@ -500,8 +500,11 @@ class TestOneRunPerOut:
         (".run_metadata.json.partial", "binary", "run_metadata.json"),  # its staged file
     ])
     def test_input_this_run_writes_is_refused(
-        self, synth_dataset, tmp_path, capsys, name, fmt, written
+        self, synth_dataset, tmp_path, capsys, monkeypatch, name, fmt, written
     ):
+        # Refused once the dataset is loaded, before any class is clustered.
+        clustered = []
+        monkeypatch.setattr(selection, "_cluster_class", lambda *a, **k: clustered.append(a))
         out = tmp_path / "D"
         out.mkdir()
         src = out / name
@@ -516,6 +519,18 @@ class TestOneRunPerOut:
         assert (code, stdout) == (1, "")
         assert err == f"config_error: --input {src} is {written}, which this run writes\n"
         assert (tree(out), sorted(out.rglob("*"))) == before
+        assert clustered == []
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--no-histogram", "--no-nearest-excluded", "--dump-dendrograms"],
+        ["--no-dissimilarity", "--dump-dendrograms"], ["--method", "uniform-random", "--seed", "3"],
+    ])
+    def test_the_names_refused_are_the_files_written(self, synth_dataset, tmp_path, capsys, flags):
+        out = tmp_path / "D"
+        argv = ["select", "--input", synth_dataset, "--fraction", "0.5", "--out", out, *flags]
+        assert run(capsys, *argv)[0] == 0
+        args = build_parser().parse_args([str(a) for a in argv])
+        assert sorted(tree(out)) == sorted(cli._written(args, load_dataset(synth_dataset).classes()))
 
     @pytest.mark.parametrize("method_args", [[], ["--method", "uniform-random", "--seed", "1"]],
                              ids=["cluster-medoid", "uniform-random"])

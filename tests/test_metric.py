@@ -334,41 +334,57 @@ class TestGramBlocks:
 
 
 class TestOutsideGathers:
-    """Every view ``outside_gathers`` yields holds ``U[outside]`` bit for bit,
-    and between clusters of one size only the positions whose row changed
-    are copied again."""
+    """Every view ``outside_gathers`` yields is a prefix of ``U`` holding
+    ``U[outside]`` bit for bit, with the members after it; only the rows whose
+    position changes move; and ``U`` is put back in its order at the end."""
 
     @staticmethod
-    def walk(U, clusters, order=None):
-        """Check every yielded item; return the visit order and the rows
-        copied.  ``order`` replaces ``_gather_order``'s visit order."""
-        n = len(U)
-        copied = []
-        copy_rows = metric._copy_rows
+    def layout(n, members):
+        """Rows of ``U`` in the order the walk lays them out for ``members``."""
+        members = np.sort(members)
+        return np.concatenate([np.setdiff1d(np.arange(n), members), members])
 
-        def counting_copy(buf, U, a, b, k):
-            copied.append(b - a)
-            copy_rows(buf, U, a, b, k)
+    @classmethod
+    def check_moves(cls, moved, n, old, new):
+        """The rows moved between two layouts are those outside both member
+        sets whose position changes; the members are written from a copy."""
+        a, b = cls.layout(n, old), cls.layout(n, new)
+        pos_a, pos_b = np.argsort(a), np.argsort(b)
+        neither = np.setdiff1d(np.arange(n), np.concatenate([old, new]))
+        assert sum(moved) == np.count_nonzero(pos_a[neither] != pos_b[neither])
+        moved.clear()
 
-        seen, addresses, prev, total = [], set(), None, 0
+    @classmethod
+    def walk(cls, U, clusters, order=None):
+        """Check every yielded item and the restored ``U``; return the visit
+        order and the rows moved before the restore.  ``order`` replaces
+        ``_gather_order``'s visit order."""
+        n, U0 = len(U), U.copy()
+        moved, move_rows = [], metric._move_rows
+
+        def counting_move(flat, d, src, dst, count):
+            moved.append(count)
+            move_rows(flat, d, src, dst, count)
+
+        seen, prev, total = [], np.array([], dtype=int), 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric, "_copy_rows", counting_copy)
+            mp.setattr(metric, "_move_rows", counting_move)
             if order is not None:
                 mp.setattr(metric, "_gather_order", lambda clusters, n: order)
             for i, members, V in metric.outside_gathers(U, clusters):
                 expect = np.setdiff1d(np.arange(n), clusters[i])
                 assert members.tolist() == sorted(clusters[i].tolist())
                 assert V.flags.c_contiguous and V.shape == (len(expect), U.shape[1])
-                assert np.array_equal(V.view(np.int64), U[expect].view(np.int64))
-                if prev is not None and len(prev) == len(expect):
-                    assert sum(copied) == np.count_nonzero(prev != expect)
-                total += sum(copied)
-                copied.clear()
-                prev = expect
+                assert V.ctypes.data == U.ctypes.data and (np.shares_memory(V, U) or not V.size)
+                assert np.array_equal(V.view(np.int64), U0[expect].view(np.int64))
+                assert np.array_equal(U.view(np.int64), U0[cls.layout(n, members)].view(np.int64))
+                total += sum(moved)
+                cls.check_moves(moved, n, prev, members)
+                prev = members
                 seen.append(i)
-                addresses.add(V.__array_interface__["data"][0])
+            cls.check_moves(moved, n, prev, np.array([], dtype=int))
         assert sorted(seen) == list(range(len(clusters)))
-        assert len(addresses) <= 1  # one buffer for the class
+        assert np.array_equal(U.view(np.int64), U0.view(np.int64))
         return seen, total
 
     @staticmethod
@@ -397,8 +413,8 @@ class TestOutsideGathers:
 
     def test_only_singletons(self):
         U = self.rows(np.random.default_rng(22), 40, 3)
-        _, copied = self.walk(U, [np.array([i]) for i in range(40)])
-        assert copied < 40 * 39 // 4
+        _, moved = self.walk(U, [np.array([i]) for i in range(40)])
+        assert moved < 40 * 39 // 4
 
     def test_one_cluster_holding_every_row(self):
         U = self.rows(np.random.default_rng(23), 9, 4)
@@ -406,9 +422,11 @@ class TestOutsideGathers:
 
     def test_one_cluster_and_no_cluster(self):
         U = self.rows(np.random.default_rng(28), 12, 3)
-        _, copied = self.walk(U, [np.array([7, 2])])
-        assert copied == 10
+        _, moved = self.walk(U, [np.array([7, 2])])
+        assert moved == 8  # rows 3..6 one place down, rows 8..11 two
+        U0 = U.copy()
         assert list(metric.outside_gathers(U, [])) == []
+        assert np.array_equal(U, U0)
 
     def test_clusters_at_both_ends_and_size_changes(self):
         rs = np.random.default_rng(24)
@@ -422,7 +440,7 @@ class TestOutsideGathers:
 
     def test_sizes_up_then_down(self):
         # ``_gather_order`` visits sizes ascending; any order must still give
-        # every view, as a size change rewrites from the first member on.
+        # every view, as a size change moves the parked rows' place too.
         rs = np.random.default_rng(29)
         n = 40
         U = self.rows(rs, n, 3)
@@ -441,14 +459,14 @@ class TestOutsideGathers:
 
     def test_grouped_by_size_and_few_rows_copied(self):
         # Neighbouring pairs: each next cluster's outside differs from the
-        # last one's in a few positions, so almost nothing is copied again.
+        # last one's in a few positions, so almost nothing moves again.
         n = 200
         U = self.rows(np.random.default_rng(25), n, 3)
         clusters = [np.array([i, i + 1]) for i in range(0, 100, 2)]
         clusters += [np.array([i, i + 1, i + 2]) for i in range(100, n - 2, 3)]
-        order, copied = self.walk(U, clusters)
+        order, moved = self.walk(U, clusters)
         assert [len(clusters[i]) for i in order] == sorted(len(c) for c in clusters)
-        assert copied < 0.05 * sum(n - len(c) for c in clusters)
+        assert moved < 0.05 * sum(n - len(c) for c in clusters)
 
     def test_gathered_rows_must_be_the_requested_rows(self):
         # one_to_many multiplies the rows it is given as they are, so it
@@ -460,3 +478,19 @@ class TestOutsideGathers:
         for bad in (U[rows][:, :3], np.asfortranarray(U[[1, 4, 7, 8]])[:3], U[1], U[::2]):
             with pytest.raises(InvalidArgumentError, match="unit rows"):
                 one_to_many(M[0], bad, [])
+
+    def test_put_back_when_stopped_early_or_on_an_error(self):
+        rs = np.random.default_rng(32)
+        U = self.rows(rs, 50, 4)
+        U0 = U.copy()
+        clusters = [np.array([3, 9]), np.array([40, 1, 20]), np.array([0, 49]), np.array([7])]
+        for stop in ("close", "throw"):
+            walk = metric.outside_gathers(U, clusters)
+            next(walk), next(walk)
+            assert not np.array_equal(U, U0)
+            if stop == "close":
+                walk.close()
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    walk.throw(ZeroDivisionError)
+            assert np.array_equal(U.view(np.int64), U0.view(np.int64))
