@@ -17,9 +17,8 @@ from .errors import InvalidArgumentError
 
 MIN_NORM = 1e-30
 
-# Rows per block of the gram product; bounds the size of the intermediate
-# gram panel to roughly block * n doubles.
-_BLOCK_ELEMS = 1 << 21
+# Cells per gram panel above 1448 rows (``_panel_rows``).
+_BLOCK_ELEMS = 1 << 19
 _SAMPLE_CELLS = 1 << 16  # size of the strided sample that sets the start bound
 _NORM_ELEMS = 1 << 16  # elements per chunk that ``_row_norms`` widens
 
@@ -211,6 +210,13 @@ def condensed_offsets(n: int) -> np.ndarray:
     return i * n - (i * (i + 1)) // 2
 
 
+def _panel_rows(n: int) -> int:
+    """Rows per panel of ``_gram_blocks`` for an n-row ``U``: all n while the
+    whole matrix has at most ``4 * _BLOCK_ELEMS`` cells (n <= 1448), which
+    numpy runs as one symmetric product, else ``_BLOCK_ELEMS // n`` (at least 1)."""
+    return max(1, n if n * n <= 4 * _BLOCK_ELEMS else _BLOCK_ELEMS // n)
+
+
 def _gram_blocks(U: np.ndarray):
     """``(lo, hi, U[lo:hi] @ U[lo:].T)`` for consecutive row blocks of ``U``:
     the panel of the upper triangle that holds rows ``lo:hi``, column ``c`` of
@@ -219,22 +225,22 @@ def _gram_blocks(U: np.ndarray):
     The one GEMM shape and blocking behind every pairwise value: a cell's bits
     depend on its place in this product, so every reader of the pairwise
     matrix takes its cells from here.  Every block but the last has
-    ``_BLOCK_ELEMS // n`` rows (at least one, at most n), so for n <= 1448 the
-    first block is the whole matrix.  No panel holds the cells left of its
-    diagonal block, which no reader uses.
+    ``_panel_rows(n)`` rows: for n <= 1448 the one block is the whole matrix.
+    No panel holds the cells left of its diagonal block, which no reader uses.
 
     Every panel is written into one buffer that the next panel overwrites,
     so a reader copies what it keeps.  The buffer is an anonymous mapping of
-    its own, sized for the first and widest panel, and unmapped when the last
-    panel is dropped.  Blocks taken from the heap sometimes could not reuse
-    the space a freed block left, so a later block took fresh pages: on four
-    3400 x 32 classes, 8 of 40 output-path lengths raised the peak RSS from
-    85 to 113 MB.
+    its own, sized for the first and widest panel (``8 n**2`` bytes for
+    n <= 1448, at most ``8 * max(_BLOCK_ELEMS, n)`` above), and unmapped when
+    the last panel is dropped.  Blocks taken from the heap sometimes could
+    not reuse the space a freed block left, so a later block took fresh
+    pages: on four 3400 x 32 classes, 8 of 40 output-path lengths raised the
+    peak RSS from 85 to 113 MB.
     """
     n = U.shape[0]
     if n == 0:
         return
-    block = min(n, max(1, _BLOCK_ELEMS // n))
+    block = _panel_rows(n)
     buf = mmap.mmap(-1, block * n * 8, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     with contextlib.suppress(AttributeError, OSError):  # advice only, as numpy gives its own
         buf.madvise(mmap.MADV_HUGEPAGE)

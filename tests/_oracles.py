@@ -125,7 +125,7 @@ def pairwise_full_block(X) -> np.ndarray:
     whole gram panel ``U[lo:hi] @ U[lo:].T``, then copy out its upper half
     (panel column ``c`` is column ``lo + c`` of the gram matrix).
 
-    Uses the same blocking (``metric._BLOCK_ELEMS``, read at call time), so
+    Uses the same blocking (``metric._panel_rows``, read at call time), so
     the values can be compared bit for bit.  Pairs of rows equal under ``==``
     are set to exactly 0, found by comparing every pair of raw rows.
     """
@@ -133,7 +133,7 @@ def pairwise_full_block(X) -> np.ndarray:
     U = metric.unit_rows(X)
     n = len(X)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    block = max(1, metric._BLOCK_ELEMS // max(n, 1))
+    block = metric._panel_rows(n)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         G = U[lo:hi] @ U[lo:].T

@@ -300,10 +300,10 @@ def both_engines(X, k):
     return bits(fast[0]), bits(dense), bound
 
 
-def start_bound(D, n, room, block_rows, sample_cells):
+def start_bound(D, n, room, first, sample_cells):
     """The documented start bound: the value at the budget's rank among a
-    strided sample of the first gram block's cells (``+inf`` past its end)."""
-    first = min(n, block_rows)
+    strided sample of the cells of the first gram block, of ``first`` rows
+    (``+inf`` past its end)."""
     cells = first * n - first * (first + 1) // 2
     sample = np.sort(D[: cells : max(1, cells // sample_cells)])
     rank = room * len(sample) // len(D)
@@ -375,9 +375,10 @@ class TestThresholdEngine:
                 mock.patch.object(metric, "_SAMPLE_CELLS", cells):
             D = pairwise_condensed(X)
             bound, idx, values = metric.smallest_pairs(X, metric.unit_rows(X), room)
+            first = metric._panel_rows(n)
         assert_exact_read(D, bound, idx, values)
         assert len(idx) <= room
-        start = start_bound(D, n, room, block_rows, cells)
+        start = start_bound(D, n, room, first, cells)
         assert bound <= start
         if np.count_nonzero(D <= start) > room:  # overshoot: the largest bound that fits
             assert np.count_nonzero(D <= np.nextafter(bound, np.inf)) > room
@@ -447,6 +448,23 @@ class TestThresholdEngine:
                 agglomerate_fast(X, k)
             assert calls == [300] * builds
 
+    def test_read_of_a_cifar_sized_class_maps_one_small_panel(self):
+        # A CIFAR-10 class (5000 rows) at fraction 0.9: the read maps one
+        # panel buffer of at most 2**19 doubles, not one sized by n, and
+        # takes every merge without building the condensed matrix.
+        X = random_unit_rows(np.random.default_rng(3), 5000, 64)
+        sizes, real_mmap = [], metric.mmap.mmap
+
+        def spy(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        with mock.patch.object(metric.mmap, "mmap", spy), \
+                mock.patch.object(metric, "pairwise_condensed") as dense:
+            agglomerate_fast(X, 4500)
+        assert len(sizes) == 1 and sizes[0] <= 8 << 19
+        dense.assert_not_called()
+
     @pytest.mark.parametrize("k, builds", [(90, 0), (10, 1)])  # fractions 0.9 and 0.1
     def test_callers_unit_rows_change_nothing(self, k, builds):
         rs = np.random.default_rng(12)
@@ -494,9 +512,9 @@ class TestThresholdEngine:
         # tracemalloc peak over the condensed matrix the memory cap counts, at
         # fraction 0.9.  1.709 and 9.347 are the dense engine's own ratios
         # (1.7082 and 9.3466) rounded up.  The threshold engine's read never
-        # builds that matrix: it holds one gram panel of about 2**21 cells at a
-        # time, 0.17 of the matrix at 5000 rows and 0.36 at 3400, plus the
-        # screen's mask and the cells it keeps (0.265 and 0.467 measured).
+        # builds that matrix: it holds one gram panel of at most 2**19 cells at
+        # a time, 0.04 of the matrix at 5000 rows and 0.09 at 3400, plus the
+        # screen's mask and the cells it keeps (0.136 and 0.197 measured).
         # The gram blocks live in a mapping tracemalloc does not see, so the
         # largest one is added to the traced peak.
         X = np.random.default_rng(0).normal(size=(n, dim))

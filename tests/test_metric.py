@@ -290,8 +290,8 @@ class TestPairwiseCondensed:
 
 class TestGramBlocks:
     """The panel plan of ``_gram_blocks``: panels ``U[lo:hi] @ U[lo:].T``
-    that tile the rows, ``_BLOCK_ELEMS // n`` rows each, in one mapping no
-    larger than ``max(_BLOCK_ELEMS, n)`` doubles."""
+    that tile the rows, ``_panel_rows(n)`` rows each, in one mapping no
+    larger than ``max(4 * _BLOCK_ELEMS, n)`` doubles."""
 
     def plan(self, n, dim=3):
         U = unit_rows(np.random.default_rng(n).normal(size=(n, dim)))
@@ -307,8 +307,8 @@ class TestGramBlocks:
                 assert G.shape == (hi - lo, n - lo)
                 assert G.tobytes() == (U[lo:hi] @ U[lo:].T).tobytes()
                 panels.append((lo, hi))
-        assert len(sizes) == 1 and sizes[0] <= 8 * max(metric._BLOCK_ELEMS, n)
-        block = min(n, max(1, metric._BLOCK_ELEMS // n))
+        assert len(sizes) == 1 and sizes[0] <= 8 * max(4 * metric._BLOCK_ELEMS, n)
+        block = metric._panel_rows(n)
         assert [lo for lo, _ in panels] == list(range(0, n, block))
         assert [hi for _, hi in panels] == [lo for lo, _ in panels[1:]] + [n]
         return panels, sizes[0]
@@ -317,11 +317,11 @@ class TestGramBlocks:
     def test_one_panel_up_to_1448_rows(self, n):
         assert self.plan(n) == ([(0, n)], 8 * n * n)
 
-    @pytest.mark.parametrize("n, panels", [(1449, 2), (3400, 6), (5000, 12)])
+    @pytest.mark.parametrize("n, panels", [(1449, 5), (3400, 23), (5000, 49)])
     def test_panels_of_larger_classes(self, n, panels):
         plan, mapped = self.plan(n)
         assert len(plan) == panels
-        assert mapped <= 8 << 21  # 2**21 doubles, whatever n
+        assert mapped <= 8 << 19  # 2**19 doubles, whatever n
 
     @pytest.mark.parametrize("elems, panels", [(1, 40), (39, 40), (7 * 40, 6), (7 * 40 + 39, 6),
                                                (41 * 40, 1)])
