@@ -8,9 +8,7 @@ redundant the dropped samples were.
 __version__ = "0.1.0"
 
 from .analysis import (
-    DissimilarityReport,
     NearestExcludedPair,
-    SizeHistogram,
     avg_dissimilarity,
     nearest_excluded,
     size_histogram,
@@ -49,7 +47,6 @@ __all__ = [
     "ConfigError",
     "DegenerateClusterError",
     "Dendrogram",
-    "DissimilarityReport",
     "EmbeddingDataset",
     "FormatError",
     "InvalidArgumentError",
@@ -60,7 +57,6 @@ __all__ = [
     "PlantedSpec",
     "RedundaError",
     "SeparationCertificate",
-    "SizeHistogram",
     "SubsetManifest",
     "UnknownClassError",
     "ValidationError",

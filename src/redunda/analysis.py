@@ -16,14 +16,6 @@ from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
-class SizeHistogram:
-    """Cluster-size counts for one class."""
-
-    class_id: int
-    counts: Mapping[int, int]  # cluster size -> number of clusters
-
-
-@dataclass(frozen=True)
 class ClassDissimilarity:
     """Per-class mean dissimilarity of non-retained members to their medoid.
 
@@ -31,17 +23,8 @@ class ClassDissimilarity:
     partition order; ``mean`` is their average.
     """
 
-    class_id: int
     mean: float
     cluster_means: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DissimilarityReport:
-    per_class: Mapping[int, float]
-    overall: float | None
-    groups_counted: Mapping[int, int]
-    class_weighted: bool  # False: overall averages clusters; True: averages classes
 
 
 @dataclass(frozen=True)
@@ -51,9 +34,10 @@ class NearestExcludedPair:
     dissimilarity: float
 
 
-def size_histogram(partition: Partition) -> SizeHistogram:
+def size_histogram(partition: Partition) -> dict[int, int]:
+    """``{cluster size: number of clusters}`` of one class, ascending by size."""
     sizes, counts = np.unique(partition.sizes(), return_counts=True)
-    return SizeHistogram(partition.class_id, dict(zip(sizes.tolist(), counts.tolist())))
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def _qualifying(partition: Partition, reps: Sequence[int], X, U) -> list[tuple[int, np.ndarray]]:
@@ -97,29 +81,7 @@ def avg_dissimilarity(
         cluster_means.append(float(d.mean()))
     if not cluster_means:
         return None
-    return ClassDissimilarity(
-        partition.class_id, float(np.mean(cluster_means)), tuple(cluster_means)
-    )
-
-
-def assemble_dissimilarity_report(
-    entries: Sequence[ClassDissimilarity], *, class_weighted: bool = False
-) -> DissimilarityReport:
-    """Combine per-class entries; overall is cluster-weighted by default."""
-    per_class = {e.class_id: e.mean for e in entries}
-    groups = {e.class_id: len(e.cluster_means) for e in entries}
-    if not entries:
-        overall = None
-    elif class_weighted:
-        overall = float(np.mean([e.mean for e in entries]))
-    else:
-        overall = float(np.mean(np.concatenate([e.cluster_means for e in entries])))
-    return DissimilarityReport(
-        per_class=per_class,
-        overall=overall,
-        groups_counted=groups,
-        class_weighted=class_weighted,
-    )
+    return ClassDissimilarity(float(np.mean(cluster_means)), tuple(cluster_means))
 
 
 def nearest_excluded(
@@ -156,24 +118,25 @@ def nearest_excluded(
 
 
 # ---------------------------------------------------------------------------
-# Report emission.  All writers are deterministic: fixed key order, fixed
-# float formatting, trailing newline.
+# Report emission.  Each writer takes ``{class_id: that class's entry}`` and
+# is deterministic: ascending classes, fixed key order, fixed float
+# formatting, trailing newline.
 
-def histogram_rows(histograms: Sequence[SizeHistogram]) -> list[tuple[int, int, int]]:
+def histogram_rows(histograms: Mapping[int, Mapping[int, int]]) -> list[tuple[int, int, int]]:
     return [
-        (h.class_id, size, count)
-        for h in sorted(histograms, key=lambda h: h.class_id)
-        for size, count in sorted(h.counts.items())
+        (cid, size, count)
+        for cid in sorted(histograms)
+        for size, count in sorted(histograms[cid].items())
     ]
 
 
-def histogram_to_csv(histograms: Sequence[SizeHistogram]) -> str:
+def histogram_to_csv(histograms: Mapping[int, Mapping[int, int]]) -> str:
     lines = ["class_id,size,count"]
     lines += [f"{cid},{size},{count}" for cid, size, count in histogram_rows(histograms)]
     return "\n".join(lines) + "\n"
 
 
-def histogram_to_table(histograms: Sequence[SizeHistogram]) -> str:
+def histogram_to_table(histograms: Mapping[int, Mapping[int, int]]) -> str:
     lines = [f"{'class':>8}  {'size':>8}  {'count':>8}"]
     lines += [
         f"{cid:>8}  {size:>8}  {count:>8}" for cid, size, count in histogram_rows(histograms)
@@ -181,35 +144,46 @@ def histogram_to_table(histograms: Sequence[SizeHistogram]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def histogram_to_json(histograms: Sequence[SizeHistogram]) -> str:
+def histogram_to_json(histograms: Mapping[int, Mapping[int, int]]) -> str:
     doc = {
-        str(h.class_id): {str(size): count for size, count in sorted(h.counts.items())}
-        for h in sorted(histograms, key=lambda h: h.class_id)
+        str(cid): {str(size): count for size, count in sorted(histograms[cid].items())}
+        for cid in sorted(histograms)
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def dissimilarity_to_json(report: DissimilarityReport) -> str:
+def _overall(entries: Mapping[int, ClassDissimilarity], class_weighted: bool) -> float | None:
+    """The mean over every class's cluster means, or over the class means when
+    ``class_weighted``, in ascending class order; None for no entry."""
+    ordered = [e for _, e in sorted(entries.items())]
+    if not ordered:
+        return None
+    if class_weighted:
+        return float(np.mean([e.mean for e in ordered]))
+    return float(np.mean(np.concatenate([e.cluster_means for e in ordered])))
+
+
+def dissimilarity_to_json(
+    entries: Mapping[int, ClassDissimilarity], *, class_weighted: bool = False
+) -> str:
     doc = {
-        "weighting": "class" if report.class_weighted else "cluster",
-        "overall": report.overall,
-        "per_class": {str(cid): report.per_class[cid] for cid in sorted(report.per_class)},
-        "groups_counted": {
-            str(cid): report.groups_counted[cid] for cid in sorted(report.groups_counted)
-        },
+        "weighting": "class" if class_weighted else "cluster",
+        "overall": _overall(entries, class_weighted),
+        "per_class": {str(cid): entries[cid].mean for cid in sorted(entries)},
+        "groups_counted": {str(cid): len(entries[cid].cluster_means) for cid in sorted(entries)},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def dissimilarity_to_table(report: DissimilarityReport) -> str:
+def dissimilarity_to_table(
+    entries: Mapping[int, ClassDissimilarity], *, class_weighted: bool = False
+) -> str:
     lines = [f"{'class':>8}  {'groups':>10}  {'avg_dissimilarity':>18}"]
-    for cid in sorted(report.per_class):
-        lines.append(
-            f"{cid:>8}  {report.groups_counted[cid]:>10}  {report.per_class[cid]:>18.6e}"
-        )
-    label = "mean/class" if report.class_weighted else "mean/group"
-    if report.overall is not None:
-        lines.append(f"{'all':>8}  {label:>10}  {report.overall:>18.6e}")
+    for cid, e in sorted(entries.items()):
+        lines.append(f"{cid:>8}  {len(e.cluster_means):>10}  {e.mean:>18.6e}")
+    label = "mean/class" if class_weighted else "mean/group"
+    if (overall := _overall(entries, class_weighted)) is not None:
+        lines.append(f"{'all':>8}  {label:>10}  {overall:>18.6e}")
     return "\n".join(lines) + "\n"
 
 

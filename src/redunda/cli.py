@@ -130,17 +130,16 @@ def _written(args, classes) -> list[str]:
 def _report_artifacts(args, results: dict[int, ClassResult]) -> list[tuple[str, str | bytes]]:
     artifacts: list[tuple[str, str | bytes]] = []
     if args.histogram:
-        hists = [analysis.size_histogram(res.partition) for res in results.values()]
+        hists = {cid: analysis.size_histogram(res.partition) for cid, res in results.items()}
         artifacts.append(("histogram.csv", analysis.histogram_to_csv(hists)))
         artifacts.append(("histogram.json", analysis.histogram_to_json(hists)))
         artifacts.append(("histogram.txt", analysis.histogram_to_table(hists)))
     if args.dissimilarity:
-        entries = [res.dissimilarity for res in results.values() if res.dissimilarity is not None]
-        report = analysis.assemble_dissimilarity_report(
-            entries, class_weighted=args.class_mean
-        )
-        artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(report)))
-        artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(report)))
+        entries = {cid: res.dissimilarity for cid, res in results.items()
+                   if res.dissimilarity is not None}
+        w = args.class_mean
+        artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(entries, class_weighted=w)))
+        artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(entries, class_weighted=w)))
     if args.nearest_excluded:
         pairs = {cid: res.pairs for cid, res in results.items()}
         artifacts.append(("pairs.json", analysis.pairs_to_json(pairs)))

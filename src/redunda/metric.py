@@ -8,8 +8,10 @@ near-identical or near-opposite directions.
 from __future__ import annotations
 
 import contextlib
+import decimal
 import math
 import mmap
+import numbers
 
 import numpy as np
 
@@ -38,12 +40,16 @@ def as_rows(X) -> np.ndarray:
 
 def as_ids(ids, error: type[Exception], where: str) -> np.ndarray:
     """``ids`` as an int64 array of their shape (``ids`` itself if it is one).  An id
-    is an integer int64 can hold; else ``error`` names ``where.format(position)``
-    of the first fraction, NaN or infinity, or else of the first id out of range."""
+    is an integer int64 can hold, a boolean taken at its value; else ``error``
+    names ``where.format(position)`` of the first id that is no real number (or
+    ``Decimal``), a fraction, NaN or infinity, or else of the first id out of range."""
     a = np.asarray(ids)
-    if a.dtype.kind not in "biu":
+    if a.dtype.kind not in "iu":
         a = np.asarray(ids, dtype=object)  # each id as given, so no int is rounded to a float
-        if (bad := np.flatnonzero([not isinstance(v, int) and float(v) % 1 != 0 for v in a.flat])).size:
+        whole = [isinstance(v, (numbers.Integral, np.bool_))
+                 or isinstance(v, (numbers.Real, decimal.Decimal)) and float(v) % 1 == 0
+                 for v in a.flat]
+        if (bad := np.flatnonzero(np.logical_not(whole))).size:
             raise error(f"{where.format(int(bad[0]))} is not an integer")
     if (bad := np.flatnonzero((a < -(1 << 63)) | (a >= 1 << 63))).size:
         raise error(f"{where.format(int(bad[0]))} exceeds supported range")

@@ -205,7 +205,7 @@ def _load_csv(path: Path) -> EmbeddingDataset:
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte order mark is not data
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     with io.StringIO(text, newline="") as f:

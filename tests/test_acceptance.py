@@ -224,8 +224,8 @@ def test_criterion_5_statistic_definitions(capsys):
             nxt += int(s)
         h = size_histogram(Partition.from_groups(0, np.arange(nxt), cl))
         if (
-            sum(sz * c for sz, c in h.counts.items()) != nxt
-            or sum(h.counts.values()) != len(cl)
+            sum(sz * c for sz, c in h.items()) != nxt
+            or sum(h.values()) != len(cl)
         ):
             mass_failures += 1
 

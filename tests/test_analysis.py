@@ -14,7 +14,6 @@ from redunda import metric
 from redunda.analysis import (
     ClassDissimilarity,
     NearestExcludedPair,
-    assemble_dissimilarity_report,
     avg_dissimilarity,
     dissimilarity_to_json,
     dissimilarity_to_table,
@@ -59,18 +58,15 @@ def positional(X):
 
 class TestSizeHistogram:
     def test_pair_and_singleton(self):
-        h = size_histogram(part(3, {0, 1}, {2}))
-        assert h.class_id == 3
-        assert h.counts == {1: 1, 2: 1}
+        assert size_histogram(part(3, {0, 1}, {2})) == {1: 1, 2: 1}
 
     def test_all_singletons(self):
-        h = size_histogram(part(0, *({i} for i in range(7))))
-        assert h.counts == {1: 7}
+        assert size_histogram(part(0, *({i} for i in range(7)))) == {1: 7}
 
     def test_counts_sorted_by_size(self):
         h = size_histogram(part(0, {0, 1, 2}, {3}, {4, 5}, {6, 7}))
-        assert list(h.counts) == [1, 2, 3]
-        assert h.counts == {1: 1, 2: 2, 3: 1}
+        assert list(h) == [1, 2, 3]
+        assert h == {1: 1, 2: 2, 3: 1}
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
@@ -80,8 +76,8 @@ class TestSizeHistogram:
             clusters.append(set(range(nxt, nxt + s)))
             nxt += s
         h = size_histogram(part(0, *clusters))
-        assert sum(size * count for size, count in h.counts.items()) == nxt
-        assert sum(h.counts.values()) == len(sizes)
+        assert sum(size * count for size, count in h.items()) == nxt
+        assert sum(h.values()) == len(sizes)
 
 
 class TestAvgDissimilarity:
@@ -93,7 +89,6 @@ class TestAvgDissimilarity:
         # single cluster, rep (1,0): mean of {d((1,1)), d((0,1))} = {0.2928..., 1.0}
         p, reps, cls = self.worked()
         entry = avg_dissimilarity(p, reps, *cls)
-        assert entry.class_id == 0
         assert entry.cluster_means == (pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15),)
         assert entry.mean == pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15)
 
@@ -146,29 +141,33 @@ class TestAvgDissimilarity:
 
 
 class TestAssembleReport:
-    def entries(self):
-        return [
-            ClassDissimilarity(0, 0.2, (0.1, 0.3)),
-            ClassDissimilarity(1, 0.6, (0.6,)),
-        ]
+    """The dissimilarity writers assemble the report from the class entries:
+    ``overall`` averages every cluster by default, or the class means, taking
+    the classes in ascending order whatever the mapping's order."""
+
+    ENTRIES = {1: ClassDissimilarity(0.1, (0.1,)), 0: ClassDissimilarity(0.25, (0.3, 0.2))}
+
+    def report(self, entries, **kw):
+        return json.loads(dissimilarity_to_json(entries, **kw))
 
     def test_cluster_weighted_default(self):
-        report = assemble_dissimilarity_report(self.entries())
-        assert not report.class_weighted
-        # mean over clusters: (0.1 + 0.3 + 0.6) / 3
-        assert report.overall == pytest.approx(1.0 / 3)
-        assert report.per_class == {0: 0.2, 1: 0.6}
-        assert report.groups_counted == {0: 2, 1: 1}
+        doc = self.report(self.ENTRIES)
+        assert doc["weighting"] == "cluster"
+        # The clusters of class 0, then of class 1; in the mapping's order
+        # the sum would round to another mean.
+        assert doc["overall"] == float(np.mean([0.3, 0.2, 0.1])) != float(np.mean([0.1, 0.3, 0.2]))
+        assert doc["per_class"] == {"0": 0.25, "1": 0.1}
+        assert doc["groups_counted"] == {"0": 2, "1": 1}
 
     def test_class_weighted(self):
-        report = assemble_dissimilarity_report(self.entries(), class_weighted=True)
-        assert report.class_weighted
-        assert report.overall == pytest.approx(0.4)  # (0.2 + 0.6) / 2
+        doc = self.report(self.ENTRIES, class_weighted=True)
+        assert doc["weighting"] == "class"
+        assert doc["overall"] == float(np.mean([0.25, 0.1]))
 
     def test_empty(self):
-        report = assemble_dissimilarity_report([])
-        assert report.overall is None
-        assert report.per_class == {}
+        assert self.report({}) == {
+            "weighting": "cluster", "overall": None, "per_class": {}, "groups_counted": {},
+        }
 
 
 class TestNearestExcluded:
@@ -387,82 +386,171 @@ class TestUnitRowsRefused:
         assert len(nearest_excluded(p, reps, X, unit_rows(X))) == 2
 
 
+# The exact text of every writer on one two-class input.  Classes 10 and 2,
+# and sizes 12 and 2, so the JSON writers' sorted string keys ("10" < "2")
+# and the tables' and CSV's ascending numbers give different orders.
+HISTOGRAM_CSV = """\
+class_id,size,count
+2,1,2
+2,2,1
+10,1,1
+10,2,1
+10,12,1
+"""
+HISTOGRAM_JSON = """\
+{
+  "10": {
+    "1": 1,
+    "12": 1,
+    "2": 1
+  },
+  "2": {
+    "1": 2,
+    "2": 1
+  }
+}
+"""
+HISTOGRAM_TABLE = """\
+   class      size     count
+       2         1         2
+       2         2         1
+      10         1         1
+      10         2         1
+      10        12         1
+"""
+DISSIMILARITY_JSON = """\
+{
+  "groups_counted": {
+    "10": 2,
+    "2": 1
+  },
+  "overall": %s,
+  "per_class": {
+    "10": 0.2,
+    "2": 0.6
+  },
+  "weighting": "%s"
+}
+"""
+DISSIMILARITY_TABLE = """\
+   class      groups   avg_dissimilarity
+       2           1        6.000000e-01
+      10           2        2.000000e-01
+     all  %s        %s
+"""
+PAIRS_JSON = """\
+{
+  "10": [
+    {
+      "dissimilarity": 0.5,
+      "neighbor_id": 12,
+      "retained_id": 5
+    },
+    {
+      "dissimilarity": 0.3333333333333333,
+      "neighbor_id": 12,
+      "retained_id": 13
+    }
+  ],
+  "2": [
+    {
+      "dissimilarity": 0.125,
+      "neighbor_id": 3,
+      "retained_id": 1
+    }
+  ],
+  "4": []
+}
+"""
+PAIRS_TABLE = """\
+   class      retained      neighbor     dissimilarity
+       2             1             3      1.250000e-01
+      10             5            12      5.000000e-01
+      10            13            12      3.333333e-01
+"""
+
+
 class TestEmitters:
-    def histograms(self):
-        return [
-            size_histogram(part(1, {0, 1}, {2})),
-            size_histogram(part(0, {3}, {4}, {5, 6, 7})),
-        ]
+    """Each writer takes ``{class_id: that class's entry}``, in any key order."""
+
+    @staticmethod
+    def histograms():
+        return {
+            10: size_histogram(part(10, set(range(12)), {12}, {13, 14})),
+            2: size_histogram(part(2, {0, 1}, {2}, {3})),
+        }
+
+    ENTRIES = {10: ClassDissimilarity(0.2, (0.1, 0.3)), 2: ClassDissimilarity(0.6, (0.6,))}
+    PAIRS = {
+        10: [NearestExcludedPair(5, 12, 0.5), NearestExcludedPair(13, 12, 1 / 3)],
+        2: [NearestExcludedPair(1, 3, 0.125)],
+        4: [],  # all singletons: the key stays in the JSON, the table has no row
+    }
 
     def test_histogram_csv(self):
-        text = histogram_to_csv(self.histograms())
-        lines = text.splitlines()
-        assert lines[0] == "class_id,size,count"
-        assert lines[1:] == ["0,1,2", "0,3,1", "1,1,1", "1,2,1"]
-        assert text.endswith("\n")
+        assert histogram_to_csv(self.histograms()) == HISTOGRAM_CSV
 
     def test_histogram_json(self):
-        doc = json.loads(histogram_to_json(self.histograms()))
-        assert doc == {"0": {"1": 2, "3": 1}, "1": {"1": 1, "2": 1}}
+        assert histogram_to_json(self.histograms()) == HISTOGRAM_JSON
 
     def test_histogram_table_alignment(self):
-        lines = histogram_to_table(self.histograms()).splitlines()
-        assert lines[0].split() == ["class", "size", "count"]
-        widths = {len(line) for line in lines}
-        assert len(widths) == 1  # fixed-width columns
+        text = histogram_to_table(self.histograms())
+        assert text == HISTOGRAM_TABLE
+        assert len({len(line) for line in text.splitlines()}) == 1  # fixed-width columns
 
     def test_dissimilarity_json(self):
-        report = assemble_dissimilarity_report(
-            [ClassDissimilarity(0, 0.25, (0.25,))]
+        # cluster-weighted: (0.6 + 0.1 + 0.3) / 3, clusters in class order
+        assert dissimilarity_to_json(self.ENTRIES) == DISSIMILARITY_JSON % (
+            "0.3333333333333333", "cluster"
         )
-        doc = json.loads(dissimilarity_to_json(report))
-        assert doc["weighting"] == "cluster"
-        assert doc["overall"] == 0.25
-        assert doc["per_class"] == {"0": 0.25}
-        assert doc["groups_counted"] == {"0": 1}
+
+    def test_dissimilarity_json_class_weighted(self):
+        text = dissimilarity_to_json(self.ENTRIES, class_weighted=True)
+        assert text == DISSIMILARITY_JSON % ("0.4", "class")  # (0.6 + 0.2) / 2
 
     def test_dissimilarity_table(self):
-        report = assemble_dissimilarity_report(
-            [ClassDissimilarity(0, 0.25, (0.2, 0.3)), ClassDissimilarity(2, 0.5, (0.5,))]
-        )
-        lines = dissimilarity_to_table(report).splitlines()
-        assert lines[0].split() == ["class", "groups", "avg_dissimilarity"]
-        assert lines[1].split() == ["0", "2", "2.500000e-01"]
-        assert lines[-1].split() == ["all", "mean/group", f"{1.0 / 3:.6e}"]
+        text = dissimilarity_to_table(self.ENTRIES)
+        assert text == DISSIMILARITY_TABLE % ("mean/group", "3.333333e-01")
 
     def test_dissimilarity_table_class_weighted_label(self):
-        report = assemble_dissimilarity_report(
-            [ClassDissimilarity(0, 0.25, (0.25,))], class_weighted=True
-        )
-        assert "mean/class" in dissimilarity_to_table(report)
+        text = dissimilarity_to_table(self.ENTRIES, class_weighted=True)
+        assert text == DISSIMILARITY_TABLE % ("mean/class", "4.000000e-01")
 
     def test_pairs_json(self):
-        doc = json.loads(
-            pairs_to_json({4: [NearestExcludedPair(7, 9, 0.5)], 2: []})
-        )
-        assert list(doc) == ["2", "4"]
-        assert doc["4"] == [
-            {"retained_id": 7, "neighbor_id": 9, "dissimilarity": 0.5}
-        ]
+        assert pairs_to_json(self.PAIRS) == PAIRS_JSON
 
     def test_pairs_table(self):
-        lines = pairs_to_table({1: [NearestExcludedPair(3, 5, 0.125)]}).splitlines()
-        assert lines[0].split() == ["class", "retained", "neighbor", "dissimilarity"]
-        assert lines[1].split() == ["1", "3", "5", "1.250000e-01"]
+        assert pairs_to_table(self.PAIRS) == PAIRS_TABLE
+
+    @pytest.mark.parametrize("class_weighted", [False, True])
+    def test_empty_mapping(self, class_weighted):
+        # No class: ``overall`` is null and each table holds only its header.
+        weighting = "class" if class_weighted else "cluster"
+        assert dissimilarity_to_json({}, class_weighted=class_weighted) == (
+            '{\n  "groups_counted": {},\n  "overall": null,\n  "per_class": {},\n'
+            f'  "weighting": "{weighting}"\n}}\n'
+        )
+        for text, writer in [
+            (HISTOGRAM_CSV, histogram_to_csv),
+            (HISTOGRAM_TABLE, histogram_to_table),
+            (DISSIMILARITY_TABLE, lambda e: dissimilarity_to_table(e, class_weighted=class_weighted)),
+            (PAIRS_TABLE, pairs_to_table),
+        ]:
+            assert writer({}) == text.splitlines(keepends=True)[0]
+        for writer in (histogram_to_json, pairs_to_json):
+            assert writer({}) == "{}\n"
 
     def test_emitters_deterministic(self):
         hs = self.histograms()
-        report = assemble_dissimilarity_report([ClassDissimilarity(0, 0.1, (0.1,))])
-        pairs = {0: [NearestExcludedPair(0, 1, 0.25)]}
         for emit, arg in [
             (histogram_to_csv, hs),
             (histogram_to_json, hs),
             (histogram_to_table, hs),
-            (dissimilarity_to_json, report),
-            (dissimilarity_to_table, report),
-            (pairs_to_json, pairs),
-            (pairs_to_table, pairs),
+            (dissimilarity_to_json, self.ENTRIES),
+            (dissimilarity_to_table, self.ENTRIES),
+            (pairs_to_json, self.PAIRS),
+            (pairs_to_table, self.PAIRS),
         ]:
-            a, b = emit(arg), emit(arg)
+            a, b = emit(arg), emit(dict(reversed(arg.items())))
             assert a == b
             assert a.endswith("\n")

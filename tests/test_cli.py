@@ -215,6 +215,51 @@ class TestSelectCommand:
             else:
                 assert ta[rel] == tb[rel], rel
 
+    def test_class_mean_weights_classes_and_changes_nothing_else(self, tmp_path, capsys):
+        # Planted pairs around orthogonal anchors: class 0 keeps three groups
+        # of two, class 1 one of three and a singleton, so the two weightings
+        # of ``overall`` differ (with equal counts per class they would not).
+        rs = np.random.default_rng(11)
+
+        def planted(sizes):
+            return np.concatenate(
+                [np.eye(8)[g] + 0.01 * rs.normal(size=(s, 8)) for g, s in enumerate(sizes)]
+            )
+
+        ds = stacked_dataset({0: planted([2, 2, 2]), 1: planted([3, 1])})
+        data = tmp_path / "d.bin"
+        data.write_bytes(canonical_bytes(ds))
+
+        def select(out, *flags):
+            code, stdout, err = run(capsys, "select", "--input", data, "--fraction", "0.5",
+                                    "--out", out, *flags)
+            assert code == 0, err
+            return tree(out), stdout
+
+        default, out_default = select(tmp_path / "cluster")
+        weighted, out_weighted = select(tmp_path / "class", "--class-mean")
+        assert out_weighted == out_default
+        assert sorted(weighted) == sorted(default)
+        for rel in sorted(set(default) - {"dissimilarity.json", "dissimilarity.txt",
+                                          "run_metadata.json"}):
+            assert weighted[rel] == default[rel], rel
+        by_cluster, by_class = (json.loads(t["dissimilarity.json"]) for t in (default, weighted))
+        assert by_class["groups_counted"] == {"0": 3, "1": 1}
+        assert (by_cluster["weighting"], by_class["weighting"]) == ("cluster", "class")
+        means = [by_class["per_class"][c] for c in sorted(by_class["per_class"], key=int)]
+        assert by_class["overall"] == float(np.mean(means)) != by_cluster["overall"]
+        # Every other line keeps its bytes: per_class and groups_counted in
+        # the JSON, the class lines of the table.
+        drop = ('"overall"', '"weighting"')
+        json_lines, table = (
+            [[ln for ln in t[name].decode().splitlines() if not ln.lstrip().startswith(drop)]
+             for t in (weighted, default)]
+            for name in ("dissimilarity.json", "dissimilarity.txt")
+        )
+        assert json_lines[0] == json_lines[1]
+        assert table[0][:-1] == table[1][:-1]
+        assert table[0][-1] == f"{'all':>8}  {'mean/class':>10}  {by_class['overall']:>18.6e}"
+
     def test_fraction_one_keeps_all(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
         code, stdout, _ = run(
@@ -856,10 +901,9 @@ class TestLibrarySurface:
     def test_all_is_pinned_and_resolves(self):
         assert redunda.__all__ == [
             "ClassResult", "ConfigError", "DegenerateClusterError", "Dendrogram",
-            "DissimilarityReport", "EmbeddingDataset", "FormatError",
-            "InvalidArgumentError", "MarginError", "MemoryCapError",
-            "NearestExcludedPair", "Partition", "PlantedSpec", "RedundaError",
-            "SeparationCertificate", "SizeHistogram", "SubsetManifest",
+            "EmbeddingDataset", "FormatError", "InvalidArgumentError", "MarginError",
+            "MemoryCapError", "NearestExcludedPair", "Partition", "PlantedSpec",
+            "RedundaError", "SeparationCertificate", "SubsetManifest",
             "UnknownClassError", "ValidationError", "__version__",
             "agglomerate_fast", "avg_dissimilarity", "build_cluster_subset",
             "build_random_subset", "cosine_dissimilarity", "cut_dendrogram",

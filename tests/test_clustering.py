@@ -89,6 +89,17 @@ class TestWorkedExamples:
             Partition.from_groups(0, [0.5, 1.0], [[1.0]])
         with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[2\] exceeds supported range$"):
             agglomerate_fast(THREE, 2, sample_ids=[0, 1, 2**63])
+        # An id that is no real number is refused by the same rule, not by
+        # whatever its first comparison raises.
+        for ids, at in [(["3", "4", "5"], 0), ([0, "a", 2], 1), ([0, 1, None], 2), ([1 + 0j, 1, 2], 0)]:
+            with pytest.raises(InvalidArgumentError, match=rf"^sample_ids\[{at}\] is not an integer$"):
+                agglomerate_fast(THREE, 2, sample_ids=ids)
+            with pytest.raises(InvalidArgumentError, match=rf"^sample_ids\[{at}\] is not an integer$"):
+                Partition.from_groups(0, ids, [])
+        # A boolean is taken at its value.
+        assert Partition.from_groups(0, np.array([True, False]), [[0], [1]]).order.tolist() == [1, 0]
+        _, part = agglomerate_fast(THREE[:2], 1, sample_ids=[False, True])
+        assert part.sample_ids.tolist() == [0, 1]
         _, part = agglomerate_fast(THREE, 2, sample_ids=np.array([4.0, 2.0, 9.0]))
         assert part.sample_ids.tolist() == [4, 2, 9] and part.sample_ids.dtype == np.int64
 

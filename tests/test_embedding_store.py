@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ class TestIdRule:
         ([0, 1], [0, 2**64], "record 1: class_id exceeds supported range"),
         # each reason is tried over all records before the next
         ([2**64, 0.5], [0, 0], "record 1: sample_id is not an integer"),
+        # an id that is no real number is not an integer either; a boolean
+        # is taken at its value
+        (["3", "4"], [0, 0], "record 0: sample_id is not an integer"),
+        ([0, 1], [0, "a"], "record 1: class_id is not an integer"),
+        ([0, None], [0, 0], "record 1: sample_id is not an integer"),
+        ([0, 1], [1 + 0j, 0], "record 0: class_id is not an integer"),
+        (np.array([True, False]), [0, 0.5], "record 1: class_id is not an integer"),
+        ([True, False], [0.5, 0], "record 0: class_id is not an integer"),
+        ([0, Decimal("2.5")], [0, 0], "record 1: sample_id is not an integer"),
+        ([0, 1], [Decimal(2**63), 0], "record 0: class_id exceeds supported range"),
     ])
     def test_refused_id_names_its_record(self, sids, cids, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -184,6 +195,10 @@ class TestIdRule:
         top = EmbeddingDataset(np.array([2**63 - 1], dtype=np.uint64), np.zeros(1), [[1.0]])
         assert top.sample_ids.tolist() == [2**63 - 1]
         assert top.sample_ids.dtype == top.class_ids.dtype == np.int64
+        flags = EmbeddingDataset(np.array([True, False]), [True, True], np.eye(2))
+        assert flags.sample_ids.tolist() == [1, 0] and flags.class_ids.tolist() == [1, 1]
+        dec = EmbeddingDataset([Decimal(3), Decimal("4.0")], [Decimal(0), 0], np.eye(2))
+        assert dec.sample_ids.tolist() == [3, 4] and dec.class_ids.tolist() == [0, 0]
 
     @FUZZ
     @given(st.lists(ID, min_size=1, max_size=4), st.booleans())
@@ -379,6 +394,24 @@ class TestCsvFormat:
         path.write_text("sample_id,class_id,v1,v2\n0,0,1.0,0.0\n1,1,0.0,1.0\n")
         ds = load_dataset(path)
         assert len(ds) == 2 and ds.dimension == 2
+
+    def test_byte_order_mark_before_the_first_record(self, tmp_path):
+        # Read as data, a byte order mark makes the first field non-numeric,
+        # and the first record would be skipped as a header.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,0,1.0,0.0\n2,0,0.0,1.0\n3,0,1.0,1.0\n")
+        ds = load_dataset(path)
+        assert ds.sample_ids.tolist() == [1, 2, 3]
+        assert ds.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(dataset_to_csv(small_dataset()), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_dataset(plain), load_dataset(marked)
+        for name in ("sample_ids", "class_ids", "vectors"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert b.digest() == hashlib.sha256(marked.read_bytes()).hexdigest() != a.digest()
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
