@@ -16,18 +16,6 @@ from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
-class ClassDissimilarity:
-    """Per-class mean dissimilarity of non-retained members to their medoid.
-
-    ``cluster_means`` holds one entry per qualifying cluster (size >= 2), in
-    partition order; ``mean`` is their average.
-    """
-
-    mean: float
-    cluster_means: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class NearestExcludedPair:
     retained_id: int
     neighbor_id: int
@@ -62,8 +50,9 @@ def _qualifying(partition: Partition, reps: Sequence[int], X, U) -> list[tuple[i
 
 def avg_dissimilarity(
     partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray
-) -> ClassDissimilarity | None:
-    """Average dissimilarity to the retained sample over clusters of size >= 2.
+) -> tuple[float, ...] | None:
+    """Each size->=2 cluster's mean dissimilarity of its other members to its
+    retained sample, in partition order: the class's dissimilarity entry.
 
     ``reps`` holds each cluster's retained sample id, in partition order;
     ``X`` and ``U`` are the class's rows and unit rows, in the row order of
@@ -79,9 +68,7 @@ def avg_dissimilarity(
         at = np.flatnonzero(np.isin(others, twins[rep_row])) if rep_row in twins else ()
         d = metric.one_to_many(X[rep_row], U[others], at)
         cluster_means.append(float(d.mean()))
-    if not cluster_means:
-        return None
-    return ClassDissimilarity(float(np.mean(cluster_means)), tuple(cluster_means))
+    return tuple(cluster_means) or None
 
 
 def nearest_excluded(
@@ -152,35 +139,33 @@ def histogram_to_json(histograms: Mapping[int, Mapping[int, int]]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _overall(entries: Mapping[int, ClassDissimilarity], class_weighted: bool) -> float | None:
+def _overall(entries: Mapping[int, Sequence[float]], class_weighted: bool) -> float | None:
     """The mean over every class's cluster means, or over the class means when
     ``class_weighted``, in ascending class order; None for no entry."""
     ordered = [e for _, e in sorted(entries.items())]
     if not ordered:
         return None
-    if class_weighted:
-        return float(np.mean([e.mean for e in ordered]))
-    return float(np.mean(np.concatenate([e.cluster_means for e in ordered])))
+    return float(np.mean([np.mean(e) for e in ordered] if class_weighted else np.concatenate(ordered)))
 
 
 def dissimilarity_to_json(
-    entries: Mapping[int, ClassDissimilarity], *, class_weighted: bool = False
+    entries: Mapping[int, Sequence[float]], *, class_weighted: bool = False
 ) -> str:
     doc = {
         "weighting": "class" if class_weighted else "cluster",
         "overall": _overall(entries, class_weighted),
-        "per_class": {str(cid): entries[cid].mean for cid in sorted(entries)},
-        "groups_counted": {str(cid): len(entries[cid].cluster_means) for cid in sorted(entries)},
+        "per_class": {str(cid): float(np.mean(entries[cid])) for cid in sorted(entries)},
+        "groups_counted": {str(cid): len(entries[cid]) for cid in sorted(entries)},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def dissimilarity_to_table(
-    entries: Mapping[int, ClassDissimilarity], *, class_weighted: bool = False
+    entries: Mapping[int, Sequence[float]], *, class_weighted: bool = False
 ) -> str:
     lines = [f"{'class':>8}  {'groups':>10}  {'avg_dissimilarity':>18}"]
     for cid, e in sorted(entries.items()):
-        lines.append(f"{cid:>8}  {len(e.cluster_means):>10}  {e.mean:>18.6e}")
+        lines.append(f"{cid:>8}  {len(e):>10}  {float(np.mean(e)):>18.6e}")
     label = "mean/class" if class_weighted else "mean/group"
     if (overall := _overall(entries, class_weighted)) is not None:
         lines.append(f"{'all':>8}  {label:>10}  {overall:>18.6e}")

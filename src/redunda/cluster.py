@@ -63,7 +63,6 @@ class Dendrogram:
     clusters whose smallest rows are ``pairs[i]`` (a < b); row r holds sample
     ``sample_ids[r]``."""
 
-    class_id: int
     sample_ids: np.ndarray
     heights: np.ndarray
     pairs: np.ndarray
@@ -77,7 +76,6 @@ class Partition:
     cluster i's rows are ``order[starts[i]:starts[i + 1]]``, ascending by
     sample id.  A cut covers the class, clusters ordered by smallest id."""
 
-    class_id: int
     sample_ids: np.ndarray
     order: np.ndarray
     starts: np.ndarray
@@ -85,7 +83,7 @@ class Partition:
     __eq__ = _same
 
     @classmethod
-    def from_groups(cls, class_id: int, sample_ids, groups) -> Partition:
+    def from_groups(cls, sample_ids, groups) -> Partition:
         """The disjoint groups of sample ids given, in their order, over the
         class's ``sample_ids`` (row order); a group may be empty and need not
         cover."""
@@ -97,7 +95,7 @@ class Partition:
         rows = np.array([row[sid] for m in members for sid in m], dtype=np.intp)
         if len(np.unique(rows)) != len(rows):
             raise InvalidArgumentError("partition names a sample_id twice")
-        return cls(class_id, ids, rows, np.cumsum([0, *map(len, members)]))
+        return cls(ids, rows, np.cumsum([0, *map(len, members)]))
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
@@ -256,7 +254,6 @@ def agglomerate_fast(
     k: int,
     *,
     sample_ids=None,
-    class_id: int = 0,
     memory_cap_bytes: int | None = None,
     U=None,
 ) -> tuple[Dendrogram, Partition]:
@@ -292,17 +289,27 @@ def agglomerate_fast(
                 raise MemoryCapError(f"pairwise matrix for n={n} needs {need} bytes, over cap {cap}")
             raw = _generic_merges(metric.pairwise_condensed(X, U), n, n - k)
     raw = np.fromiter(chain.from_iterable(raw), np.float64, 3 * len(raw)).reshape(-1, 3)
-    dendro = Dendrogram(class_id, ids, raw[:, 0], raw[:, 1:].astype(np.int64))
+    dendro = Dendrogram(ids, raw[:, 0], raw[:, 1:].astype(np.int64))
     return dendro, cut_dendrogram(dendro, k)
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     """The partition after the first n - k merges.  Merge (a, b) points row b
     at row a < b, so pointer jumping takes every row to its cluster's smallest
-    row; one sort by (the cluster's smallest sample id, sample id) groups them."""
-    n = len(dendrogram.sample_ids)
-    _check_k(n, k, n - len(dendrogram.heights))
-    ids, (a, b) = dendrogram.sample_ids, dendrogram.pairs[: n - k].T
+    row; one sort by (the cluster's smallest sample id, sample id) groups them.
+    Refuses ``pairs`` that are not one integer row ``0 <= a < b < n`` per
+    height, and more than n - 1 merges: with ``a < b`` the jumping ends."""
+    ids, pairs, m = dendrogram.sample_ids, np.asarray(dendrogram.pairs), len(dendrogram.heights)
+    n = len(ids)
+    if pairs.shape != (m, 2) or pairs.dtype.kind not in "iu" or m >= max(n, 1):
+        raise InvalidArgumentError(f"{n} points take at most {max(n - 1, 0)} merges, one "
+                                   f"integer row (a, b) each: got {m} heights, pairs {pairs.shape}")
+    a, b = pairs.T
+    if len(bad := np.flatnonzero((a < 0) | (a >= b) | (b >= n))):
+        raise InvalidArgumentError(f"merge {bad[0]} joins rows {a[bad[0]]} and {b[bad[0]]}, "
+                                   f"not 0 <= a < b < {n}")
+    _check_k(n, k, n - m)
+    a, b = a[: n - k], b[: n - k]
     root = np.arange(n)
     root[b] = a
     while not np.array_equal(up := root[root], root):
@@ -312,7 +319,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     order = np.lexsort((ids, low[root]))
     key = low[root[order]]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
-    return Partition(dendrogram.class_id, ids, order, starts)
+    return Partition(ids, order, starts)
 
 
 def format_dendrogram(dendrogram: Dendrogram) -> str:

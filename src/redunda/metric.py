@@ -38,6 +38,15 @@ def as_rows(X) -> np.ndarray:
     return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
 
 
+def _whole(v) -> bool:
+    """Whether ``v`` is a whole number, decided exactly: no value is rounded to a float."""
+    if isinstance(v, decimal.Decimal):  # a huge exponent is compared, never expanded
+        return v.is_finite() and v == v.to_integral_value()
+    if isinstance(v, numbers.Rational):  # ints, numpy's integers, fractions
+        return v.denominator == 1
+    return isinstance(v, (numbers.Real, np.bool_)) and bool(np.isfinite(v) and v == np.floor(v))
+
+
 def as_ids(ids, error: type[Exception], where: str) -> np.ndarray:
     """``ids`` as an int64 array of their shape (``ids`` itself if it is one).  An id
     is an integer int64 can hold, a boolean taken at its value; else ``error``
@@ -46,9 +55,7 @@ def as_ids(ids, error: type[Exception], where: str) -> np.ndarray:
     a = np.asarray(ids)
     if a.dtype.kind not in "iu":
         a = np.asarray(ids, dtype=object)  # each id as given, so no int is rounded to a float
-        whole = [isinstance(v, (numbers.Integral, np.bool_))
-                 or isinstance(v, (numbers.Real, decimal.Decimal)) and float(v) % 1 == 0
-                 for v in a.flat]
+        whole = [_whole(v) for v in a.flat]
         if (bad := np.flatnonzero(np.logical_not(whole))).size:
             raise error(f"{where.format(int(bad[0]))} is not an integer")
     if (bad := np.flatnonzero((a < -(1 << 63)) | (a >= 1 << 63))).size:

@@ -45,13 +45,14 @@ def per_class_k(class_size: int, fraction: float) -> int:
 @dataclass(frozen=True)
 class ClassResult:
     """One clustered class: its partition, each cluster's medoid sample id (in
-    partition order), its dendrogram and the report entries asked for (None
-    if not; ``dissimilarity`` also when no cluster has two members)."""
+    partition order), its dendrogram and the report entries asked for (None if
+    not): ``dissimilarity``, the cluster means ``avg_dissimilarity`` returns
+    (None also when no cluster has two members), and ``pairs``."""
 
     partition: Partition
     reps: tuple[int, ...]
     dendrogram: Dendrogram
-    dissimilarity: analysis.ClassDissimilarity | None
+    dissimilarity: tuple[float, ...] | None
     pairs: tuple[analysis.NearestExcludedPair, ...] | None
 
 
@@ -165,9 +166,7 @@ def _cluster_class(
     ids, X = ds.class_arrays(class_id)
     k = per_class_k(len(ids), fraction)
     U = metric.unit_rows(X)
-    dendro, part = agglomerate_fast(
-        X, k, sample_ids=ids, class_id=class_id, memory_cap_bytes=memory_cap_bytes, U=U,
-    )
+    dendro, part = agglomerate_fast(X, k, sample_ids=ids, memory_cap_bytes=memory_cap_bytes, U=U)
     reps = select_representative(ids, X, U, part.order, part.starts)
     entry = pairs = None
     if dissimilarity:

@@ -143,11 +143,9 @@ def generate(
     then member), so they are positional and the binary encoding stays
     implicit-id.
     """
-    sids: list[int] = []
     cids: list[int] = []
     rows: list[np.ndarray] = []
     truth: dict[int, list[frozenset[int]]] = {}
-    next_id = 0
     for cid in range(spec.classes):
         stream = rng.class_stream(spec.seed, cid, rng.DOMAIN_SYNTH)
         if spec.sizes is not None:
@@ -163,21 +161,14 @@ def generate(
         # cap (and not delta/2) is what keeps min-between above margin-2*delta;
         # within-group pairs stay below 2*delta^2 < 2*delta.
         cap = 1.0 - math.sqrt(1.0 - spec.within_spread**2)
-        groups: list[frozenset[int]] = []
-        for anchor, size in zip(anchors, sizes):
-            ids_here = []
-            for _ in range(size):
-                target = cap * stream.uniform()
-                rows.append(_perturb(stream, anchor, target))
-                sids.append(next_id)
-                cids.append(cid)
-                ids_here.append(next_id)
-                next_id += 1
-            groups.append(frozenset(ids_here))
-        truth[cid] = groups
+        truth[cid] = []
+        for anchor, size in zip(anchors, sizes):  # a row's sample id is its position
+            truth[cid].append(frozenset(range(len(rows), len(rows) + size)))
+            rows += [_perturb(stream, anchor, cap * stream.uniform()) for _ in range(size)]
+        cids += [cid] * sum(sizes)
     # Rounded to float32 as dataset.bin stores them, so the certificate below
     # holds for the values every output format carries.
-    dataset = EmbeddingDataset(sids, cids, np.asarray(rows, dtype=np.float32))
+    dataset = EmbeddingDataset(np.arange(len(rows)), cids, np.asarray(rows, dtype=np.float32))
 
     cert = measure_separation(dataset, truth)
     if cert.max_within is not None:
@@ -210,7 +201,7 @@ def measure_separation(
         ids, X = dataset.class_arrays(cid)
         n = len(ids)
         label = np.full(n, -1)
-        part = Partition.from_groups(cid, ids, ground_truth[cid])
+        part = Partition.from_groups(ids, ground_truth[cid])
         label[part.order] = np.repeat(np.arange(len(part.starts) - 1), part.sizes())
         D, offs = metric.pairwise_condensed(X), metric.condensed_offsets(n)
         for i in np.flatnonzero(label >= 0):

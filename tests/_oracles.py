@@ -166,7 +166,7 @@ def cluster_dissimilarity(c1, c2) -> float:
     return max(metric.cosine_dissimilarity(a, b) for a in m1 for b in m2)
 
 
-def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
+def agglomerate_naive(X, k: int, *, sample_ids=None):
     """Reference greedy agglomeration: scan all cluster pairs every round.
 
     Takes the arguments of ``agglomerate_fast`` and returns the same
@@ -211,12 +211,12 @@ def agglomerate_naive(X, k: int, *, sample_ids=None, class_id: int = 0):
                 S[x, i] = d
 
     merges = np.array(raw, dtype=np.float64).reshape(-1, 3)
-    dendro = Dendrogram(class_id, ids, merges[:, 0], merges[:, 1:].astype(np.int64))
+    dendro = Dendrogram(ids, merges[:, 0], merges[:, 1:].astype(np.int64))
     clusters = sorted(
         (frozenset(int(ids[m]) for m in lst) for lst in members if lst is not None),
         key=min,
     )
-    return dendro, Partition.from_groups(class_id, ids, clusters)
+    return dendro, Partition.from_groups(ids, clusters)
 
 
 @dataclass(frozen=True)

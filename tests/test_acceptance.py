@@ -20,7 +20,7 @@ import _oracles
 from _oracles import agglomerate_naive, cluster_dissimilarity
 from conftest import clusters, random_unit_rows, stacked_dataset, with_duplicates
 from redunda.analysis import avg_dissimilarity, nearest_excluded, size_histogram
-from redunda.cluster import Partition, agglomerate_fast
+from redunda.cluster import Partition, agglomerate_fast, cut_dendrogram
 from redunda.metric import cosine_dissimilarity, unit_rows
 from redunda.selection import (
     build_cluster_subset,
@@ -53,13 +53,13 @@ def test_criterion_1_oracle_equivalence(capsys):
         dn, pn = agglomerate_naive(X, k)
         df, pf = agglomerate_fast(X, k)
         instances += 1
-        if pn != pf or dn != df:
+        if pn != pf or dn != df or cut_dendrogram(dn, k) != pn:
             mismatches.append((trial, n, dim, k))
     elapsed = time.monotonic() - t0
     ok = instances >= 100 and not mismatches and elapsed < 120.0
     _report(
         capsys, 1, ok,
-        f"fast == naive (partition and dendrogram) on {instances - len(mismatches)}"
+        f"fast == naive (partition, dendrogram and its cut) on {instances - len(mismatches)}"
         f"/{instances} instances, n in [10,300], dim in {{2,8,64}}, "
         f"random k, {elapsed:.1f}s (budget 120s)"
         + (f"; first mismatch {mismatches[0]}" if mismatches else ""),
@@ -137,10 +137,10 @@ def test_criterion_3_planted_recovery(capsys):
         exact = True
         for cid, groups in truth.items():
             ids, X = ds.class_arrays(cid)
-            _, part = agglomerate_fast(X, len(groups), sample_ids=ids, class_id=cid)
+            _, part = agglomerate_fast(X, len(groups), sample_ids=ids)
             if set(clusters(part)) != set(groups):
                 exact = False
-            planted = Partition.from_groups(cid, ids, groups)
+            planted = Partition.from_groups(ids, groups)
             reps = select_representative(ids, X, unit_rows(X), planted.order, planted.starts)
             rep_outside += sum(rep not in group for group, rep in zip(groups, reps))
         recovered += exact
@@ -194,15 +194,15 @@ def test_criterion_5_statistic_definitions(capsys):
     ds = stacked_dataset({0: [vecs[i] for i in range(5)]})
     clusters = [{0, 1}, {2, 3}, {4}]
     ids, X = ds.class_arrays(0)
-    part = Partition.from_groups(0, ids, clusters)
+    part = Partition.from_groups(ids, clusters)
     U = unit_rows(X)
     reps = select_representative(ids, X, U, part.order, part.starts)
     entry = avg_dissimilarity(part, reps, X, U)
     oracle_mean, oracle_per = _oracles.class_avg_dissim(
         clusters, reps, lambda s: vecs[s]
     )
-    avg_err = abs(entry.mean - oracle_mean)
-    per_err = max(abs(g - o) for g, o in zip(entry.cluster_means, oracle_per))
+    avg_err = abs(float(np.mean(entry)) - oracle_mean)
+    per_err = max(abs(g - o) for g, o in zip(entry, oracle_per))
 
     points = [(s, vecs[s]) for s in range(5)]
     got = nearest_excluded(part, reps, X, U)
@@ -222,7 +222,7 @@ def test_criterion_5_statistic_definitions(capsys):
         for s in sizes:
             cl.append(frozenset(range(nxt, nxt + int(s))))
             nxt += int(s)
-        h = size_histogram(Partition.from_groups(0, np.arange(nxt), cl))
+        h = size_histogram(Partition.from_groups(np.arange(nxt), cl))
         if (
             sum(sz * c for sz, c in h.items()) != nxt
             or sum(h.values()) != len(cl)

@@ -12,7 +12,6 @@ import _oracles
 from conftest import clusters, random_unit_rows
 from redunda import metric
 from redunda.analysis import (
-    ClassDissimilarity,
     NearestExcludedPair,
     avg_dissimilarity,
     dissimilarity_to_json,
@@ -38,12 +37,10 @@ MEAN_DIAG_ORTHO = 0.6464466094067263
 D_NEAR_MISS = 0.006116265326381098
 
 
-def part(class_id, *clusters, ids=None):
+def part(*clusters, ids=None):
     """``clusters`` of sample ids over a class whose ids in row order are
     ``ids``, by default the clusters' ids ascending."""
-    return Partition.from_groups(
-        class_id, sorted(set().union(*clusters)) if ids is None else ids, clusters
-    )
+    return Partition.from_groups(sorted(set().union(*clusters)) if ids is None else ids, clusters)
 
 
 def class_of(points):
@@ -58,13 +55,13 @@ def positional(X):
 
 class TestSizeHistogram:
     def test_pair_and_singleton(self):
-        assert size_histogram(part(3, {0, 1}, {2})) == {1: 1, 2: 1}
+        assert size_histogram(part({0, 1}, {2})) == {1: 1, 2: 1}
 
     def test_all_singletons(self):
-        assert size_histogram(part(0, *({i} for i in range(7)))) == {1: 7}
+        assert size_histogram(part(*({i} for i in range(7)))) == {1: 7}
 
     def test_counts_sorted_by_size(self):
-        h = size_histogram(part(0, {0, 1, 2}, {3}, {4, 5}, {6, 7}))
+        h = size_histogram(part({0, 1, 2}, {3}, {4, 5}, {6, 7}))
         assert list(h) == [1, 2, 3]
         assert h == {1: 1, 2: 2, 3: 1}
 
@@ -75,7 +72,7 @@ class TestSizeHistogram:
         for s in sizes:
             clusters.append(set(range(nxt, nxt + s)))
             nxt += s
-        h = size_histogram(part(0, *clusters))
+        h = size_histogram(part(*clusters))
         assert sum(size * count for size, count in h.items()) == nxt
         assert sum(h.values()) == len(sizes)
 
@@ -83,30 +80,28 @@ class TestSizeHistogram:
 class TestAvgDissimilarity:
     def worked(self):
         cls = positional([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        return part(0, {0, 1, 2}), (0,), cls
+        return part({0, 1, 2}), (0,), cls
 
     def test_worked_example(self):
         # single cluster, rep (1,0): mean of {d((1,1)), d((0,1))} = {0.2928..., 1.0}
         p, reps, cls = self.worked()
         entry = avg_dissimilarity(p, reps, *cls)
-        assert entry.cluster_means == (pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15),)
-        assert entry.mean == pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15)
+        assert entry == (pytest.approx(MEAN_DIAG_ORTHO, abs=1e-15),)
 
     def test_duplicate_cluster_is_exactly_zero(self):
         cls = positional([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        entry = avg_dissimilarity(part(0, {0, 1, 2}), (1,), *cls)
-        assert entry.mean == 0.0
-        assert entry.cluster_means == (0.0,)
+        entry = avg_dissimilarity(part({0, 1, 2}), (1,), *cls)
+        assert entry == (0.0,)
 
     def test_singletons_do_not_qualify(self):
         cls = positional([[1.0, 0.0], [0.0, 1.0]])
-        assert avg_dissimilarity(part(0, {0}, {1}), (0, 1), *cls) is None
+        assert avg_dissimilarity(part({0}, {1}), (0, 1), *cls) is None
 
     def test_mixed_cluster_sizes(self):
         cls = positional([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.4]])
-        p = part(0, {0, 1, 2}, {3})
+        p = part({0, 1, 2}, {3})
         entry = avg_dissimilarity(p, (0, 3), *cls)
-        assert len(entry.cluster_means) == 1  # singleton skipped
+        assert len(entry) == 1  # singleton skipped
 
     def test_rep_must_be_member(self):
         p, _, cls = self.worked()
@@ -128,15 +123,15 @@ class TestAvgDissimilarity:
             bounds = sorted(rs.choice(np.arange(1, n), size=2, replace=False))
             ids = list(range(n))
             chunks = [ids[: bounds[0]], ids[bounds[0] : bounds[1]], ids[bounds[1] :]]
-            p = part(0, *chunks)
+            p = part(*chunks)
             reps = [int(min(c)) for c in chunks]
             entry = avg_dissimilarity(p, reps, *positional(X))
             expect = _oracles.class_avg_dissim(chunks, reps, lambda i: X[i])
             if expect is None:
                 assert entry is None
             else:
-                assert entry.mean == pytest.approx(expect[0], abs=1e-12)
-                for got_m, exp_m in zip(entry.cluster_means, expect[1]):
+                assert float(np.mean(entry)) == pytest.approx(expect[0], abs=1e-12)
+                for got_m, exp_m in zip(entry, expect[1], strict=True):
                     assert got_m == pytest.approx(exp_m, abs=1e-12)
 
 
@@ -145,7 +140,7 @@ class TestAssembleReport:
     ``overall`` averages every cluster by default, or the class means, taking
     the classes in ascending order whatever the mapping's order."""
 
-    ENTRIES = {1: ClassDissimilarity(0.1, (0.1,)), 0: ClassDissimilarity(0.25, (0.3, 0.2))}
+    ENTRIES = {1: (0.1,), 0: (0.3, 0.2)}
 
     def report(self, entries, **kw):
         return json.loads(dissimilarity_to_json(entries, **kw))
@@ -173,12 +168,12 @@ class TestAssembleReport:
 class TestNearestExcluded:
     def test_only_outside_point(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.0, 1.0])]
-        pairs = nearest_excluded(part(0, {0, 1}, {2}), (0, 2), *class_of(pts))
+        pairs = nearest_excluded(part({0, 1}, {2}), (0, 2), *class_of(pts))
         assert pairs == [NearestExcludedPair(0, 2, 1.0)]
 
     def test_nearest_of_two_outside(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.9, 0.1]), (3, [0.0, 1.0])]
-        pairs = nearest_excluded(part(0, {0, 1}, {2}, {3}), (0, 2, 3), *class_of(pts))
+        pairs = nearest_excluded(part({0, 1}, {2}, {3}), (0, 2, 3), *class_of(pts))
         assert len(pairs) == 1  # only the size-2 cluster qualifies
         assert pairs[0].retained_id == 0
         assert pairs[0].neighbor_id == 2
@@ -186,16 +181,16 @@ class TestNearestExcluded:
 
     def test_single_cluster_class_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001])]
-        assert nearest_excluded(part(0, {0, 1}), (0,), *class_of(pts)) == []
+        assert nearest_excluded(part({0, 1}), (0,), *class_of(pts)) == []
 
     def test_all_singletons_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [0.0, 1.0])]
-        assert nearest_excluded(part(0, {0}, {1}), (0, 1), *class_of(pts)) == []
+        assert nearest_excluded(part({0}, {1}), (0, 1), *class_of(pts)) == []
 
     def test_tie_breaks_to_smallest_id(self):
         v = [0.6, 0.8]
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.0]), (5, v), (4, v)]
-        p = part(0, {0, 1}, {4}, {5}, ids=[0, 1, 5, 4])
+        p = part({0, 1}, {4}, {5}, ids=[0, 1, 5, 4])
         pairs = nearest_excluded(p, (0, 4, 5), *class_of(pts))
         assert pairs[0].neighbor_id == 4
 
@@ -205,7 +200,7 @@ class TestNearestExcluded:
             n = int(rs.integers(5, 14))
             X = random_unit_rows(rs, n, 3)
             cut = int(rs.integers(2, n))
-            p = part(0, set(range(cut)), *({i} for i in range(cut, n)))
+            p = part(set(range(cut)), *({i} for i in range(cut, n)))
             reps = [i and cut + i - 1 for i in range(n - cut + 1)]
             pairs = nearest_excluded(p, reps, *positional(X))
             for pr in pairs:
@@ -220,7 +215,7 @@ class TestNearestExcluded:
             cut = int(rs.integers(2, n - 1))
             clusters = [set(range(cut)), set(range(cut, n))]
             reps = (0, cut)
-            got = nearest_excluded(part(0, *clusters), reps, *class_of(pts))
+            got = nearest_excluded(part(*clusters), reps, *class_of(pts))
             expect = _oracles.nearest_excluded(clusters, reps, pts)
             assert [(p.retained_id, p.neighbor_id) for p in got] == [
                 (r, nb) for r, nb, _ in expect
@@ -238,7 +233,7 @@ class TestNearestExcluded:
         X = random_unit_rows(np.random.default_rng(31), n, d)
         U = unit_rows(X)
         U0 = U.copy()
-        p = part(0, *({2 * i, 2 * i + 1} for i in range(130)), *({i} for i in range(260, n)))
+        p = part(*({2 * i, 2 * i + 1} for i in range(130)), *({i} for i in range(260, n)))
         reps = tuple(min(c) for c in clusters(p))
         tracemalloc.start()
         try:
@@ -255,7 +250,7 @@ class TestNearestExcluded:
         X = random_unit_rows(rs, 30, 4)
         U = unit_rows(X)
         U0 = U.copy()
-        p = part(0, *({3 * i, 3 * i + 1, 3 * i + 2} for i in range(10)))
+        p = part(*({3 * i, 3 * i + 1, 3 * i + 2} for i in range(10)))
         calls, one_to_many = [], metric.one_to_many
 
         def failing(*args):
@@ -310,7 +305,7 @@ class TestNearestExcluded:
         reps, means, pairs = reference(ids, X, clusters(p))
         U = unit_rows(X)
         assert nearest_excluded(p, reps, X, U) == pairs
-        assert avg_dissimilarity(p, reps, X, U).cluster_means == means
+        assert avg_dissimilarity(p, reps, X, U) == means
         pair = next(c for c in clusters(p) if len(c) == 2)
         return sorted(np.flatnonzero(np.isin(ids, list(pair))).tolist()), pairs
 
@@ -363,7 +358,7 @@ class TestUnitRowsRefused:
     @staticmethod
     def case():
         X = random_unit_rows(np.random.default_rng(34), 6, 3)
-        return part(0, {0, 1}, {2, 3}, {4}, {5}), (0, 2, 4, 5), X
+        return part({0, 1}, {2, 3}, {4}, {5}), (0, 2, 4, 5), X
 
     @pytest.mark.parametrize("report", [avg_dissimilarity, nearest_excluded])
     @pytest.mark.parametrize("shape", [(5, 3), (7, 3), (6, 4)])
@@ -476,11 +471,11 @@ class TestEmitters:
     @staticmethod
     def histograms():
         return {
-            10: size_histogram(part(10, set(range(12)), {12}, {13, 14})),
-            2: size_histogram(part(2, {0, 1}, {2}, {3})),
+            10: size_histogram(part(set(range(12)), {12}, {13, 14})),
+            2: size_histogram(part({0, 1}, {2}, {3})),
         }
 
-    ENTRIES = {10: ClassDissimilarity(0.2, (0.1, 0.3)), 2: ClassDissimilarity(0.6, (0.6,))}
+    ENTRIES = {10: (0.1, 0.3), 2: (0.6,)}
     PAIRS = {
         10: [NearestExcludedPair(5, 12, 0.5), NearestExcludedPair(13, 12, 1 / 3)],
         2: [NearestExcludedPair(1, 3, 0.125)],

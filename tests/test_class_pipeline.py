@@ -88,10 +88,10 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
         ids, Xc = ds.class_arrays(cid)
         reps, means, pairs = reference(ids, Xc, clusters(res.partition))
         assert res.reps == reps
-        assert res.dissimilarity.cluster_means == means
+        assert res.dissimilarity == means
         assert res.pairs == tuple(pairs)
         U = unit_rows(Xc)
-        assert avg_dissimilarity(res.partition, res.reps, Xc, U).cluster_means == means
+        assert avg_dissimilarity(res.partition, res.reps, Xc, U) == means
         assert nearest_excluded(res.partition, res.reps, Xc, U) == pairs
         if fraction > 0.5:
             assert 0.0 in means  # the injected duplicates collapsed into some cluster

@@ -260,6 +260,43 @@ class TestSelectCommand:
         assert table[0][:-1] == table[1][:-1]
         assert table[0][-1] == f"{'all':>8}  {'mean/class':>10}  {by_class['overall']:>18.6e}"
 
+    def test_class_ids_reach_every_artifact_from_the_key(self, tmp_path, capsys):
+        # Class ids that are not positions, explicit sample ids, and one file
+        # class-major and one interleaved (each class's rows in the same
+        # relative order): each artifact names the classes by their ids,
+        # whatever the place of their records in the file.
+        rs = np.random.default_rng(29)
+        cids = np.repeat([0, 7, 2**32 - 1], 12)
+        X = rs.normal(size=(36, 6))
+        X[1::4] = X[::4] + 1e-3 * rs.normal(size=(9, 6))  # a close partner for every fourth row
+        sids = 3 * rs.permutation(1000)[:36] + 5
+        runs = {}
+        interleaved = np.arange(36).reshape(3, 12).T.ravel()
+        for name, order in (("major", np.arange(36)), ("interleaved", interleaved)):
+            data = tmp_path / f"{name}.bin"
+            data.write_bytes(canonical_bytes(EmbeddingDataset(sids[order], cids[order], X[order])))
+            code, stdout, err = run(capsys, "select", "--input", data, "--fraction", "0.5",
+                                    "--dump-dendrograms", "--out", tmp_path / name)
+            assert code == 0, err
+            files = tree(tmp_path / name)
+            del files["run_metadata.json"]
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["source_digest"]
+            runs[name] = stdout, manifest, files
+        assert runs["major"] == runs["interleaved"]
+        stdout, manifest, files = runs["major"]
+        names = ["0", "7", "4294967295"]
+        assert [ln.split(":")[0] for ln in stdout.splitlines()[:3]] == [f"class {c}" for c in names]
+        assert sorted(manifest["retained"], key=int) == names
+        assert {ln.split()[0] for ln in files["manifest.txt"].decode().splitlines()} == set(names)
+        assert [f for f in files if f.startswith("dendrograms/")] == [
+            f"dendrograms/class_{c}.txt" for c in sorted(names)
+        ]
+        dis = json.loads(files["dissimilarity.json"])
+        for doc in (json.loads(files["histogram.json"]), json.loads(files["pairs.json"]),
+                    dis["per_class"], dis["groups_counted"]):
+            assert sorted(doc, key=int) == names
+
     def test_fraction_one_keeps_all(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
         code, stdout, _ = run(
@@ -771,12 +808,12 @@ class TestDendrogramDump:
         formatted = []
         fmt = redunda.cli.format_dendrogram
         monkeypatch.setattr(redunda.cli, "format_dendrogram",
-                            lambda d: formatted.append(d.class_id) or fmt(d))
+                            lambda d: formatted.append(d.sample_ids.tolist()) or fmt(d))
         for dump in ((), ("--dump-dendrograms",)):
             formatted.clear()
             assert run(capsys, "select", "--input", data, "--fraction", "0.7",
                        *dump, "--out", tmp_path / "run")[0] == 0
-            assert formatted == ([0, 1] if dump else [])
+            assert formatted == ([list(range(60)), list(range(60, 120))] if dump else [])
         for module in (redunda.cli, redunda.analysis, cluster, redunda.metric, selection,
                        redunda.store):
             assert "frozenset(" not in inspect.getsource(module), module.__name__

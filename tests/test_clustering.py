@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -86,7 +87,7 @@ class TestWorkedExamples:
         with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[0\] is not an integer$"):
             agglomerate_fast(THREE, 2, sample_ids=[0.5, 1.5, 2.5])
         with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[0\] is not an integer$"):
-            Partition.from_groups(0, [0.5, 1.0], [[1.0]])
+            Partition.from_groups([0.5, 1.0], [[1.0]])
         with pytest.raises(InvalidArgumentError, match=r"^sample_ids\[2\] exceeds supported range$"):
             agglomerate_fast(THREE, 2, sample_ids=[0, 1, 2**63])
         # An id that is no real number is refused by the same rule, not by
@@ -95,9 +96,9 @@ class TestWorkedExamples:
             with pytest.raises(InvalidArgumentError, match=rf"^sample_ids\[{at}\] is not an integer$"):
                 agglomerate_fast(THREE, 2, sample_ids=ids)
             with pytest.raises(InvalidArgumentError, match=rf"^sample_ids\[{at}\] is not an integer$"):
-                Partition.from_groups(0, ids, [])
+                Partition.from_groups(ids, [])
         # A boolean is taken at its value.
-        assert Partition.from_groups(0, np.array([True, False]), [[0], [1]]).order.tolist() == [1, 0]
+        assert Partition.from_groups(np.array([True, False]), [[0], [1]]).order.tolist() == [1, 0]
         _, part = agglomerate_fast(THREE[:2], 1, sample_ids=[False, True])
         assert part.sample_ids.tolist() == [0, 1]
         _, part = agglomerate_fast(THREE, 2, sample_ids=np.array([4.0, 2.0, 9.0]))
@@ -133,13 +134,13 @@ class TestWorkedExamples:
 
     def test_member_rows_of_an_empty_class(self):
         with pytest.raises(InvalidArgumentError, match="outside the class"):
-            Partition.from_groups(0, np.empty(0, dtype=np.int64), [{3}])
-        part = Partition.from_groups(0, np.array([3]), [{3}])
+            Partition.from_groups(np.empty(0, dtype=np.int64), [{3}])
+        part = Partition.from_groups(np.array([3]), [{3}])
         assert (part.order.tolist(), part.starts.tolist()) == ([0], [0, 1])
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(InvalidArgumentError, match="twice"):
-            Partition.from_groups(0, np.arange(4), [frozenset({0, 1}), frozenset({1, 2})])
+            Partition.from_groups(np.arange(4), [frozenset({0, 1}), frozenset({1, 2})])
 
     @pytest.mark.parametrize("engine", [agglomerate_naive, agglomerate_fast])
     def test_duplicates_merge_first_at_height_zero(self, engine):
@@ -656,6 +657,25 @@ class TestCut:
             dendro = res.dendrogram
             assert dendro.sample_ids.tolist() == ds.class_arrays(cid)[0].tolist()
             assert_replayed(dendro, len(dendro.sample_ids) - len(dendro.heights), res.partition)
+
+
+    @pytest.mark.parametrize("heights, pairs, message", [
+        # n merges over n points: the pointers form a cycle the jumping never left
+        (3, [[1, 0], [2, 1], [0, 2]], "at most 2 merges"),
+        (3, [[0, 1], [1, 2], [0, 2]], "at most 2 merges"),
+        (2, [[0, 1]], "one integer row (a, b)"),
+        (2, [[0, 1, 2], [0, 2, 1]], "one integer row (a, b)"),
+        (2, [[0.0, 1.0], [0.0, 2.0]], "one integer row (a, b)"),
+        (2, [[0, 1], [0, 3]], "merge 1 joins rows 0 and 3, not 0 <= a < b < 3"),
+        (2, [[-1, 1], [0, 2]], "merge 0 joins rows -1 and 1"),
+        (2, [[0, 1], [2, 0]], "merge 1 joins rows 2 and 0"),
+        (2, [[1, 1], [0, 2]], "merge 0 joins rows 1 and 1"),
+    ])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_malformed_dendrogram_refused(self, heights, pairs, message, k):
+        dendro = Dendrogram(np.arange(3), np.zeros(heights), np.array(pairs))
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            cut_dendrogram(dendro, k)
 
 
 class TestDeterminism:

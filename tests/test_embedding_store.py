@@ -6,6 +6,7 @@ import os
 import re
 import struct
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,11 @@ class TestIdRule:
         ([True, False], [0.5, 0], "record 0: class_id is not an integer"),
         ([0, Decimal("2.5")], [0, 0], "record 1: sample_id is not an integer"),
         ([0, 1], [Decimal(2**63), 0], "record 0: class_id exceeds supported range"),
+        # wholeness is decided exactly, never through a float
+        ([0, Fraction(10**400)], [0, 0], "record 1: sample_id exceeds supported range"),
+        ([0, 1], [0, Decimal(10) ** 400], "record 1: class_id exceeds supported range"),
+        ([Decimal("sNaN"), 1], [0, 0], "record 0: sample_id is not an integer"),
+        ([0, Fraction(7, 2)], [0, 0], "record 1: sample_id is not an integer"),
     ])
     def test_refused_id_names_its_record(self, sids, cids, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -250,9 +250,9 @@ class TestBuildClusterSubset:
         assert [(r.partition, r.reps) for r in on.values()] == [
             (r.partition, r.reps) for r in off.values()
         ]
-        assert on[0].dissimilarity.cluster_means == (0.0, 0.0)  # the two duplicate pairs
+        assert on[0].dissimilarity == (0.0, 0.0)  # the two duplicate pairs
         assert [p.retained_id for p in on[0].pairs] == [2, 5]
-        assert len(on[1].dissimilarity.cluster_means) == len(on[1].pairs) == 1
+        assert len(on[1].dissimilarity) == len(on[1].pairs) == 1
         _, singletons = build_cluster_subset(ds, 1.0, dissimilarity=True, nearest_excluded=True)
         assert all(r.dissimilarity is None and r.pairs == () for r in singletons.values())
 
@@ -294,8 +294,8 @@ class TestBuildClusterSubset:
         for cid, res in results.items():
             n = ds.class_sizes()[cid]
             d = res.dendrogram
-            assert d.class_id == cid
-            assert len(d.sample_ids) == n
+            assert d.sample_ids.tolist() == res.partition.sample_ids.tolist() == \
+                ds.class_arrays(cid)[0].tolist()
             assert len(_oracles.steps(d)) == n - per_class_k(n, 0.5)
 
     def test_scale_invariance_of_groups(self):

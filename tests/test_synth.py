@@ -23,7 +23,7 @@ SPEC_123 = dict(
 
 def recover(dataset, class_id, k):
     ids, X = dataset.class_arrays(class_id)
-    _, part = agglomerate_fast(X, k, sample_ids=ids, class_id=class_id)
+    _, part = agglomerate_fast(X, k, sample_ids=ids)
     return set(clusters(part))
 
 
