@@ -34,6 +34,7 @@ reads and the debug dump renumbers as it prints them.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -48,6 +49,7 @@ DEFAULT_MEMORY_CAP = 8 << 30  # bytes of condensed pairwise distances per class
 # the class to the dense loop.  The planted-groups bench needs 5.0 per point;
 # a give-up costs about a fifth of the dense loop it precedes.
 _PAIRS_PER_POINT = 8
+_CHUNK_CELLS = 4096  # pairs the merge loop turns into Python values at a time
 
 
 def _same(self, other) -> bool:
@@ -188,43 +190,34 @@ def _threshold_merges(
     complete then has an unread member pair above ``h``, so its height is
     above ``h`` too, and the top is the smallest key of all: the merge
     ``_generic_merges`` takes, with the same height bits.
+
+    The pairs reach the loop ``_CHUNK_CELLS`` at a time, each chunk turned
+    into Python values only when the loop gets to it; a last pair at +inf
+    takes what the heap holds.
     """
     offs = metric.condensed_offsets(n)
     base = offs - np.arange(n, dtype=np.int64) - 1
-    rows = np.searchsorted(offs, cells, side="right") - 1
-    hs, ii, jj = heights.tolist(), rows.tolist(), (cells - base[rows]).tolist()
+
+    def chunk(lo: int):
+        c = cells[lo : lo + _CHUNK_CELLS]
+        rows = np.searchsorted(offs, c, side="right") - 1
+        return zip(heights[lo : lo + _CHUNK_CELLS].tolist(), rows.tolist(), (c - base[rows]).tolist())
+
     parent = list(range(n))  # union-find; a root is its cluster's slot
     size = [1] * n
     links: list[dict[int, list]] = [{} for _ in range(n)]
     heap: list[tuple[float, int, int]] = []
     raw: list[tuple[float, int, int]] = []
-    p = 0
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    while len(raw) < merges:
-        if p < len(hs) and (not heap or hs[p] <= heap[0][0]):
-            d, a, c = hs[p], find(ii[p]), find(jj[p])
-            p += 1
-            if a > c:
-                a, c = c, a
-            e = links[a].get(c)
-            if e is None:
-                e = links[a][c] = links[c][a] = [d, 0]
-            e[0] = d  # pairs come in ascending order
-            e[1] += 1
-            if e[1] == size[a] * size[c]:
-                heapq.heappush(heap, (d, a, c))
-        elif heap:
+    stream = chain.from_iterable(map(chunk, range(0, len(cells), _CHUNK_CELLS)))
+    for d, i, j in chain(stream, [(math.inf, 0, 0)]):
+        while heap and heap[0][0] < d:  # below d only: a cell goes first on equal values
             h, a, b = heapq.heappop(heap)
             e = links[a].get(b)
             if e is None or e[0] != h or e[1] != size[a] * size[b]:
                 continue  # a slot died, or the pair grew since it was pushed
             raw.append((h, a, b))
+            if len(raw) == merges:
+                return raw
             parent[b] = a
             la, lb = links[a], links[b]
             links[b] = {}
@@ -244,9 +237,22 @@ def _threshold_merges(
                 if ea[1] == grown * size[c]:
                     heapq.heappush(heap, (ea[0], min(a, c), max(a, c)))
             size[a] = grown
-        else:
-            return None
-    return raw
+        if d == math.inf:
+            break
+        while (p := parent[i]) != i:  # find, by path halving: i and j become slots
+            parent[i] = i = parent[p]
+        while (p := parent[j]) != j:
+            parent[j] = j = parent[p]
+        if i > j:
+            i, j = j, i
+        e = links[i].get(j)
+        if e is None:
+            e = links[i][j] = links[j][i] = [d, 0]
+        e[0] = d  # pairs come in ascending order
+        e[1] += 1
+        if e[1] == size[i] * size[j]:
+            heapq.heappush(heap, (d, i, j))
+    return None
 
 
 def agglomerate_fast(
@@ -298,7 +304,9 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     at row a < b, so pointer jumping takes every row to its cluster's smallest
     row; one sort by (the cluster's smallest sample id, sample id) groups them.
     Refuses ``pairs`` that are not one integer row ``0 <= a < b < n`` per
-    height, and more than n - 1 merges: with ``a < b`` the jumping ends."""
+    height, more than n - 1 merges, and a merge that joins a row an earlier
+    merge absorbed: with ``a < b`` the jumping ends, and as each merge joins
+    two clusters the cut has exactly k."""
     ids, pairs, m = dendrogram.sample_ids, np.asarray(dendrogram.pairs), len(dendrogram.heights)
     n = len(ids)
     if pairs.shape != (m, 2) or pairs.dtype.kind not in "iu" or m >= max(n, 1):
@@ -308,6 +316,11 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> Partition:
     if len(bad := np.flatnonzero((a < 0) | (a >= b) | (b >= n))):
         raise InvalidArgumentError(f"merge {bad[0]} joins rows {a[bad[0]]} and {b[bad[0]]}, "
                                    f"not 0 <= a < b < {n}")
+    absorbed = np.full(n, m)
+    np.minimum.at(absorbed, b, np.arange(m))  # the first merge that absorbs each row
+    if len(bad := np.flatnonzero(np.minimum(absorbed[a], absorbed[b]) < np.arange(m))):
+        r = a[bad[0]] if absorbed[a[bad[0]]] < bad[0] else b[bad[0]]
+        raise InvalidArgumentError(f"merge {bad[0]} joins row {r}, which merge {absorbed[r]} absorbed")
     _check_k(n, k, n - m)
     a, b = a[: n - k], b[: n - k]
     root = np.arange(n)

@@ -22,7 +22,7 @@ MIN_NORM = 1e-30
 # Cells per gram panel above 1448 rows (``_panel_rows``).
 _BLOCK_ELEMS = 1 << 19
 _SAMPLE_CELLS = 1 << 16  # size of the strided sample that sets the start bound
-_NORM_ELEMS = 1 << 16  # elements per chunk that ``_row_norms`` widens
+_CHUNK_ELEMS = 1 << 16  # elements per chunk: rows ``_row_norms`` widens, cells ``smallest_pairs`` reads
 
 
 def _clamp(value: float) -> float:
@@ -64,11 +64,11 @@ def as_ids(ids, error: type[Exception], where: str) -> np.ndarray:
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Float64 norms of the rows of the 2-d ``X``, widened ``_NORM_ELEMS``
+    """Float64 norms of the rows of the 2-d ``X``, widened ``_CHUNK_ELEMS``
     elements at a time, so a float32 ``X`` is never copied whole (and a row
     whose float32 norm would overflow gets its finite float64 norm)."""
     out = np.empty(len(X))
-    step = max(1, _NORM_ELEMS // max(1, X.shape[1]))
+    step = max(1, _CHUNK_ELEMS // max(1, X.shape[1]))
     for lo in range(0, len(X), step):
         W = X[lo : lo + step].astype(np.float64, copy=False)
         np.sqrt(np.einsum("ij,ij->i", W, W), out=out[lo : lo + step])
@@ -331,9 +331,11 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
     them, and the bound is its value at rank ``room * len(sample) // len(D)``
     (``+inf`` past its end).  Whenever more than ``room`` cells are held it
     drops to just below the (room+1)-th smallest of them, the largest bound
-    that leaves ``room`` or fewer.  Each block's panel is screened whole on
-    its raw gram values, and only the upper cells that pass get ``1 - g`` and
-    the clip; it holds one panel at a time plus the cells kept.
+    that leaves ``room`` or fewer.  Each block's panel is screened on its raw
+    gram values, and only the upper cells that pass get ``1 - g`` and the
+    clip.  It holds one panel at a time plus the cells kept; the sample and
+    the screen go ``_CHUNK_ELEMS`` cells at a time, so no other temporary is
+    larger.
     """
     X = as_rows(X)
     n = U.shape[0]
@@ -342,51 +344,65 @@ def smallest_pairs(X: np.ndarray, U: np.ndarray, room: int) -> tuple[float, np.n
     base = offs - np.arange(n, dtype=np.int64) - 1  # cond(i, j) = base[i] + j for i < j
     dups = _duplicate_cells(X, offs)
     bound = None
-    held: list[tuple[np.ndarray, np.ndarray]] = []
-    count = 0
+    held = [(dups, np.zeros(dups.size))]  # twins are 0.0 whatever their gram value
+    count = dups.size
 
-    def values(G, lo, cells):
+    def values(g):
         # The ufuncs pairwise_condensed applies, on the same gram values.
-        rows = np.searchsorted(offs, cells, side="right") - 1
-        v = np.clip(np.subtract(1.0, G[rows - lo, cells - base[rows] - lo]), 0.0, 2.0)
-        if dups.size:
-            v[np.isin(cells, dups)] = 0.0
-        return v
+        return np.clip(np.subtract(1.0, g, out=g), 0.0, 2.0, out=g)
 
     for lo, hi, G in _gram_blocks(U):
         end = offs[hi - 1] + n - hi  # the block holds cells [offs[lo], end)
         if bound is None:
-            s = np.arange(0, end, max(1, end // _SAMPLE_CELLS), dtype=np.int64)
-            sample = np.sort(values(G, lo, s))
-            rank = room * len(sample) // max(total, 1)
-            bound = float(sample[rank]) if rank < len(sample) else math.inf
+            step = max(1, end // _SAMPLE_CELLS)
+            size = len(range(0, end, step))  # the sample is cells 0, step, ... below end
+            rank = room * size // max(total, 1)
+            bound = math.inf
+            if rank < size:
+                low = []  # each chunk's rank + 1 smallest sample values
+                shift = np.arange(hi) * n - base[:hi]  # cell c of row r is G.flat[c + shift[r]]
+                for c0 in range(0, end, step * _CHUNK_ELEMS):
+                    s = np.arange(c0, min(end, c0 + step * _CHUNK_ELEMS), step)
+                    at = shift[np.searchsorted(offs[:hi], s, side="right") - 1] + s
+                    v = values(G.reshape(-1)[at])
+                    v[np.isin(s, dups)] = 0.0
+                    v.partition(min(rank, len(v) - 1))
+                    low.append(v[: rank + 1].copy())
+                bound = float(np.partition(np.concatenate(low), rank)[rank])
         # The screen keeps every cell with v = clip(fl(1 - g), 0, 2) <= bound.
         # For 0 <= bound < 2 such a cell has fl(1 - g) <= bound, so
         # 1 - g <= bound + 2u (u = 2**-53), and thr = fl(fl(1 - bound) - m)
         # is within 2u + u*m of 1 - bound - m: any margin m above 4u keeps
-        # it, and 1e-15 is about 9u.  A bound >= 2 keeps every cell, and
-        # twins are 0.0 whatever their gram value, so they are added below.
+        # it, and 1e-15 is about 9u.  A bound >= 2 keeps every cell.  Twins
+        # are held from the start, so the screen drops them.
         thr = 1.0 - bound - 1e-15 if bound < 2.0 else -math.inf
-        r, j = np.divmod(np.flatnonzero(G >= thr), n - lo)
-        upper = j > r
-        cells = base[lo + r[upper]] + lo + j[upper]
-        twins = dups[np.searchsorted(dups, offs[lo]) : np.searchsorted(dups, end)]
-        if twins.size:
-            cells = np.union1d(cells, twins)
-        v = values(G, lo, cells)
-        keep = v <= bound
-        held.append((cells[keep], v[keep]))
-        count += held[-1][0].size
+        rows = max(1, _CHUNK_ELEMS // (n - lo))
+        for r0 in range(0, hi - lo, rows):
+            r1 = min(hi - lo, r0 + rows)
+            S = G[r0:r1].reshape(-1)
+            at = np.flatnonzero(S >= thr)
+            r, j = np.divmod(at, n - lo)
+            upper = j > r + r0
+            cells, v = base[lo + r0 + r[upper]] + lo + j[upper], values(S[at[upper]])
+            stop = offs[lo + r1 - 1] + n - lo - r1  # the slice holds cells [offs[lo + r0], stop)
+            twins = dups[np.searchsorted(dups, offs[lo + r0]) : np.searchsorted(dups, stop)]
+            keep = v <= bound
+            if twins.size:
+                keep &= np.isin(cells, twins, invert=True)
+            held.append((cells[keep], v[keep]))
+            count += held[-1][0].size
         if count > room:
             cells = np.concatenate([c for c, _ in held])
             v = np.concatenate([x for _, x in held])
             bound = float(np.nextafter(np.partition(v, room)[room], -np.inf))
             keep = v <= bound
             held, count = [(cells[keep], v[keep])], int(np.count_nonzero(keep))
-    # The held cells ascend: each block's come from flatnonzero in row-major
-    # order, blocks are read in ascending order and the bound's filter keeps
-    # that order.  A stable sort by value then gives (value, index) order.
     cells = np.concatenate([c for c, _ in held])
     v = np.concatenate([x for _, x in held])
-    order = np.argsort(v, kind="stable")
-    return bound, cells[order], v[order]
+    order = np.argsort(v)
+    cells, v = cells[order], v[order]
+    # argsort is not stable: each run of equal values is put in index order.
+    if (tied := np.flatnonzero(v[1:] == v[:-1])).size:
+        at = np.union1d(tied, tied + 1)
+        cells[at] = cells[at][np.lexsort((cells[at], v[at]))]
+    return bound, cells, v
