@@ -7,12 +7,7 @@ redundant the dropped samples were.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    NearestExcludedPair,
-    avg_dissimilarity,
-    nearest_excluded,
-    size_histogram,
-)
+from .analysis import avg_dissimilarity, nearest_excluded, size_histogram
 from .cluster import (
     Dendrogram,
     Partition,
@@ -52,7 +47,6 @@ __all__ = [
     "InvalidArgumentError",
     "MarginError",
     "MemoryCapError",
-    "NearestExcludedPair",
     "Partition",
     "PlantedSpec",
     "RedundaError",

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -13,13 +12,6 @@ import numpy as np
 from . import metric
 from .cluster import Partition
 from .errors import InvalidArgumentError
-
-
-@dataclass(frozen=True)
-class NearestExcludedPair:
-    retained_id: int
-    neighbor_id: int
-    dissimilarity: float
 
 
 def size_histogram(partition: Partition) -> dict[int, int]:
@@ -50,15 +42,15 @@ def _qualifying(partition: Partition, reps: Sequence[int], X, U) -> list[tuple[i
 
 def avg_dissimilarity(
     partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray
-) -> tuple[float, ...] | None:
+) -> tuple[float, ...]:
     """Each size->=2 cluster's mean dissimilarity of its other members to its
     retained sample, in partition order: the class's dissimilarity entry.
 
     ``reps`` holds each cluster's retained sample id, in partition order;
     ``X`` and ``U`` are the class's rows and unit rows, in the row order of
     ``partition.sample_ids``.  Each cluster's other members are compared in
-    one product over ``U[others]``, copied here.  None when no cluster
-    qualifies (the class is left out, not 0).
+    one product over ``U[others]``, copied here.  Empty when no cluster
+    qualifies (the writers leave the class out, not 0).
     """
     qualifying = _qualifying(partition, reps, X, U)
     twins = metric.twin_index(X)
@@ -68,28 +60,29 @@ def avg_dissimilarity(
         at = np.flatnonzero(np.isin(others, twins[rep_row])) if rep_row in twins else ()
         d = metric.one_to_many(X[rep_row], U[others], at)
         cluster_means.append(float(d.mean()))
-    return tuple(cluster_means) or None
+    return tuple(cluster_means)
 
 
 def nearest_excluded(
     partition: Partition, reps: Sequence[int], X: np.ndarray, U: np.ndarray
-) -> list[NearestExcludedPair]:
-    """Closest same-class point outside each size->=2 cluster's representative.
+) -> tuple[tuple[int, int, float], ...]:
+    """Closest same-class point outside each size->=2 cluster's representative,
+    as ``(retained_id, neighbor_id, dissimilarity)``: the class's pairs entry.
 
     Arguments as for ``avg_dissimilarity``, but ``U`` must be as ``unit_rows``
     returns it (C-contiguous, writable, its own): ``metric.outside_gathers``
     lays each cluster's outside rows out in ``U`` itself for one product, and
-    puts ``U`` back.  Single-cluster classes yield an empty list.  Ties break
+    puts ``U`` back.  Single-cluster classes yield ``()``.  Ties break
     toward the smallest neighbor sample_id.  Pairs come in partition order.
     """
     if not (U.flags.c_contiguous and U.flags.writeable) or np.may_share_memory(U, X):
         raise InvalidArgumentError("unit rows must be a C-contiguous, writable array of their own")
     qualifying = _qualifying(partition, reps, X, U)
     if len(partition.starts) < 3:
-        return []
+        return ()
     ids = partition.sample_ids
     twins = metric.twin_index(X)
-    out: list[NearestExcludedPair | None] = [None] * len(qualifying)
+    out: list = [None] * len(qualifying)
     with contextlib.closing(metric.outside_gathers(U, [rows for _, rows in qualifying])) as walk:
         for i, members, V in walk:
             rep_row = qualifying[i][0]
@@ -100,8 +93,8 @@ def nearest_excluded(
             d = metric.one_to_many(X[rep_row], V, at)
             best = np.flatnonzero(d == d.min())
             rows = best + np.searchsorted(members - np.arange(len(members)), best, "right")
-            out[i] = NearestExcludedPair(int(ids[rep_row]), int(ids[rows].min()), float(d[best[0]]))
-    return out
+            out[i] = (int(ids[rep_row]), int(ids[rows].min()), float(d[best[0]]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +132,26 @@ def histogram_to_json(histograms: Mapping[int, Mapping[int, int]]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _overall(entries: Mapping[int, Sequence[float]], class_weighted: bool) -> float | None:
-    """The mean over every class's cluster means, or over the class means when
-    ``class_weighted``, in ascending class order; None for no entry."""
-    ordered = [e for _, e in sorted(entries.items())]
-    if not ordered:
-        return None
-    return float(np.mean([np.mean(e) for e in ordered] if class_weighted else np.concatenate(ordered)))
+def _reported(
+    entries: Mapping[int, Sequence[float]], class_weighted: bool
+) -> tuple[dict[int, Sequence[float]], float | None]:
+    """The entries holding a cluster mean, in ascending class order, and
+    ``overall``: the mean over their cluster means, or over their class means
+    when ``class_weighted``, in that order; None for no such entry."""
+    kept = {cid: e for cid, e in sorted(entries.items()) if len(e)}
+    means = [np.mean(e) for e in kept.values()] if class_weighted else list(kept.values())
+    return kept, float(np.mean(np.hstack(means))) if kept else None
 
 
 def dissimilarity_to_json(
     entries: Mapping[int, Sequence[float]], *, class_weighted: bool = False
 ) -> str:
+    entries, overall = _reported(entries, class_weighted)
     doc = {
         "weighting": "class" if class_weighted else "cluster",
-        "overall": _overall(entries, class_weighted),
-        "per_class": {str(cid): float(np.mean(entries[cid])) for cid in sorted(entries)},
-        "groups_counted": {str(cid): len(entries[cid]) for cid in sorted(entries)},
+        "overall": overall,
+        "per_class": {str(cid): float(np.mean(e)) for cid, e in entries.items()},
+        "groups_counted": {str(cid): len(e) for cid, e in entries.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -163,35 +159,30 @@ def dissimilarity_to_json(
 def dissimilarity_to_table(
     entries: Mapping[int, Sequence[float]], *, class_weighted: bool = False
 ) -> str:
+    entries, overall = _reported(entries, class_weighted)
     lines = [f"{'class':>8}  {'groups':>10}  {'avg_dissimilarity':>18}"]
-    for cid, e in sorted(entries.items()):
+    for cid, e in entries.items():
         lines.append(f"{cid:>8}  {len(e):>10}  {float(np.mean(e)):>18.6e}")
     label = "mean/class" if class_weighted else "mean/group"
-    if (overall := _overall(entries, class_weighted)) is not None:
+    if overall is not None:
         lines.append(f"{'all':>8}  {label:>10}  {overall:>18.6e}")
     return "\n".join(lines) + "\n"
 
 
-def pairs_to_json(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) -> str:
+def pairs_to_json(pairs_by_class: Mapping[int, Sequence[tuple[int, int, float]]]) -> str:
     doc = {
         str(cid): [
-            {
-                "retained_id": p.retained_id,
-                "neighbor_id": p.neighbor_id,
-                "dissimilarity": p.dissimilarity,
-            }
-            for p in pairs_by_class[cid]
+            {"retained_id": retained, "neighbor_id": neighbor, "dissimilarity": d}
+            for retained, neighbor, d in pairs_by_class[cid]
         ]
         for cid in sorted(pairs_by_class)
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def pairs_to_table(pairs_by_class: Mapping[int, Sequence[NearestExcludedPair]]) -> str:
+def pairs_to_table(pairs_by_class: Mapping[int, Sequence[tuple[int, int, float]]]) -> str:
     lines = [f"{'class':>8}  {'retained':>12}  {'neighbor':>12}  {'dissimilarity':>16}"]
     for cid in sorted(pairs_by_class):
-        for p in pairs_by_class[cid]:
-            lines.append(
-                f"{cid:>8}  {p.retained_id:>12}  {p.neighbor_id:>12}  {p.dissimilarity:>16.6e}"
-            )
+        for retained, neighbor, d in pairs_by_class[cid]:
+            lines.append(f"{cid:>8}  {retained:>12}  {neighbor:>12}  {d:>16.6e}")
     return "\n".join(lines) + "\n"

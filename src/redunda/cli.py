@@ -135,7 +135,7 @@ def _report_artifacts(args, results: dict[int, ClassResult]) -> list[tuple[str, 
         artifacts.append(("histogram.json", analysis.histogram_to_json(hists)))
         artifacts.append(("histogram.txt", analysis.histogram_to_table(hists)))
     if args.dissimilarity:
-        entries = {cid: r.dissimilarity for cid, r in results.items() if r.dissimilarity is not None}
+        entries = {cid: res.dissimilarity for cid, res in results.items()}
         w = args.class_mean
         artifacts.append(("dissimilarity.json", analysis.dissimilarity_to_json(entries, class_weighted=w)))
         artifacts.append(("dissimilarity.txt", analysis.dissimilarity_to_table(entries, class_weighted=w)))

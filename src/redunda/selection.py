@@ -46,14 +46,14 @@ def per_class_k(class_size: int, fraction: float) -> int:
 class ClassResult:
     """One clustered class: its partition, each cluster's medoid sample id (in
     partition order), its dendrogram and the report entries asked for (None if
-    not): ``dissimilarity``, the cluster means ``avg_dissimilarity`` returns
-    (None also when no cluster has two members), and ``pairs``."""
+    not): ``dissimilarity``, the cluster means ``avg_dissimilarity`` returns,
+    and ``pairs``, the triples ``nearest_excluded`` returns."""
 
     partition: Partition
     reps: tuple[int, ...]
     dendrogram: Dendrogram
     dissimilarity: tuple[float, ...] | None
-    pairs: tuple[analysis.NearestExcludedPair, ...] | None
+    pairs: tuple[tuple[int, int, float], ...] | None
 
 
 # Elements per gathered array in ``select_representative``'s pass, which reads
@@ -168,11 +168,8 @@ def _cluster_class(
     U = metric.unit_rows(X)
     dendro, part = agglomerate_fast(X, k, sample_ids=ids, memory_cap_bytes=memory_cap_bytes, U=U)
     reps = select_representative(ids, X, U, part.order, part.starts)
-    entry = pairs = None
-    if dissimilarity:
-        entry = analysis.avg_dissimilarity(part, reps, X, U)
-    if nearest_excluded:
-        pairs = tuple(analysis.nearest_excluded(part, reps, X, U))
+    entry = analysis.avg_dissimilarity(part, reps, X, U) if dissimilarity else None
+    pairs = analysis.nearest_excluded(part, reps, X, U) if nearest_excluded else None
     return ClassResult(part, reps, dendro, entry, pairs)
 
 

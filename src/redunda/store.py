@@ -47,7 +47,7 @@ class EmbeddingDataset:
         if vec.ndim != 2:
             raise ValidationError(f"vectors must form a 2-d array, got ndim={vec.ndim}")
         n, dim = vec.shape
-        if n > 0 and dim < 1:
+        if dim < 1:
             raise ValidationError("dimension must be at least 1")
         sids = np.array(as_ids(sample_ids, ValidationError, "record {}: sample_id")).reshape(-1)
         cids = np.array(as_ids(class_ids, ValidationError, "record {}: class_id")).reshape(-1)

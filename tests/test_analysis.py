@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import _oracles
 from conftest import clusters, random_unit_rows
 from redunda import metric
 from redunda.analysis import (
-    NearestExcludedPair,
     avg_dissimilarity,
     dissimilarity_to_json,
     dissimilarity_to_table,
@@ -95,7 +95,7 @@ class TestAvgDissimilarity:
 
     def test_singletons_do_not_qualify(self):
         cls = positional([[1.0, 0.0], [0.0, 1.0]])
-        assert avg_dissimilarity(part({0}, {1}), (0, 1), *cls) is None
+        assert avg_dissimilarity(part({0}, {1}), (0, 1), *cls) == ()
 
     def test_mixed_cluster_sizes(self):
         cls = positional([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.4]])
@@ -128,7 +128,7 @@ class TestAvgDissimilarity:
             entry = avg_dissimilarity(p, reps, *positional(X))
             expect = _oracles.class_avg_dissim(chunks, reps, lambda i: X[i])
             if expect is None:
-                assert entry is None
+                assert entry == ()
             else:
                 assert float(np.mean(entry)) == pytest.approx(expect[0], abs=1e-12)
                 for got_m, exp_m in zip(entry, expect[1], strict=True):
@@ -169,30 +169,30 @@ class TestNearestExcluded:
     def test_only_outside_point(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.0, 1.0])]
         pairs = nearest_excluded(part({0, 1}, {2}), (0, 2), *class_of(pts))
-        assert pairs == [NearestExcludedPair(0, 2, 1.0)]
+        assert pairs == ((0, 2, 1.0),)
 
     def test_nearest_of_two_outside(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001]), (2, [0.9, 0.1]), (3, [0.0, 1.0])]
         pairs = nearest_excluded(part({0, 1}, {2}, {3}), (0, 2, 3), *class_of(pts))
         assert len(pairs) == 1  # only the size-2 cluster qualifies
-        assert pairs[0].retained_id == 0
-        assert pairs[0].neighbor_id == 2
-        assert pairs[0].dissimilarity == pytest.approx(D_NEAR_MISS, abs=1e-15)
+        (retained, neighbor, d), = pairs
+        assert (retained, neighbor) == (0, 2)
+        assert d == pytest.approx(D_NEAR_MISS, abs=1e-15)
 
     def test_single_cluster_class_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.001])]
-        assert nearest_excluded(part({0, 1}), (0,), *class_of(pts)) == []
+        assert nearest_excluded(part({0, 1}), (0,), *class_of(pts)) == ()
 
     def test_all_singletons_empty(self):
         pts = [(0, [1.0, 0.0]), (1, [0.0, 1.0])]
-        assert nearest_excluded(part({0}, {1}), (0, 1), *class_of(pts)) == []
+        assert nearest_excluded(part({0}, {1}), (0, 1), *class_of(pts)) == ()
 
     def test_tie_breaks_to_smallest_id(self):
         v = [0.6, 0.8]
         pts = [(0, [1.0, 0.0]), (1, [1.0, 0.0]), (5, v), (4, v)]
         p = part({0, 1}, {4}, {5}, ids=[0, 1, 5, 4])
         pairs = nearest_excluded(p, (0, 4, 5), *class_of(pts))
-        assert pairs[0].neighbor_id == 4
+        assert pairs[0][1] == 4
 
     def test_neighbor_never_inside(self):
         rs = np.random.default_rng(3)
@@ -203,8 +203,8 @@ class TestNearestExcluded:
             p = part(set(range(cut)), *({i} for i in range(cut, n)))
             reps = [i and cut + i - 1 for i in range(n - cut + 1)]
             pairs = nearest_excluded(p, reps, *positional(X))
-            for pr in pairs:
-                assert pr.neighbor_id >= cut
+            for _, neighbor, _ in pairs:
+                assert neighbor >= cut
 
     def test_matches_pure_python_oracle(self):
         rs = np.random.default_rng(9)
@@ -217,11 +217,9 @@ class TestNearestExcluded:
             reps = (0, cut)
             got = nearest_excluded(part(*clusters), reps, *class_of(pts))
             expect = _oracles.nearest_excluded(clusters, reps, pts)
-            assert [(p.retained_id, p.neighbor_id) for p in got] == [
-                (r, nb) for r, nb, _ in expect
-            ]
-            for p, (_, _, d) in zip(got, expect):
-                assert p.dissimilarity == pytest.approx(d, abs=1e-12)
+            assert [(r, nb) for r, nb, _ in got] == [(r, nb) for r, nb, _ in expect]
+            for (_, _, got_d), (_, _, d) in zip(got, expect):
+                assert got_d == pytest.approx(d, abs=1e-12)
 
     def test_peak_allocation_is_parked_rows_and_products(self):
         # A 1300 x 2048 class at fraction 0.9: 130 pairs, the rest singletons.
@@ -286,12 +284,13 @@ class TestNearestExcluded:
         split = ties = 0
         for cid, res in results.items():
             ids, Xc = ds.class_arrays(cid)
-            for p in nearest_excluded(res.partition, res.reps, Xc, unit_rows(Xc)):
-                cluster = next(c for c in clusters(res.partition) if p.retained_id in c)
-                rep = Xc[ids == p.retained_id][0]
+            pairs = nearest_excluded(res.partition, res.reps, Xc, unit_rows(Xc))
+            for retained, neighbor, d in pairs:
+                cluster = next(c for c in clusters(res.partition) if retained in c)
+                rep = Xc[ids == retained][0]
                 twins = [int(s) for s, v in zip(ids, Xc) if (v == rep).all() and s not in cluster]
                 if twins:
-                    assert (p.neighbor_id, p.dissimilarity) == (min(twins), 0.0)
+                    assert (neighbor, d) == (min(twins), 0.0)
                     split += 1
                     ties += len(twins) > 1
         assert split == ties == classes
@@ -324,7 +323,7 @@ class TestNearestExcluded:
         X[4, 2] = -0.0
         rows, pairs = self.cut_one_merge(X, ids)
         assert rows == [3, 4]
-        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(ids[5], 0.0)]
+        assert [(nb, d) for _, nb, d in pairs] == [(ids[5], 0.0)]
 
     def test_two_outside_twins_smallest_id_wins(self):
         X = random_unit_rows(np.random.default_rng(6), 20, 8)
@@ -334,7 +333,7 @@ class TestNearestExcluded:
         ids = self.IDS[1]
         rows, pairs = self.cut_one_merge(X, ids)
         assert rows == [3, 4]
-        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(ids[6], 0.0)]
+        assert [(nb, d) for _, nb, d in pairs] == [(ids[6], 0.0)]
 
     @pytest.mark.parametrize("ids", IDS, ids=["ascending", "descending"])
     def test_near_duplicates_clip_to_a_tie(self, ids):
@@ -347,7 +346,7 @@ class TestNearestExcluded:
         assert 1.0 - U[3] @ U[3] < 0.0 and len(set(map(bytes, U[3:7]))) == 1
         rows, pairs = self.cut_one_merge(X, ids)
         outside = [r for r in range(3, 7) if r not in rows]
-        assert [(p.neighbor_id, p.dissimilarity) for p in pairs] == [(min(ids[outside]), 0.0)]
+        assert [(nb, d) for _, nb, d in pairs] == [(min(ids[outside]), 0.0)]
 
 
 class TestUnitRowsRefused:
@@ -477,9 +476,9 @@ class TestEmitters:
 
     ENTRIES = {10: (0.1, 0.3), 2: (0.6,)}
     PAIRS = {
-        10: [NearestExcludedPair(5, 12, 0.5), NearestExcludedPair(13, 12, 1 / 3)],
-        2: [NearestExcludedPair(1, 3, 0.125)],
-        4: [],  # all singletons: the key stays in the JSON, the table has no row
+        10: ((5, 12, 0.5), (13, 12, 1 / 3)),
+        2: ((1, 3, 0.125),),
+        4: (),  # all singletons: the key stays in the JSON, the table has no row
     }
 
     def test_histogram_csv(self):
@@ -534,6 +533,17 @@ class TestEmitters:
             assert writer({}) == text.splitlines(keepends=True)[0]
         for writer in (histogram_to_json, pairs_to_json):
             assert writer({}) == "{}\n"
+
+    def test_empty_dissimilarity_entry_is_left_out(self):
+        # A class with no cluster of two members has the entry (): the
+        # writers leave it out, and take no mean of nothing.
+        for writer in (dissimilarity_to_json, dissimilarity_to_table):
+            for class_weighted in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    text = writer({0: (0.25,), 1: ()}, class_weighted=class_weighted)
+                assert text == writer({0: (0.25,)}, class_weighted=class_weighted)
+                assert "nan" not in text.lower()
 
     def test_emitters_deterministic(self):
         hs = self.histograms()

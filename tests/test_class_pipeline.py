@@ -19,7 +19,7 @@ import pytest
 
 from conftest import clusters, random_unit_rows, with_duplicates
 from redunda import metric
-from redunda.analysis import NearestExcludedPair, avg_dissimilarity, nearest_excluded
+from redunda.analysis import avg_dissimilarity, nearest_excluded
 from redunda.metric import unit_rows
 from redunda.selection import build_cluster_subset
 from redunda.store import EmbeddingDataset
@@ -53,8 +53,8 @@ def reference(ids, X, clusters):
             outside = np.array([r for r, s in enumerate(ids) if int(s) not in cluster])
             d = gathered_dissimilarity(X[row_of[rep]], X[outside])
             pick = int(np.lexsort((ids[outside], d))[0])
-            pairs.append(NearestExcludedPair(rep, int(ids[outside][pick]), float(d[pick])))
-    return tuple(reps), tuple(means), pairs
+            pairs.append((rep, int(ids[outside][pick]), float(d[pick])))
+    return tuple(reps), tuple(means), tuple(pairs)
 
 
 # Fraction 0.6 stays on the threshold engine; 0.1 needs far more than 8 cells
@@ -89,7 +89,7 @@ def test_pipeline_matches_per_cluster_reference(dim, interleaved, fraction):
         reps, means, pairs = reference(ids, Xc, clusters(res.partition))
         assert res.reps == reps
         assert res.dissimilarity == means
-        assert res.pairs == tuple(pairs)
+        assert res.pairs == pairs
         U = unit_rows(Xc)
         assert avg_dissimilarity(res.partition, res.reps, Xc, U) == means
         assert nearest_excluded(res.partition, res.reps, Xc, U) == pairs

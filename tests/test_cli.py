@@ -297,6 +297,34 @@ class TestSelectCommand:
                     dis["per_class"], dis["groups_counted"]):
             assert sorted(doc, key=int) == names
 
+    def test_ids_at_the_int64_edge_are_written_exactly(self, tmp_path, capsys):
+        # Ids a float64 cannot hold (2**53 + 1, 2**62 + 3, 2**63 - 1) or would
+        # merge with a neighbour (2**53): every artifact writes them as given.
+        # Each pair of mirrored rows ties its medoid to the smaller id, and the
+        # mirrored pair (1, 1, +-0.01) ties as the other medoid's neighbour.
+        top, big = 2**63 - 1, 2**53
+        sids = [top, top - 1, big + 1, big, 2**62 + 3]
+        X = np.array([[1, 0.01, 0], [1, -0.01, 0], [1, 1, 0.01], [1, 1, -0.01], [0, 0, 1]])
+        data = tmp_path / "edge.bin"
+        data.write_bytes(canonical_bytes(EmbeddingDataset(sids, [0] * 5, X)))
+        _, results = selection.build_cluster_subset(load_dataset(data), 0.6, nearest_excluded=True)
+        pairs = results[0].pairs
+        assert [(r, nb) for r, nb, _ in pairs] == [(big, top), (top - 1, big)]
+        assert [tuple(map(type, p)) for p in pairs] == [(int, int, float)] * 2
+        for fraction, kept in (("0.6", [big, 2**62 + 3, top - 1]), ("1.0", sorted(sids))):
+            out = tmp_path / fraction
+            code, _, err = run(capsys, "select", "--input", data, "--fraction", fraction,
+                               "--out", out)
+            assert code == 0, err
+            assert json.loads((out / "manifest.json").read_text())["retained"] == {"0": kept}
+            assert (out / "manifest.txt").read_text() == "".join(f"0 {s}\n" for s in kept)
+        doc = json.loads((tmp_path / "0.6" / "pairs.json").read_text())
+        assert doc == {"0": [
+            {"retained_id": r, "neighbor_id": nb, "dissimilarity": d} for r, nb, d in pairs
+        ]}
+        rows = (tmp_path / "0.6" / "pairs.txt").read_text().splitlines()[1:]
+        assert [ln.split()[:3] for ln in rows] == [["0", str(r), str(nb)] for r, nb, _ in pairs]
+
     def test_fraction_one_keeps_all(self, synth_dataset, tmp_path, capsys):
         out = tmp_path / "run"
         code, stdout, _ = run(
@@ -939,7 +967,7 @@ class TestLibrarySurface:
         assert redunda.__all__ == [
             "ClassResult", "ConfigError", "DegenerateClusterError", "Dendrogram",
             "EmbeddingDataset", "FormatError", "InvalidArgumentError", "MarginError",
-            "MemoryCapError", "NearestExcludedPair", "Partition", "PlantedSpec",
+            "MemoryCapError", "Partition", "PlantedSpec",
             "RedundaError", "SeparationCertificate", "SubsetManifest",
             "UnknownClassError", "ValidationError", "__version__",
             "agglomerate_fast", "avg_dissimilarity", "build_cluster_subset",

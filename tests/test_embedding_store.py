@@ -366,6 +366,22 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (2, 3)])
+    def test_every_accepted_shape_round_trips(self, tmp_path, shape):
+        # A dimension below 1 is refused at any record count, so every
+        # dataset the constructor accepts is one ``load_dataset`` reads back.
+        n, dim = shape
+        vectors = np.ones(shape)
+        if dim < 1:
+            with pytest.raises(ValidationError, match="dimension must be at least 1"):
+                EmbeddingDataset(range(n), [0] * n, vectors)
+            return
+        path = tmp_path / "x.bin"
+        path.write_bytes(canonical_bytes(EmbeddingDataset(range(n), [0] * n, vectors)))
+        back = load_dataset(path)
+        assert (len(back), back.dimension) == shape
+        assert np.array_equal(back.vectors, vectors)
+
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(pack_binary(0, 4, []))

@@ -251,10 +251,10 @@ class TestBuildClusterSubset:
             (r.partition, r.reps) for r in off.values()
         ]
         assert on[0].dissimilarity == (0.0, 0.0)  # the two duplicate pairs
-        assert [p.retained_id for p in on[0].pairs] == [2, 5]
+        assert [retained for retained, _, _ in on[0].pairs] == [2, 5]
         assert len(on[1].dissimilarity) == len(on[1].pairs) == 1
         _, singletons = build_cluster_subset(ds, 1.0, dissimilarity=True, nearest_excluded=True)
-        assert all(r.dissimilarity is None and r.pairs == () for r in singletons.values())
+        assert all(r.dissimilarity == r.pairs == () for r in singletons.values())
 
     def test_rep_is_cluster_member(self):
         ds = self.planted()
