@@ -332,14 +332,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except RedundaError as exc:
-        print(f"{exc.code}: {_one_line(exc)}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io_error: {_one_line(exc)}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"out_of_memory: {_one_line(exc)}", file=sys.stderr)
+    except Exception as exc:  # the one place an exception becomes its code
+        code = (exc.code if isinstance(exc, RedundaError)
+                else "out_of_memory" if isinstance(exc, MemoryError)
+                else "io_error" if isinstance(exc, OSError)
+                else "internal_error")
+        print(f"{code}: {_one_line(exc)}", file=sys.stderr)
         return 1
 
 

@@ -194,7 +194,7 @@ def build_cluster_subset(
 
     Returns the manifest and one ``ClassResult`` per class, keyed by class_id
     in ascending order, with the report entries the two switches ask for.
-    Classes are clustered one after another; an error is tagged with its class.
+    Classes are clustered one after another; an error with a code of its own names its class.
     """
     by_class: dict[int, ClassResult] = {}
     for cid in _classes(ds, fraction):
@@ -202,9 +202,8 @@ def build_cluster_subset(
             by_class[cid] = _cluster_class(
                 ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded
             )
-        except Exception as exc:  # tagged with its class, as the same error type
-            msg = f"class {cid}: {exc}"
-            raise (type(exc)(msg) if isinstance(exc, RedundaError) else RedundaError(msg)) from exc
+        except (RedundaError, MemoryError, OSError) as exc:  # named, as the same type
+            raise type(exc)(f"class {cid}: {exc}") from exc
     retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
     return manifest, by_class

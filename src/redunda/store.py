@@ -174,7 +174,9 @@ def _load_binary(path: Path) -> EmbeddingDataset:
         try:
             record = _record_dtype(dim, explicit)
         except ValueError:
-            raise FormatError(f"{path}: dimension {dim} is too large for a record") from None
+            record = None
+        if record is None or record.itemsize <= 0:  # refused, or numpy's C int size wrapped
+            raise FormatError(f"{path}: dimension {dim} is too large for a record")
         # Up to size + 1 bytes, whatever the file is (a pipe reports no size),
         # into one buffer grown _READ_STEP bytes at a time: a corrupt count
         # costs one step, and the digest covers exactly the bytes parsed.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import inspect
 import json
@@ -136,6 +137,15 @@ class TestSynthCommand:
         )
         assert code == 1
         assert err == "invalid_argument: classes must be <= 2**32, got 5000000000\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_dim_above_the_header_field(self, tmp_path, capsys):
+        # Refused before anything is allocated, not by np.empty's shape check.
+        argv = list(SYNTH)
+        argv[argv.index("--dim") + 1] = str(10**20)
+        code, out, err = run(capsys, *argv, "--out", tmp_path / "g")
+        assert (code, out) == (1, "")
+        assert err == "invalid_argument: dim must be <= 2**32 - 1, got 100000000000000000000\n"
         assert not (tmp_path / "g").exists()
 
     def test_unsatisfiable_margin(self, tmp_path, capsys):
@@ -451,6 +461,48 @@ class TestConfigErrors:
         ):
             _, _, err = run(capsys, *argv)
             assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err)
+
+
+class TestOneLinePerFailure:
+    """``main`` alone maps an exception to its code; a class's error names the class."""
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "out_of_memory: class 0: Unable to allocate 7.28 TiB for an array\n"),
+        (OSError(errno.EIO, "I/O error"), "io_error: class 0: [Errno 5] I/O error\n"),
+    ], ids=["memory", "io"])
+    def test_error_in_a_class_keeps_its_code(
+        self, synth_dataset, tmp_path, capsys, monkeypatch, exc, line
+    ):
+        out = tmp_path / "r"
+        argv = ["select", "--input", synth_dataset, "--fraction", "0.5", "--out", out]
+        assert run(capsys, *argv)[0] == 0
+        before = tree(out)
+
+        def fail(*_):
+            raise exc
+
+        monkeypatch.setattr(redunda.metric, "unit_rows", fail)
+        assert run(capsys, *argv) == (1, "", line)
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (redunda.metric, "unit_rows", ["select", "--input", "{data}", "--fraction", "0.5"]),
+        (redunda.cli, "load_dataset", ["validate", "--input", "{data}"]),
+        (redunda.synth, "generate", SYNTH),
+    ], ids=["select", "validate", "synth"])
+    def test_unexpected_error_is_one_internal_error_line(
+        self, synth_dataset, tmp_path, capsys, monkeypatch, module, name, argv
+    ):
+        def boom(*_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(module, name, boom)
+        out = tmp_path / "r"
+        argv = [a.format(data=synth_dataset) for a in argv]
+        argv += [] if argv[0] == "validate" else ["--out", out]
+        assert run(capsys, *argv) == (1, "", "internal_error: boom\n")
+        assert not out.exists()
 
 
 class TestSeedRange:
@@ -882,6 +934,29 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "--input", bad)
         assert code == 1
         assert re.fullmatch(r"format_error: [^\n]+\n", err)
+
+    @pytest.mark.parametrize("command", ["validate", "select"])
+    @pytest.mark.parametrize("flags, dim, refused", [
+        (0, 536870911, True),
+        (FLAG_EXPLICIT_IDS, 536870909, True),
+        (FLAG_EXPLICIT_IDS, 536870910, True),
+        (FLAG_EXPLICIT_IDS, 536870911, True),
+        (0, 536870910, False),  # the largest records numpy can size
+        (FLAG_EXPLICIT_IDS, 536870908, False),
+    ])
+    def test_record_numpy_cannot_size_is_refused(
+        self, tmp_path, capsys, command, flags, dim, refused
+    ):
+        # A record of 2**31 bytes or more wraps numpy's C int size negative.
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(struct.pack("<4sIIQI", MAGIC, FORMAT_VERSION, flags, 1, dim) + bytes(4))
+        out = tmp_path / "r"
+        argv = ["--fraction", "0.5", "--out", out] if command == "select" else []
+        code, _, err = run(capsys, command, "--input", bad, *argv)
+        reason = f"dimension {dim} is too large for a record" if refused else (
+            "expected 1 records, file holds 0")
+        assert (code, err) == (1, f"format_error: {bad}: {reason}\n")
+        assert not out.exists()
 
     def test_rejects_sample_id_above_int64(self, tmp_path, capsys):
         head = struct.pack("<4sIIQI", MAGIC, FORMAT_VERSION, FLAG_EXPLICIT_IDS, 2, 2)

@@ -20,6 +20,7 @@ from redunda.errors import (
     UnknownClassError,
     ValidationError,
 )
+from redunda import store
 from redunda.store import (
     FLAG_EXPLICIT_IDS,
     FORMAT_VERSION,
@@ -366,6 +367,35 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    # Five explicit-id records of dim 4 are 28 bytes each: a 140-byte body.
+    STEP_RECORDS = [(10 + i, i % 2, (1.0 + i, 0.5, -1.0, 2.0)) for i in range(5)]
+
+    @pytest.mark.parametrize("via", ["file", "pipe"])
+    @pytest.mark.parametrize("step", [1, 7, 13, 28, 139, 140, 141])
+    def test_body_read_in_small_steps(self, tmp_path, monkeypatch, via, step):
+        # A body longer than one step grows the buffer step by step.  Steps
+        # 1, 7, 28 and 140 divide the 140-byte body, so there the trailing
+        # byte is the first byte of a step of its own.
+        def load(raw: bytes, name: str) -> EmbeddingDataset:
+            at = tmp_path / name
+            at.mkdir()
+            if via == "pipe":
+                return load_through_pipe(at, raw)
+            (at / "x.bin").write_bytes(raw)
+            return load_dataset(at / "x.bin")
+
+        raw = pack_binary(5, 4, self.STEP_RECORDS, flags=FLAG_EXPLICIT_IDS)
+        whole = load(raw, "whole")  # one step
+        monkeypatch.setattr(store, "_READ_STEP", step)
+        ds = load(raw, "steps")
+        assert ds.digest() == whole.digest() == hashlib.sha256(raw).hexdigest()
+        assert ds.sample_ids.tolist() == whole.sample_ids.tolist() == [10, 11, 12, 13, 14]
+        assert np.array_equal(ds.vectors, whole.vectors)
+        with pytest.raises(FormatError, match="trailing bytes after 5 records$"):
+            load(raw + b"\x00", "trailing")
+        with pytest.raises(FormatError, match="expected 5 records, file holds 4$"):
+            load(raw[:-3], "truncated")
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (2, 3)])
     def test_every_accepted_shape_round_trips(self, tmp_path, shape):
         # A dimension below 1 is refused at any record count, so every
@@ -434,6 +464,17 @@ class TestCsvFormat:
         for name in ("sample_ids", "class_ids", "vectors"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert b.digest() == hashlib.sha256(marked.read_bytes()).hexdigest() != a.digest()
+
+    def test_blank_lines_between_records(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,0,1.0,0.0\n\n   \n1,1,0.0,1.0\n\n2,1,1.0,1.0\n\n")
+        ds = load_dataset(path)
+        assert ds.sample_ids.tolist() == [0, 1, 2] and ds.class_ids.tolist() == [0, 1, 1]
+        assert np.array_equal(ds.vectors, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        # A blank line still counts for the line an error names.
+        path.write_text("0,0,1.0,0.0\n\n1,0,1.0\n")
+        with pytest.raises(FormatError, match=r"d\.csv:3: expected 2 components, got 1$"):
+            load_dataset(path)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,8 +1,9 @@
 """Fuzz the CLI error contract with mutated inputs.
 
 Every run must either succeed (exit 0) or print exactly one
-``error_code: message`` line on stderr and exit 1.  An exception escaping
-``main`` would reach the user as a traceback, so the test fails on it.
+``error_code: message`` line on stderr and exit 1.  ``main`` prints an
+exception no check raised as ``internal_error``, so the test fails on that
+code as it would on a traceback.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def run_cli(*argv) -> None:
     else:
         assert code == 1
         assert ERROR_LINE.fullmatch(text), repr(text)
+        assert not text.startswith("internal_error:"), text  # an error no check named
 
 
 def fuzz_dir():

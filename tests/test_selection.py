@@ -281,6 +281,24 @@ class TestBuildClusterSubset:
         with pytest.raises(DegenerateClusterError, match="class 7:"):
             build_cluster_subset(ds, 0.5)
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate"), OSError(5, "I/O error"), RuntimeError("boom"),
+    ], ids=["memory", "io", "other"])
+    def test_only_errors_with_a_code_are_named(self, monkeypatch, exc):
+        # A MemoryError or OSError keeps its type, and so its code, with the
+        # class in front; any other exception passes through as it was raised.
+        def fail(*_):
+            raise exc
+
+        monkeypatch.setattr(selection.metric, "unit_rows", fail)
+        with pytest.raises(type(exc)) as got:
+            build_cluster_subset(make_dataset({7: [[1.0, 0.0], [0.0, 1.0]]}), 0.5)
+        if isinstance(exc, RuntimeError):
+            assert got.value is exc
+        else:
+            assert type(got.value) is type(exc) and got.value.__cause__ is exc
+            assert str(got.value) == f"class 7: {exc}"
+
     def test_bad_fraction(self):
         ds = self.planted()
         for f in (0.0, -1.0, 1.0001):

@@ -53,6 +53,14 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError, match="^classes must be >= 1, got 0$"):
             self.base(classes=0)
 
+    def test_dim_the_binary_header_can_hold(self):
+        # A binary header holds dim in 32 bits; the spec is refused up front.
+        self.base(dim=2**32 - 1)
+        with pytest.raises(InvalidArgumentError, match=r"^dim must be <= 2\*\*32 - 1, got 4294967296$"):
+            self.base(dim=2**32)
+        with pytest.raises(InvalidArgumentError, match="^dim must be >= 2, got 1$"):
+            self.base(dim=1)
+
     def test_spread_range(self):
         with pytest.raises(InvalidArgumentError):
             self.base(within_spread=-0.1)
