@@ -36,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _one_line(exc: BaseException) -> str:
-    return " ".join(str(exc).split()) or exc.__class__.__name__
-
-
 # Artifacts a select run may leave out, as glob patterns under --out.  The
 # manifest files and run_metadata.json are not listed: every run writes them.
 _OPTIONAL_ARTIFACTS = (
@@ -337,7 +333,8 @@ def main(argv=None) -> int:
                 else "out_of_memory" if isinstance(exc, MemoryError)
                 else "io_error" if isinstance(exc, OSError)
                 else "internal_error")
-        print(f"{code}: {_one_line(exc)}", file=sys.stderr)
+        message = " ".join(str(exc).split()) or exc.__class__.__name__
+        print(f"{code}: {message}", file=sys.stderr)
         return 1
 
 

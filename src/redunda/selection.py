@@ -202,8 +202,11 @@ def build_cluster_subset(
             by_class[cid] = _cluster_class(
                 ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded
             )
-        except (RedundaError, MemoryError, OSError) as exc:  # named, as the same type
+        except RedundaError as exc:  # named, as the same type
             raise type(exc)(f"class {cid}: {exc}") from exc
+        except (MemoryError, OSError) as exc:  # as the builtin: numpy's MemoryError takes (shape, dtype)
+            kind = MemoryError if isinstance(exc, MemoryError) else OSError
+            raise kind(f"class {cid}: {exc}") from exc
     retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
     return manifest, by_class

@@ -171,12 +171,9 @@ def _load_binary(path: Path) -> EmbeddingDataset:
         if dim < 1:
             raise FormatError(f"{path}: dimension must be positive, got {dim}")
         explicit = bool(flags & FLAG_EXPLICIT_IDS)
-        try:
-            record = _record_dtype(dim, explicit)
-        except ValueError:
-            record = None
-        if record is None or record.itemsize <= 0:  # refused, or numpy's C int size wrapped
+        if 4 * dim + (12 if explicit else 4) >= 2**31:  # numpy sizes a record in a C int
             raise FormatError(f"{path}: dimension {dim} is too large for a record")
+        record = _record_dtype(dim, explicit)
         # Up to size + 1 bytes, whatever the file is (a pipe reports no size),
         # into one buffer grown _READ_STEP bytes at a time: a corrupt count
         # costs one step, and the digest covers exactly the bytes parsed.

@@ -48,16 +48,18 @@ class PlantedSpec:
     size_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.classes <= 1 << 32:  # class ids key 32-bit streams (rng.class_stream)
-            bound = ">= 1" if self.classes < 1 else "<= 2**32"
-            raise InvalidArgumentError(f"classes must be {bound}, got {self.classes}")
+        if self.classes < 1:
+            raise InvalidArgumentError(f"classes must be >= 1, got {self.classes}")
+        if self.classes > 1 << 32:  # class ids key 32-bit streams (rng.class_stream)
+            raise InvalidArgumentError(f"classes must be <= 2**32, got {self.classes}")
         if self.groups_per_class < 1:
             raise InvalidArgumentError(
                 f"groups_per_class must be >= 1, got {self.groups_per_class}"
             )
-        if not 2 <= self.dim <= 0xFFFFFFFF:  # a binary header holds dim in 32 bits
-            bound = ">= 2" if self.dim < 2 else "<= 2**32 - 1"
-            raise InvalidArgumentError(f"dim must be {bound}, got {self.dim}")
+        if self.dim < 2:
+            raise InvalidArgumentError(f"dim must be >= 2, got {self.dim}")
+        if self.dim > 0xFFFFFFFF:  # a binary header holds dim in 32 bits
+            raise InvalidArgumentError(f"dim must be <= 2**32 - 1, got {self.dim}")
         if not 0.0 <= self.within_spread <= 0.5:
             raise InvalidArgumentError(
                 f"within_spread must lie in [0, 0.5], got {self.within_spread}"

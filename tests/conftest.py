@@ -9,6 +9,11 @@ import pytest
 
 from redunda.store import EmbeddingDataset
 
+try:  # the MemoryError numpy raises when an allocation fails; it takes (shape, dtype)
+    from numpy._core._exceptions import _ArrayMemoryError as ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError as ArrayMemoryError
+
 
 @pytest.fixture
 def tiny_dataset() -> EmbeddingDataset:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import redunda
-from conftest import pipe_serving, stacked_dataset
+from conftest import ArrayMemoryError, pipe_serving, stacked_dataset
 import _oracles
 from redunda import cli, cluster, selection
 from redunda.cli import build_parser, main
@@ -469,8 +469,13 @@ class TestOneLinePerFailure:
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 7.28 TiB for an array"),
          "out_of_memory: class 0: Unable to allocate 7.28 TiB for an array\n"),
+        (ArrayMemoryError((2**40,), np.dtype("f8")),
+         "out_of_memory: class 0: Unable to allocate 8.00 TiB for an array"
+         " with shape (1099511627776,) and data type float64\n"),
         (OSError(errno.EIO, "I/O error"), "io_error: class 0: [Errno 5] I/O error\n"),
-    ], ids=["memory", "io"])
+        (FileNotFoundError(errno.ENOENT, "No such file or directory", "/x"),
+         "io_error: class 0: [Errno 2] No such file or directory: '/x'\n"),
+    ], ids=["memory", "numpy-memory", "io", "io-subclass"])
     def test_error_in_a_class_keeps_its_code(
         self, synth_dataset, tmp_path, capsys, monkeypatch, exc, line
     ):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import clusters, random_unit_rows, stacked_dataset as make_dataset
+from conftest import ArrayMemoryError, clusters, random_unit_rows, stacked_dataset as make_dataset
 from redunda.errors import (
     DegenerateClusterError,
     InvalidArgumentError,
@@ -281,22 +281,27 @@ class TestBuildClusterSubset:
         with pytest.raises(DegenerateClusterError, match="class 7:"):
             build_cluster_subset(ds, 0.5)
 
-    @pytest.mark.parametrize("exc", [
-        MemoryError("Unable to allocate"), OSError(5, "I/O error"), RuntimeError("boom"),
-    ], ids=["memory", "io", "other"])
-    def test_only_errors_with_a_code_are_named(self, monkeypatch, exc):
-        # A MemoryError or OSError keeps its type, and so its code, with the
-        # class in front; any other exception passes through as it was raised.
+    @pytest.mark.parametrize("exc, kind", [
+        (MemoryError("Unable to allocate"), MemoryError),
+        (ArrayMemoryError((2**40,), np.dtype("f8")), MemoryError),
+        (OSError(5, "I/O error"), OSError),
+        (FileNotFoundError(2, "No such file or directory", "/x"), OSError),
+        (RuntimeError("boom"), None),
+    ], ids=["memory", "numpy-memory", "io", "io-subclass", "other"])
+    def test_only_errors_with_a_code_are_named(self, monkeypatch, exc, kind):
+        # A MemoryError or OSError comes back as the builtin, which keeps its
+        # code, with the class in front (numpy's own MemoryError cannot be
+        # rebuilt from a message); any other exception passes through as raised.
         def fail(*_):
             raise exc
 
         monkeypatch.setattr(selection.metric, "unit_rows", fail)
-        with pytest.raises(type(exc)) as got:
+        with pytest.raises(type(exc) if kind is None else kind) as got:
             build_cluster_subset(make_dataset({7: [[1.0, 0.0], [0.0, 1.0]]}), 0.5)
-        if isinstance(exc, RuntimeError):
+        if kind is None:
             assert got.value is exc
         else:
-            assert type(got.value) is type(exc) and got.value.__cause__ is exc
+            assert type(got.value) is kind and got.value.__cause__ is exc
             assert str(got.value) == f"class 7: {exc}"
 
     def test_bad_fraction(self):
