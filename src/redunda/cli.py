@@ -161,10 +161,13 @@ def _cmd_select(args) -> int:
         if src in (at, at.with_name(f".{at.name}.partial")):
             raise ConfigError(f"--input {args.input} is {rel}, which this run writes")
     results: dict[int, ClassResult] | None = None
+    processes = 1
     if args.method == selection.METHOD_CLUSTER:
+        processes = min(len(ds.classes()), selection.usable_processes())
         manifest, results = selection.build_cluster_subset(
             ds, args.fraction, memory_cap_bytes=args.memory_cap,
             dissimilarity=args.dissimilarity, nearest_excluded=args.nearest_excluded,
+            processes=processes,
         )
     else:
         manifest = selection.build_random_subset(ds, args.fraction, args.seed)
@@ -185,7 +188,7 @@ def _cmd_select(args) -> int:
         for cid, ids in sorted(manifest.retained.items())
     }
     meta = {"input": str(Path(args.input)), "fraction": manifest.retention_fraction,
-            "classes": classes, "method": args.method, "seed": args.seed}
+            "classes": classes, "method": args.method, "seed": args.seed, "processes": processes}
     artifacts.append(("run_metadata.json", _metadata("select", ds, meta)))
 
     # Exit contract: the manifest written validates against the dataset.
@@ -286,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="required for (and only for) uniform-random")
     p.add_argument("--memory-cap", type=int, default=None, dest="memory_cap",
-                   help="bytes of the condensed pairwise matrix allowed per "
-                        f"class that needs it (default {DEFAULT_MEMORY_CAP})")
+                   help="bytes of condensed pairwise matrices allowed, summed over "
+                        f"the classes in flight (default {DEFAULT_MEMORY_CAP})")
     p.add_argument("--histogram", action=argparse.BooleanOptionalAction, default=True,
                    help="emit cluster-size histogram")
     p.add_argument("--dissimilarity", action=argparse.BooleanOptionalAction, default=True,

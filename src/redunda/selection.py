@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import analysis, metric, rng
-from .cluster import Dendrogram, Partition, agglomerate_fast
+from .cluster import DEFAULT_MEMORY_CAP, Dendrogram, Partition, agglomerate_fast
 from .errors import DegenerateClusterError, InvalidArgumentError, RedundaError, ValidationError
 from .store import EmbeddingDataset
 
@@ -182,6 +184,70 @@ def _classes(ds: EmbeddingDataset, fraction: float) -> list[int]:
     return ds.classes()
 
 
+def usable_processes() -> int:
+    """The CPUs this process may run on over the BLAS threads of each process
+    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``); 1 with neither set,
+    where BLAS takes every CPU, and without ``os.fork`` or ``os.sched_getaffinity``."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if (threads := os.environ.get(var, "").strip()).isdigit() and int(threads) > 0:
+                return max(1, len(os.sched_getaffinity(0)) // int(threads))
+    return 1
+
+
+def _run_share(cids: list[int], run) -> dict[int, ClassResult | Exception]:
+    """Each class's result in order, up to the first class that raises: its exception."""
+    out: dict[int, ClassResult | Exception] = {}
+    for cid in cids:
+        try:
+            out[cid] = run(cid)
+        except Exception as exc:  # kept, so the smallest failing class can be told
+            out[cid] = exc
+            break
+    return out
+
+
+def _in_processes(cids: list[int], sizes: Mapping[int, int], processes: int, run) -> dict:
+    """Run ``cids`` in up to ``processes`` processes: this one and workers
+    forked from it, which share its pages copy-on-write.  Each class, largest
+    first, joins the share of least n**2 so far (the first of equals); each
+    share runs in ascending order.  A worker sends its outcomes pickled over a
+    pipe of its own and writes nothing else; all are reaped on the way out."""
+    shares: list[list[int]] = [[] for _ in range(processes)]
+    load = [0] * processes
+    for cid in sorted(cids, key=lambda c: (-sizes[c], c)):
+        p = load.index(min(load))
+        shares[p].append(cid)
+        load[p] += sizes[cid] ** 2
+    workers: list[tuple[int, int, list[int]]] = []  # pid, read end, share
+    try:
+        for share in map(sorted, filter(None, shares[1:])):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the worker
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(_run_share(share, run), out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            workers.append((pid, r, share))
+        outcomes = _run_share(sorted(shares[0]), run)
+        for _, r, share in workers:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                outcomes.update(pickle.loads(data))
+            except Exception:  # nothing, or cut short: the worker ended first
+                outcomes[share[0]] = MemoryError(
+                    f"the worker process for classes {share} ended before it gave a result")
+        return outcomes
+    finally:
+        for pid, r, _ in workers:
+            os.close(r)
+            os.kill(pid, 9)  # SIGKILL: one still running is not waited for; an ended one ignores it
+            os.waitpid(pid, 0)
+
+
 def build_cluster_subset(
     ds: EmbeddingDataset,
     fraction: float,
@@ -189,27 +255,38 @@ def build_cluster_subset(
     memory_cap_bytes: int | None = None,
     dissimilarity: bool = False,
     nearest_excluded: bool = False,
+    processes: int = 1,
 ) -> tuple[SubsetManifest, dict[int, ClassResult]]:
     """Cluster every class at its per-class k and keep one medoid per cluster.
 
     Returns the manifest and one ``ClassResult`` per class, keyed by class_id
     in ascending order, with the report entries the two switches ask for.
-    Classes are clustered one after another; an error with a code of its own names its class.
+    The classes run in up to ``processes`` processes (``_in_processes``), with
+    the same arithmetic in each.  The memory cap bounds the classes in flight
+    together: one whose condensed matrix could pass cap / ``processes`` runs
+    first, alone.  An error names the smallest class that raised.
     """
-    by_class: dict[int, ClassResult] = {}
-    for cid in _classes(ds, fraction):
-        try:
-            by_class[cid] = _cluster_class(
-                ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded
-            )
-        except RedundaError as exc:  # named, as the same type
-            raise type(exc)(f"class {cid}: {exc}") from exc
-        except (MemoryError, OSError) as exc:  # as the builtin: numpy's MemoryError takes (shape, dtype)
-            kind = MemoryError if isinstance(exc, MemoryError) else OSError
-            raise kind(f"class {cid}: {exc}") from exc
-    retained = {cid: tuple(sorted(res.reps)) for cid, res in by_class.items()}
+    def run(cid: int) -> ClassResult:
+        return _cluster_class(ds, cid, fraction, memory_cap_bytes, dissimilarity, nearest_excluded)
+
+    cids, sizes = _classes(ds, fraction), ds.class_sizes()
+    cap = DEFAULT_MEMORY_CAP if memory_cap_bytes is None else memory_cap_bytes
+    alone = [c for c in cids if sizes[c] * (sizes[c] - 1) // 2 * 8 * processes > cap]
+    outcomes = _run_share(alone, run)
+    failed = min((c for c, r in outcomes.items() if isinstance(r, Exception)), default=math.inf)
+    rest = [c for c in cids if c not in alone and c < failed]
+    outcomes.update(_in_processes(rest, sizes, processes, run))
+    for cid, res in sorted(outcomes.items()):
+        if isinstance(res, RedundaError):  # named, as the same type
+            raise type(res)(f"class {cid}: {res}") from res
+        if isinstance(res, (MemoryError, OSError)):  # as the builtin: numpy's MemoryError takes (shape, dtype)
+            kind = MemoryError if isinstance(res, MemoryError) else OSError
+            raise kind(f"class {cid}: {res}") from res
+        if isinstance(res, Exception):
+            raise res
+    retained = {cid: tuple(sorted(res.reps)) for cid, res in outcomes.items()}
     manifest = SubsetManifest(METHOD_CLUSTER, fraction, None, ds.digest(), retained)
-    return manifest, by_class
+    return manifest, dict(sorted(outcomes.items()))
 
 
 def build_random_subset(ds: EmbeddingDataset, fraction: float, seed: int) -> SubsetManifest:

@@ -11,6 +11,7 @@ module is loaded by path and only read.
 from __future__ import annotations
 
 import importlib
+import os
 import types
 from pathlib import Path
 
@@ -42,8 +43,12 @@ def test_every_wrap_point_resolves_to_a_callable():
     assert missing == []
 
 
-def traced_select(tmp_path, fraction, *flags):
-    """Spans of one ``select`` on a two-class dataset, and its point count."""
+def traced_select(tmp_path, monkeypatch, fraction, *flags):
+    """Spans of one ``select`` on a two-class dataset, and its point count.
+
+    The tracer sees only the process it is installed in, so the run is pinned
+    to one CPU, which keeps both classes in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     rs = np.random.default_rng(5)
     X = with_duplicates(rs, rs.normal(size=(120, 8)), 20)
     ds = EmbeddingDataset(np.arange(120), np.repeat([0, 1], [70, 50]), X)
@@ -70,9 +75,9 @@ NO_REPORTS = ("--no-dissimilarity", "--no-nearest-excluded")
     (0.1, (), set()),  # every class gives up to the dense loop
 ])
 def test_traced_select_reaches_every_wrap_point_and_normalizes_once(
-    tmp_path, fraction, flags, off
+    tmp_path, monkeypatch, fraction, flags, off
 ):
-    spans, points = traced_select(tmp_path, fraction, *flags)
+    spans, points = traced_select(tmp_path, monkeypatch, fraction, *flags)
     assert {name for _, _, name, *_ in spans} == {n for n, *_ in load_spans().WRAP_POINTS} - off
     if REPORTS <= off:
         # Only the medoid fallback calls ``metric.one_to_many`` here.  The
